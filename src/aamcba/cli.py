@@ -19,6 +19,7 @@ from .forecast import ForecastError
 from .ingest import (
     FACTOR_IDS,
     TOGGLE_DEFAULTS,
+    YAML_LOADER,
     ScenarioError,
     default_scenario_path,
     load_scenario,
@@ -70,7 +71,7 @@ def _parse_toggles(pairs: list[str] | None) -> dict:
             raise ScenarioError(
                 f"unknown toggle '{key}'; valid: {', '.join(sorted(TOGGLE_DEFAULTS))}"
             )
-        toggles[key] = yaml.safe_load(raw.strip())
+        toggles[key] = yaml.load(raw.strip(), Loader=YAML_LOADER)
     return toggles
 
 

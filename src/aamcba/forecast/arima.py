@@ -6,14 +6,16 @@ to zero. The optimizer works in an unconstrained space that maps through
 tanh to partial autocorrelations and then, via the Levinson recursion, to
 AR/MA coefficients, so stationarity and invertibility hold by construction
 for any order.
+
+scipy (Nelder-Mead and the MA filter) is imported when an iterative
+(p+q>0) fit, or a forecast with MA terms, first needs it, so a run whose
+fits are all closed-form (0,d,0) never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .common import CI_Z, CONFIDENCE, MIN_OBS, ForecastError
 
@@ -132,24 +134,6 @@ def _partials_to_coeffs(partials: np.ndarray) -> np.ndarray:
     return a
 
 
-def _coeffs_to_partials(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse Levinson recursion (used to seed the optimizer)."""
-    a = np.asarray(coeffs, dtype=float).copy()
-    out = []
-    while a.size:
-        rk = a[-1]
-        out.append(rk)
-        if a.size > 1:
-            den = 1.0 - rk * rk
-            if den <= 0.0:
-                out.extend([0.0] * (a.size - 1))
-                break
-            a = (a[:-1] + rk * a[-2::-1]) / den
-        else:
-            break
-    return np.array(out[::-1])
-
-
 def _raw_to_coeffs(raw: np.ndarray) -> np.ndarray:
     if raw.size == 0:
         return raw
@@ -166,13 +150,20 @@ def _min_root_modulus(coeffs) -> float:
     return float(np.min(np.abs(roots))) if roots.size else np.inf
 
 
-def _css_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """One-step errors conditioned on the first p values and zero presample errors."""
+def _css_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray,
+                   lfilter=None) -> np.ndarray:
+    """One-step errors conditioned on the first p values and zero presample errors.
+
+    ``lfilter`` is scipy.signal.lfilter, passed in by a caller that filters
+    many times; otherwise it is imported here, and only when q > 0.
+    """
     p = phi.size
     zt = z[p:].copy()
     for i in range(1, p + 1):
         zt -= phi[i - 1] * z[p - i:z.size - i]
     if theta.size:
+        if lfilter is None:
+            from scipy.signal import lfilter
         return lfilter([1.0], np.concatenate([[1.0], theta]), zt)
     return zt
 
@@ -221,6 +212,9 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
             n_obs=n,
         )
 
+    from scipy.optimize import minimize
+    from scipy.signal import lfilter
+
     # Optimize on a standardized copy so the Nelder-Mead tolerances mean
     # the same thing whatever the data units; AR/MA coefficients are
     # invariant under the affine map and the mean/variance map back exactly.
@@ -240,7 +234,7 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     def objective(params: np.ndarray) -> float:
         mu, phi, theta = unpack(params)
         with np.errstate(over="ignore", invalid="ignore"):
-            e = _css_residuals(z - mu, phi, theta)
+            e = _css_residuals(z - mu, phi, theta, lfilter)
             v = float(e @ e)
         # a finite penalty keeps Nelder-Mead's simplex arithmetic clean when
         # a candidate point sends the filtered residuals into overflow
@@ -284,7 +278,7 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
 
     mu_z, phi, theta = unpack(best.x)
     mu = shift + scale * mu_z
-    e = _css_residuals(w - mu, phi, theta)
+    e = _css_residuals(w - mu, phi, theta, lfilter)
     css = float(e @ e)
     if css == 0.0:
         raise ForecastError(

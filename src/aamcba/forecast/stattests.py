@@ -1,10 +1,10 @@
 """Unit-root and residual-whiteness tests."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .common import ForecastError
 from .correlation import acf
@@ -41,6 +41,36 @@ class TestReport:
                 f"{self.name}: reject_null={self.reject_null} inconsistent "
                 f"with p={self.p_value}"
             )
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x), x >= 0, of a chi-square variable with integer ``dof``.
+
+    Closed forms for integer degrees of freedom (Abramowitz & Stegun
+    26.4.4 for odd, 26.4.5 for even), with h = x/2:
+
+    - odd:  erfc(sqrt(h)) + sqrt(2/pi) * exp(-h) * sum_{r=1}^{(dof-1)/2}
+      x^(r-1/2) / (1*3*...*(2r-1))
+    - even: exp(-h) * sum_{r=0}^{dof/2-1} h^r / r!
+
+    Every term is positive, so nothing cancels; Ljung-Box degrees of
+    freedom are always integers.
+    """
+    if dof < 1:
+        raise ForecastError(f"chi-square degrees of freedom must be >= 1, got {dof}")
+    half = 0.5 * x
+    if dof % 2 == 0:
+        term = total = 1.0
+        for r in range(1, dof // 2):
+            term *= half / r
+            total += term
+        return math.exp(-half) * total
+    term = math.sqrt(x)
+    total = 0.0
+    for r in range(1, (dof + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return math.erfc(math.sqrt(half)) + math.sqrt(2.0 / math.pi) * math.exp(-half) * total
 
 
 def default_adf_lag(n: int) -> int:
@@ -123,7 +153,7 @@ def ljung_box(
     k = np.arange(1, lags + 1)
     statistic = float(n * (n + 2) * np.sum(rho[1:] ** 2 / (n - k)))
     dof = lags - fitted_params
-    p_value = float(stats.chi2.sf(statistic, dof))
+    p_value = chi2_sf(statistic, dof)
     return TestReport(
         name=name,
         statistic=statistic,

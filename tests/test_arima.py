@@ -22,6 +22,8 @@ from aamcba.forecast.arima import (
 )
 from aamcba.ingest import TimeSeries
 
+from oracles import lcg_normals
+
 
 def _ar1_path(seed: int, n: int, phi: float, mu: float = 0.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -37,6 +39,17 @@ def _ma1_path(seed: int, n: int, theta: float) -> np.ndarray:
     rng = np.random.default_rng(seed)
     e = rng.normal(0.0, 1.0, n + 1)
     return e[1:] + theta * e[:-1]
+
+
+def _arma11_lcg(seed: int, n: int, phi: float, theta: float) -> np.ndarray:
+    """ARMA(1,1) driven by the oracle LCG normals, zero start."""
+    e = lcg_normals(seed, n + 1)
+    x = np.empty(n)
+    prev = 0.0
+    for t in range(n):
+        prev = phi * prev + e[t + 1] + theta * e[t]
+        x[t] = prev
+    return x
 
 
 def test_order_bounds():
@@ -211,3 +224,50 @@ def test_forecast_needs_enough_observations():
         forecast(fit, x[:5], 3)
     with pytest.raises(ForecastError, match="horizon must be >= 1"):
         forecast(fit, x, 0)
+
+
+# Iterative CSS fits frozen bit for bit: the optimizer's objective may be
+# restructured for speed, but it must evaluate the same floating-point
+# operations, so Nelder-Mead walks the same path to the same optimum.
+_ARMA_SERIES = 5.0 + _arma11_lcg(11, 120, 0.6, 0.3)
+FROZEN_FITS = [
+    (
+        ArimaOrder(1, 0, 1), _ARMA_SERIES,
+        (0.5617174608036665,), (0.4503732270645046,),
+        5.038228073302702, 1.0778665188360728, -125.03251618498443,
+    ),
+    (
+        ArimaOrder(2, 0, 2), _ARMA_SERIES,
+        (1.5357510259117133, -0.6222990124900243),
+        (-0.5365079399568202, -0.3363183872121413),
+        5.038228073302699, 1.0810384097755252, -122.15734030463436,
+    ),
+    (
+        ArimaOrder(5, 0, 5), 5.0 + _arma11_lcg(5, 30, 0.9, 0.0),
+        (0.48894720947106873, 0.03385407915249121, 0.11110886712337852,
+         0.8797817905622712, -0.5153594826245874),
+        (0.703189699611904, 1.628359111595762, -1.2355463077286633,
+         -0.763719710652064, 0.621180892526508),
+        6.265707488293197, 0.48046747233509624, -6.726544612691347,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "order, x, ar, ma, intercept, sigma2, loglik", FROZEN_FITS,
+    ids=lambda v: f"{v.p}{v.d}{v.q}" if isinstance(v, ArimaOrder) else "",
+)
+def test_iterative_fit_is_frozen(order, x, ar, ma, intercept, sigma2, loglik):
+    fit = fit_arima(x, order)
+    assert fit.ar_coeffs == ar
+    assert fit.ma_coeffs == ma
+    assert fit.intercept == intercept
+    assert fit.sigma2 == sigma2
+    assert fit.loglik_proxy == loglik
+
+
+def test_ma_forecast_is_frozen():
+    fit = fit_arima(_ARMA_SERIES, ArimaOrder(2, 0, 2))
+    band = forecast(fit, _ARMA_SERIES, 3)
+    assert band.mean == (5.2173991174611904, 4.967723297152448, 4.818452327151639)
+    assert band.upper == (7.255269857963064, 7.848617235954494, 7.92928024313332)

@@ -1,7 +1,15 @@
 """CLI argument handling, exit codes, and output wiring."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import aamcba
 
 from aamcba.cli import (
     _parse_emit,
@@ -164,3 +172,38 @@ def test_validate_command(capsys):
 def test_validate_reports_bad_factor(capsys):
     assert main(["validate", "--factors", "BF77"]) == 2
     assert "unknown benefit factors" in capsys.readouterr().err
+
+
+def test_validate_and_run_reject_nan_constant(tmp_path, capsys):
+    text = default_scenario_path().read_text(encoding="utf-8")
+    assert "  VTTS_2015: 17.25\n" in text
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(text.replace("  VTTS_2015: 17.25\n", "  VTTS_2015: .nan\n"))
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert "constant 'VTTS_2015' must be finite" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert "constant 'VTTS_2015' must be finite" in capsys.readouterr().err
+
+
+def test_import_and_closed_form_run_load_no_scipy(tmp_path):
+    # scipy serves only iterative (p+q>0) fits; every bundled series fits a
+    # closed-form (0,d,0) model, so neither the import nor the run needs it.
+    script = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import aamcba\n"
+        "after_import = scipy_modules()\n"
+        "from aamcba.cli import main\n"
+        "code = main(['run', '--out', sys.argv[1], '--emit', 'json'])\n"
+        "print(json.dumps([after_import, code, scipy_modules()]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(aamcba.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    after_import, code, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert code == 0
+    assert after_run == []

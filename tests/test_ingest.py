@@ -4,9 +4,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from aamcba.ingest import (
     FACTOR_IDS,
+    YAML_LOADER,
     Scenario,
     ScenarioError,
     TimeSeries,
@@ -30,6 +32,11 @@ def test_bundled_scenario_loads_clean(default_scenario):
     # the income anchor must equal the historical series at its base year
     assert s.constant("MHI_2015") == s.historical("mhi").value_at(2015)
     assert validate_scenario(s) == []
+
+
+def test_yaml_loader_reads_bundled_scenario_like_safe_load():
+    text = default_scenario_path().read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
 
 
 def test_time_series_invariants():
@@ -197,6 +204,18 @@ def test_load_scenario_errors(tmp_path):
     listy.write_text("- 1\n- 2\n")
     with pytest.raises(ScenarioError, match="must be a mapping"):
         load_scenario(listy)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("VTTS_2015", float("nan")),
+    ("market_cagr", float("inf")),
+    ("DSN", [0.0, 50.0, float("-inf")]),
+])
+def test_non_finite_constant_is_rejected(default_scenario, key, value):
+    doc = scenario_to_dict(default_scenario)
+    doc["constants"][key] = value
+    with pytest.raises(ScenarioError, match=f"constant '{key}' must be finite"):
+        scenario_from_dict(doc)
 
 
 def test_validate_missing_constant(default_scenario):

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from aamcba.forecast import ForecastError
 from aamcba.forecast import stattests
-from aamcba.forecast.stattests import adf_test, default_adf_lag, ljung_box
+from aamcba.forecast.stattests import adf_test, chi2_sf, default_adf_lag, ljung_box
 
 from oracles import adf_stat_bruteforce, random_walk_path, white_noise_path
 from test_correlation import X_SERIES
@@ -124,3 +124,22 @@ def test_ljung_box_error_branches():
         ljung_box(X_SERIES, 3, fitted_params=-1)
     with pytest.raises(ForecastError, match="must exceed fitted parameters"):
         ljung_box(X_SERIES, 3, fitted_params=3)
+
+
+@pytest.mark.parametrize("dof", range(1, 12))
+def test_chi2_sf_matches_scipy(dof):
+    # from the origin through the bulk into the far tail (p ~ 1e-290)
+    xs = np.concatenate([
+        [0.0, 1e-12, 1e-6], np.linspace(1e-3, 60.0, 2001), np.geomspace(60.0, 1300.0, 200)
+    ])
+    for x in xs:
+        ref = float(special.chdtrc(dof, x))
+        assert chi2_sf(float(x), dof) == pytest.approx(ref, rel=1e-12, abs=0.0), x
+
+
+def test_chi2_sf_edges():
+    assert chi2_sf(0.0, 1) == 1.0
+    assert chi2_sf(0.0, 4) == 1.0
+    assert chi2_sf(2.0, 2) == pytest.approx(np.exp(-1.0), rel=1e-15)
+    with pytest.raises(ForecastError, match="degrees of freedom"):
+        chi2_sf(1.0, 0)
