@@ -71,7 +71,10 @@ def _parse_toggles(pairs: list[str] | None) -> dict:
             raise ScenarioError(
                 f"unknown toggle '{key}'; valid: {', '.join(sorted(TOGGLE_DEFAULTS))}"
             )
-        toggles[key] = yaml.load(raw.strip(), Loader=YAML_LOADER)
+        try:
+            toggles[key] = yaml.load(raw.strip(), Loader=YAML_LOADER)
+        except yaml.YAMLError:
+            raise ScenarioError(f"--toggle {key}: not a YAML value: {raw!r}") from None
     return toggles
 
 

@@ -87,6 +87,8 @@ class EvaluationResult:
     annual: list[AnnualResult]
     forecasts: dict[str, PipelineResult]
     warnings: list[str]
+    #: The inputs every factor saw: year -> channel -> series name -> value.
+    channel_values: dict[int, dict[str, dict[str, float]]]
 
 
 def _note(trace: list | None, label: str, value: float) -> None:
@@ -532,8 +534,9 @@ def evaluate(
         )
 
     annual: list[AnnualResult] = []
+    values_by_year: dict[int, dict[str, dict[str, float]]] = {}
     for year in scenario.horizon_years:
-        channel_values = {
+        channel_values = values_by_year[year] = {
             channel: _values_for_year(
                 scenario, forecasts, exogenous_names, year, channel
             )
@@ -561,6 +564,7 @@ def evaluate(
         annual=annual,
         forecasts=forecasts,
         warnings=warnings,
+        channel_values=values_by_year,
     )
 
 
@@ -577,11 +581,8 @@ def explain(result: EvaluationResult, factor_id: str, year: int) -> str:
             f"year {year} outside horizon "
             f"{scenario.horizon_start}-{scenario.horizon_end}"
         )
-    _, exogenous_names, _ = required_inputs(result.factors)
-    values = _values_for_year(
-        scenario, result.forecasts, exogenous_names, year, "mean"
-    )
     trace: list[tuple[str, float]] = []
+    values = result.channel_values[year]["mean"]
     _EVALUATORS[factor_id](scenario, values, year, trace)
     band = next(r for r in result.annual if r.year == year).benefits[factor_id]
     lines = [f"{factor_id} ({FACTOR_LABELS[factor_id]}), year {year}"]
@@ -664,23 +665,13 @@ def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
         _write_plot_rows(path, rows)
         written.append(path)
 
-    _, exogenous_names, _ = required_inputs(result.factors)
-
-    def channel_values(year):
-        return {
-            channel: _values_for_year(
-                scenario, result.forecasts, exogenous_names, year, channel
-            )
-            for channel in _CHANNELS
-        }
-
     if "BF6" in result.factors:
         rows = []
         labels = ("crop_production", "crop_cost_savings", "livestock_savings")
         for r in result.annual:
             per_channel = {
                 channel: _bf6_components(scenario, values)
-                for channel, values in channel_values(r.year).items()
+                for channel, values in result.channel_values[r.year].items()
             }
             for idx, label in enumerate(labels):
                 rows.append(
@@ -709,7 +700,7 @@ def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
                 channel: medical.life_saving_value_all_cases(
                     values["population"], values["vsl"], rate, survival, costs
                 )
-                for channel, values in channel_values(r.year).items()
+                for channel, values in result.channel_values[r.year].items()
             }
             for j in range(1, len(stations)):
                 rows.append(

@@ -29,9 +29,13 @@ def acf(values, nlags: int) -> np.ndarray:
     return out
 
 
-def pacf(values, nlags: int) -> np.ndarray:
-    """Partial ACF via the Durbin-Levinson recursion; entry 0 is 1."""
-    rho = acf(values, nlags)
+def pacf(values, nlags: int, rho: np.ndarray | None = None) -> np.ndarray:
+    """Partial ACF via the Durbin-Levinson recursion; entry 0 is 1.
+
+    ``rho`` is ``acf(values, nlags)`` when the caller already has it.
+    """
+    if rho is None:
+        rho = acf(values, nlags)
     out = np.empty(nlags + 1)
     out[0] = 1.0
     prev = np.empty(0)

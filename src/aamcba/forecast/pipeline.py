@@ -84,8 +84,9 @@ def auto_pipeline(
         lags = min(_SELECTION_LAGS, nw // 2)
         if lags < 1:
             raise ForecastError(f"series '{label}' too short after differencing")
-        p = min(_last_spike(pacf(work, lags), bound), MAX_P)
-        q = min(_last_spike(acf(work, lags), bound), MAX_Q)
+        rho = acf(work, lags)
+        p = min(_last_spike(pacf(work, lags, rho), bound), MAX_P)
+        q = min(_last_spike(rho, bound), MAX_Q)
         # keep a sane estimation budget on short series
         while p + q > 0 and values.size - d < p + q + 10:
             if q >= p:

@@ -8,12 +8,26 @@ scenario document. Scenario documents are YAML or JSON with four sections:
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 import yaml
+from yaml.events import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
+
+from .forecast import ArimaOrder, ForecastError
 
 
 class ScenarioError(ValueError):
@@ -23,6 +37,109 @@ class ScenarioError(ValueError):
 #: libyaml's parser when PyYAML was built with it (about 6x faster on the
 #: bundled scenario), else the pure-Python one; both build the same objects.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Plain scalars that YAML 1.1 resolves to float or int and that Python's
+# float()/int() read to the same value as PyYAML's constructors. Subsets of
+# the resolver's own patterns: no underscores, octal, hex or sexagesimal.
+_PLAIN_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
+_PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_STR_TAG = "tag:yaml.org,2002:str"
+# A plain "<<" or "=": a merge key, or a key that SafeConstructor reads as
+# a string while it rejects the same scalar as a value.
+_COMPOSER_TAGS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+
+
+class _NeedsComposer(Exception):
+    """The document uses a feature the event reader leaves to yaml.load."""
+
+
+def read_yaml(text: str, Loader=YAML_LOADER) -> Any:
+    """``yaml.load(text, Loader=Loader)``, built from the parser's events.
+
+    Skips PyYAML's node graph: plain decimal floats and ints are converted
+    directly, other plain scalars go through the loader's resolver and
+    constructors, anchors and aliases are kept here. Explicit tags, merge
+    keys, non-scalar keys, undefined or duplicate anchors, anything but
+    exactly one document, and syntax errors make it re-read the text with
+    ``yaml.load``, the reference this reader is tested against, so errors
+    are yaml.load's own.
+    """
+    loader = Loader(text)
+    try:
+        # Every event first, then the document: building while parsing
+        # interleaves the short-lived events with the document's objects
+        # and fragments the heap (a warm process grew 0.6 MB more over
+        # 1200 scenario loads).
+        events = list(iter(loader.get_event, None))
+        return _EventReader(loader, events).document()
+    except (_NeedsComposer, yaml.YAMLError):
+        return yaml.load(text, Loader=Loader)
+    finally:
+        loader.dispose()
+
+
+class _EventReader:
+    def __init__(self, loader, events: list) -> None:
+        self.loader = loader
+        self.next_event = iter(events).__next__
+        self.anchors: dict[str, Any] = {}
+
+    def document(self) -> Any:
+        self.next_event()  # stream start
+        if type(self.next_event()) is not DocumentStartEvent:
+            raise _NeedsComposer  # empty stream
+        data = self.node(self.next_event())
+        self.next_event()  # document end
+        if type(self.next_event()) is not StreamEndEvent:
+            raise _NeedsComposer  # more than one document
+        return data
+
+    def node(self, event) -> Any:
+        kind = type(event)
+        if kind is AliasEvent:
+            if event.anchor not in self.anchors:
+                raise _NeedsComposer  # undefined, or a node that holds itself
+            return self.anchors[event.anchor]
+        if event.tag is not None:
+            raise _NeedsComposer
+        if kind is ScalarEvent:
+            data = self.scalar(event)
+        elif kind is SequenceStartEvent:
+            data = []
+            item = self.next_event()
+            while type(item) is not SequenceEndEvent:
+                data.append(self.node(item))
+                item = self.next_event()
+        else:
+            data = {}
+            key = self.next_event()
+            while type(key) is not MappingEndEvent:
+                if type(key) is not ScalarEvent:
+                    raise _NeedsComposer
+                data[self.node(key)] = self.node(self.next_event())
+                key = self.next_event()
+        if event.anchor is not None:
+            if event.anchor in self.anchors:
+                raise _NeedsComposer  # duplicate anchor
+            self.anchors[event.anchor] = data
+        return data
+
+    def scalar(self, event: ScalarEvent) -> Any:
+        value = event.value
+        if not event.implicit[0]:
+            return value  # quoted or block scalar: always a string
+        if _PLAIN_FLOAT.fullmatch(value):
+            return float(value)
+        if _PLAIN_INT.fullmatch(value):
+            return int(value)
+        tag = self.loader.resolve(ScalarNode, value, event.implicit)
+        if tag == _STR_TAG:
+            return value
+        if tag in _COMPOSER_TAGS:
+            raise _NeedsComposer
+        return self.loader.construct_object(
+            ScalarNode(tag, value, event.start_mark, event.end_mark, event.style)
+        )
 
 
 FACTOR_IDS = ("BF1", "BF2", "BF3", "BF4", "BF5", "BF6", "BF7", "BF8", "BF9")
@@ -190,8 +307,15 @@ class TimeSeries:
     unit: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "years", tuple(map(int, self.years)))
+        try:
+            values = tuple(map(float, self.values))
+        except (TypeError, ValueError, OverflowError):
+            bad = next(v for v in self.values if not _is_number(v))
+            raise ScenarioError(
+                f"series '{self.name}' has a non-numeric value {bad!r}"
+            ) from None
+        object.__setattr__(self, "values", values)
         if not self.years:
             raise ScenarioError(f"series '{self.name}' is empty")
         if len(self.years) != len(self.values):
@@ -205,11 +329,11 @@ class TimeSeries:
                     f"series '{self.name}' years must step by 1, "
                     f"got {a} followed by {b}"
                 )
-        for y, v in zip(self.years, self.values):
-            if not np.isfinite(v):
-                raise ScenarioError(
-                    f"series '{self.name}' has non-finite value at year {y}"
-                )
+        if not all(map(math.isfinite, values)):
+            y = next(y for y, v in zip(self.years, values) if not math.isfinite(v))
+            raise ScenarioError(
+                f"series '{self.name}' has non-finite value at year {y}"
+            )
 
     @property
     def first_year(self) -> int:
@@ -340,7 +464,7 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
 def _is_number(text: str) -> bool:
     try:
         float(text)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         return False
     return True
 
@@ -361,37 +485,81 @@ def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
     if "values" in spec:
         if "start" not in spec:
             raise ScenarioError(f"series '{name}' with 'values' needs 'start'")
-        start = int(spec["start"])
-        vals = list(spec["values"])
+        start = _integer(spec["start"], f"series '{name}' start")
+        vals = spec["values"]
+        if not isinstance(vals, (list, tuple)):
+            raise ScenarioError(f"series '{name}' values must be a list, got {vals!r}")
         years = tuple(range(start, start + len(vals)))
-        return TimeSeries(name, years, tuple(float(v) for v in vals),
-                          unit=str(spec.get("unit", "")))
+        return TimeSeries(name, years, vals, unit=str(spec.get("unit", "")))
     # {year: value} mapping
     try:
-        items = sorted((int(k), float(v)) for k, v in spec.items())
-    except (TypeError, ValueError):
+        items = sorted((int(k), v) for k, v in spec.items())
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(
             f"series '{name}' must map years to numbers, "
             f"use 'start'/'values', or reference a 'file'"
         ) from None
-    years = tuple(y for y, _ in items)
-    return TimeSeries(name, years, tuple(v for _, v in items))
+    return TimeSeries(name, tuple(y for y, _ in items), tuple(v for _, v in items))
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse a YAML or JSON scenario document."""
+    """Parse a YAML or JSON scenario document.
+
+    A file that is not valid UTF-8, JSON or YAML raises ScenarioError naming
+    the file and, for a syntax error, its line.
+    """
     path = Path(path)
     if not path.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json":
-        doc = json.loads(text)
-    else:
-        doc = yaml.load(text, Loader=YAML_LOADER)
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix.lower() == ".json":
+            doc = json.loads(text)
+        else:
+            doc = read_yaml(text)
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except json.JSONDecodeError as err:
+        raise ScenarioError(f"{path}:{err.lineno}: invalid JSON: {err.msg}") from None
+    except yaml.YAMLError as err:
+        mark = getattr(err, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
+        problem = getattr(err, "problem", None) or err
+        raise ScenarioError(f"{where}: invalid YAML: {problem}") from None
     if not isinstance(doc, Mapping):
         raise ScenarioError(f"{path}: scenario document must be a mapping")
     return scenario_from_dict(doc, base_dir=path.parent,
                               fallback_name=path.stem)
+
+
+def _section(doc: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    """The mapping under ``key``; an absent or empty section is empty."""
+    value = doc.get(key) or {}
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"'{key}' must be a mapping, got {value!r}")
+    return value
+
+
+def _number(value: Any, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _integer(value: Any, what: str) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (
+        isinstance(value, float) and value != number
+    ):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def scenario_from_dict(
@@ -405,18 +573,16 @@ def scenario_from_dict(
         raise ScenarioError("scenario needs horizon: {start: <year>, end: <year>}")
 
     constants: dict[str, Any] = {}
-    for key, val in (doc.get("constants") or {}).items():
+    for key, val in _section(doc, "constants").items():
+        what = f"constant '{key}'"
         if key in VECTOR_CONSTANTS:
-            parsed = tuple(float(v) for v in val)
+            if not isinstance(val, (list, tuple)):
+                raise ScenarioError(f"{what} must be a list of numbers, got {val!r}")
+            constants[key] = tuple(_number(v, what) for v in val)
         else:
-            parsed = float(val)
-        if not np.all(np.isfinite(parsed)):
-            raise ScenarioError(f"constant '{key}' must be finite, got {val!r}")
-        constants[key] = parsed
+            constants[key] = _number(val, what)
 
-    series = doc.get("series") or {}
-    if not isinstance(series, Mapping):
-        raise ScenarioError("'series' section must be a mapping")
+    series = _section(doc, "series")
     extra = set(series) - {"exogenous", "historical"}
     if extra:
         raise ScenarioError(
@@ -424,30 +590,34 @@ def scenario_from_dict(
         )
     input_series = {
         str(k): _series_from_spec(str(k), v, base_dir)
-        for k, v in (series.get("exogenous") or {}).items()
+        for k, v in _section(series, "exogenous").items()
     }
     historical_series = {
         str(k): _series_from_spec(str(k), v, base_dir)
-        for k, v in (series.get("historical") or {}).items()
+        for k, v in _section(series, "historical").items()
     }
 
     orders: dict[str, tuple[int, int, int]] = {}
-    for key, val in (doc.get("orders") or {}).items():
+    for key, val in _section(doc, "orders").items():
         try:
             p, d, q = (int(v) for v in val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ScenarioError(f"order for '{key}' must be a [p, d, q] triple") from None
+        try:
+            ArimaOrder(p, d, q)
+        except ForecastError as err:
+            raise ScenarioError(f"order for '{key}': {err}") from None
         orders[str(key)] = (p, d, q)
 
     return Scenario(
         name=str(doc.get("name", fallback_name)),
-        horizon_start=int(horizon["start"]),
-        horizon_end=int(horizon["end"]),
+        horizon_start=_integer(horizon["start"], "horizon start"),
+        horizon_end=_integer(horizon["end"], "horizon end"),
         constants=constants,
         input_series=input_series,
         historical_series=historical_series,
         orders=orders,
-        toggles=dict(doc.get("toggles") or {}),
+        toggles=dict(_section(doc, "toggles")),
     )
 
 
@@ -547,6 +717,10 @@ def validate_scenario(
             raise ScenarioError(
                 f"historical series '{name}' has {len(ts.values)} points; "
                 f"at least 8 are needed for forecasting"
+            )
+        if min(ts.values) == max(ts.values):
+            raise ScenarioError(
+                f"historical series '{name}' is constant; it cannot be forecast"
             )
 
     if "BF7" in enabled:

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -125,7 +126,7 @@ class AnnualResult:
     def cost(self) -> float:
         return self.capex + self.opex
 
-    @property
+    @cached_property
     def npi(self) -> BandValue:
         return compute_npi(self.benefits, self.capex, self.opex)
 

@@ -66,6 +66,8 @@ def test_parse_toggles():
         _parse_toggles(["bf7_case"])
     with pytest.raises(ScenarioError, match="unknown toggle"):
         _parse_toggles(["bf99_case=1"])
+    with pytest.raises(ScenarioError, match="--toggle bf7_case: not a YAML value"):
+        _parse_toggles(["bf7_case=["])
 
 
 def test_parse_emit():
@@ -207,3 +209,88 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
     assert after_import == []
     assert code == 0
     assert after_run == []
+
+
+def _bundled_doc() -> dict:
+    import yaml
+
+    return yaml.safe_load(default_scenario_path().read_text(encoding="utf-8"))
+
+
+def _write_json(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("cut.yaml", "name: x\nhorizon: {start: 2022,\n  end: 2032\nconstants: [\n",
+     ":4: invalid YAML"),
+    ("cut.json", '{"name": "x",\n "horizon": {"start": 2022,\n', ":3: invalid JSON"),
+    ("latin1.yaml", "name: caf\xe9\n", ": not UTF-8 text"),
+])
+def test_parse_errors_exit_2_naming_file_and_line(tmp_path, capsys, name, text, where):
+    bad = tmp_path / name
+    bad.write_bytes(text.encode("latin-1"))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}{where}" in err
+        assert "numerical failure" not in err
+
+
+def _set(*path_and_value):
+    """An edit that sets doc[k1]...[kn] = value."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for part in path:
+            doc = doc[part]
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("constants", [1, 2]), "'constants' must be a mapping"),
+    (_set("constants", "DSN", 3), "constant 'DSN' must be a list of numbers"),
+    (_set("constants", "VTTS_2015", "abc"), "constant 'VTTS_2015' must be a number"),
+    (_set("horizon", "start", "soon"), "horizon start must be an integer"),
+    (_set("horizon", "start", 2022.5), "horizon start must be an integer"),
+    (_set("horizon", "end", float("inf")), "horizon end must be an integer"),
+    (_set("series", "historical", "mhi", "values", 3),
+     "series 'mhi' values must be a list"),
+    (_set("series", "historical", "mhi", "values", [1.0] * 20 + ["x"]),
+     "series 'mhi' has a non-numeric value 'x'"),
+    (_set("series", "exogenous", [1]), "'exogenous' must be a mapping"),
+    (_set("toggles", "all"), "'toggles' must be a mapping"),
+], ids=["constants-list", "DSN-scalar", "constant-string", "horizon-string",
+        "horizon-fraction", "horizon-infinite", "values-scalar", "value-string",
+        "exogenous-list", "toggles-string"])
+def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message):
+    doc = _bundled_doc()
+    edit(doc)
+    bad = _write_json(tmp_path / "bad.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "numerical failure" not in err
+
+
+def test_validate_rejects_out_of_range_pin_and_constant_series(tmp_path, capsys):
+    doc = _bundled_doc()
+    doc["orders"]["mhi"] = [9, 0, 0]
+    pinned = _write_json(tmp_path / "pinned.json", doc)
+    assert main(["validate", "--scenario", str(pinned)]) == 2
+    assert "order for 'mhi': p must be in 0..5, got 9" in capsys.readouterr().err
+    out = str(tmp_path / "x")
+    assert main(["run", "--scenario", str(pinned), "--pin-orders", "--out", out]) == 2
+    capsys.readouterr()
+
+    doc = _bundled_doc()
+    mhi = doc["series"]["historical"]["mhi"]
+    mhi["values"] = [40000.0] * len(mhi["values"])
+    flat = _write_json(tmp_path / "flat.json", doc)
+    assert main(["validate", "--scenario", str(flat)]) == 2
+    assert "historical series 'mhi' is constant" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(flat), "--out", out]) == 2
+    assert "historical series 'mhi' is constant" in capsys.readouterr().err

@@ -51,6 +51,7 @@ def test_acf_matches_reference():
 def test_pacf_matches_reference():
     got = pacf(Y_SERIES, 5)
     assert np.allclose(got, PACF_Y_REFERENCE, rtol=0, atol=1e-12)
+    assert np.array_equal(pacf(Y_SERIES, 5, acf(Y_SERIES, 5)), got)
 
 
 def test_acf_lag_zero_is_one():
