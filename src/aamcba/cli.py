@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .engine import RunManifest, evaluate, explain, run
+from .engine import ALL_EMIT, RunManifest, evaluate, explain, normalize_emit, run
 from .forecast import ForecastError
 from .ingest import (
     FACTOR_IDS,
@@ -23,10 +23,9 @@ from .ingest import (
     ScenarioError,
     default_scenario_path,
     load_scenario,
+    normalize_factors,
     validate_scenario,
 )
-
-_EMIT_KINDS = ("csv", "json", "plotdata")
 
 
 def find_scenario(spec: str | None) -> Path:
@@ -46,18 +45,17 @@ def find_scenario(spec: str | None) -> Path:
     raise ScenarioError(f"scenario file not found: {spec}")
 
 
+def _split_list(text: str, option: str) -> list[str]:
+    names = text.replace(",", " ").split()
+    if not names:
+        raise ScenarioError(f"--{option} given but empty")
+    return names
+
+
 def _parse_factors(text: str | None) -> tuple[str, ...]:
     if text is None:
         return FACTOR_IDS
-    names = [part.strip().upper() for part in text.replace(",", " ").split()]
-    if not names:
-        raise ScenarioError("--factors given but empty")
-    unknown = [n for n in names if n not in FACTOR_IDS]
-    if unknown:
-        raise ScenarioError(
-            f"unknown benefit factors: {unknown}; valid: {', '.join(FACTOR_IDS)}"
-        )
-    return tuple(f for f in FACTOR_IDS if f in set(names))
+    return normalize_factors(name.upper() for name in _split_list(text, "factors"))
 
 
 def _parse_toggles(pairs: list[str] | None) -> dict:
@@ -80,16 +78,8 @@ def _parse_toggles(pairs: list[str] | None) -> dict:
 
 def _parse_emit(text: str | None) -> frozenset[str]:
     if text is None:
-        return frozenset(_EMIT_KINDS)
-    kinds = {part.strip().lower() for part in text.replace(",", " ").split()}
-    unknown = kinds - set(_EMIT_KINDS)
-    if unknown:
-        raise ScenarioError(
-            f"unknown emit kinds: {sorted(unknown)}; valid: {', '.join(_EMIT_KINDS)}"
-        )
-    if not kinds:
-        raise ScenarioError("--emit given but empty")
-    return frozenset(kinds)
+        return ALL_EMIT
+    return normalize_emit(kind.lower() for kind in _split_list(text, "emit"))
 
 
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:

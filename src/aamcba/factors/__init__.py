@@ -1,4 +1,5 @@
-"""Benefit-factor arithmetic: one module per activity area.
+"""Benefit-factor arithmetic: one module per activity area, composed into
+the nine factors by ``table``.
 
 Every function here is pure scalar arithmetic on explicit inputs; forecast
 bands are handled by evaluating the same formulas channel by channel (all

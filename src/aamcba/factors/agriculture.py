@@ -7,8 +7,6 @@ reading is available behind a flag and is roughly forty times smaller.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def adoption_share(farms_adopting: float, farms_total: float) -> float:
     if farms_total <= 0:
@@ -59,52 +57,3 @@ def livestock_savings_per_head(
 def livestock_savings(per_head: float, livestock_count: float, share: float) -> float:
     """BF-6 livestock branch: per-head savings across the adopted herd."""
     return per_head * livestock_count * share
-
-
-@dataclass(frozen=True)
-class CropInputs:
-    """One crop's forecast inputs plus its uplift and per-acre savings.
-
-    ``cost_area_acres`` lets the cost line run on a different acreage than
-    the production line; the published corn figure ties its per-acre
-    savings to the soybean area, and callers reproduce that by setting it.
-    """
-
-    name: str
-    area_acres: float
-    yield_per_acre: float
-    price: float
-    uplift: float
-    savings_per_acre: float
-    cost_area_acres: float | None = None
-
-
-def agriculture_value(
-    crops: tuple[CropInputs, ...],
-    livestock_count: float,
-    hours_saved_hill: float,
-    hours_saved_grassland: float,
-    labor_rate: float,
-    herd_size: float,
-    share: float,
-    incremental_only: bool = False,
-) -> tuple[float, float, float]:
-    """Production value, crop cost savings, livestock savings."""
-    production = 0.0
-    cost = 0.0
-    for crop in crops:
-        production += crop_production_value(
-            crop.yield_per_acre, crop.uplift, crop.area_acres, crop.price,
-            share, incremental_only=incremental_only,
-        )
-        area = (
-            crop.area_acres
-            if crop.cost_area_acres is None
-            else crop.cost_area_acres
-        )
-        cost += crop_cost_savings(area, crop.savings_per_acre, share)
-    per_head = livestock_savings_per_head(
-        hours_saved_hill, hours_saved_grassland, labor_rate, herd_size
-    )
-    animals = livestock_savings(per_head, livestock_count, share)
-    return production, cost, animals

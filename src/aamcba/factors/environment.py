@@ -8,8 +8,6 @@ scaled by how much cleaner the electric aircraft are.
 """
 from __future__ import annotations
 
-from .mobility import vmt_local
-
 
 def social_cost_forward(
     base_value: float, year: float, base_year: float, annual_rate: float
@@ -50,13 +48,9 @@ def fleet_gallons(vmt: float, mpg_fleet: float) -> float:
 
 
 def ground_emissions(
-    vmt: float,
-    mpg_fleet: float,
-    co2_tons_per_gallon: float,
-    co2_share_of_ghg: float,
+    gallons: float, co2_tons_per_gallon: float, co2_share_of_ghg: float
 ) -> tuple[float, float]:
-    """Tons of CO2 and of methane-plus-nitrous from the ground fleet."""
-    gallons = fleet_gallons(vmt, mpg_fleet)
+    """Tons of CO2 and of methane-plus-nitrous from the fleet's fuel burn."""
     co2 = co2_tons_per_gallon * gallons
     other = non_co2_tons_per_gallon(co2_tons_per_gallon, co2_share_of_ghg) * gallons
     return co2, other
@@ -81,36 +75,3 @@ def demand_factor(
     if ground_trips <= 0:
         raise ValueError(f"ground trip count must be positive, got {ground_trips}")
     return (evtol_passenger_trips + package_trips + cargo_trips) / ground_trips
-
-
-def ghg_savings(
-    year: float,
-    vmt_us: float,
-    us_population: float,
-    population: float,
-    evtol_passenger_trips: float,
-    package_trips: float,
-    cargo_trips: float,
-    scc_base: float,
-    scm_base: float,
-    scn_base: float,
-    base_year: float,
-    annual_rate: float,
-    mpg_fleet: float,
-    co2_tons_per_gallon: float,
-    co2_share_of_ghg: float,
-    us_annual_trips: float,
-    emission_ratio: float,
-) -> float:
-    """Social value of the greenhouse gases the air services avoid."""
-    vmt = vmt_local(vmt_us, us_population, population)
-    co2, other = ground_emissions(
-        vmt, mpg_fleet, co2_tons_per_gallon, co2_share_of_ghg
-    )
-    scc = social_cost_forward(scc_base, year, base_year, annual_rate)
-    sc_other = blended_non_co2_cost(scm_base, scn_base, year, base_year, annual_rate)
-    trips = local_ground_trips(us_annual_trips, us_population, population)
-    share = demand_factor(
-        evtol_passenger_trips, package_trips, cargo_trips, trips
-    )
-    return share * emission_ratio * (scc * co2 + sc_other * other)

@@ -62,35 +62,16 @@ def vehicles_delayed(
 
 
 def delay_hours_saved(
-    inspections: float,
-    closure_hours_traditional: float,
-    closure_hours_drone: float,
-    traffic_per_lane_hour: float,
-    delay_min_per_vehicle: float,
+    vehicles_traditional: float, vehicles_drone: float, delay_min_per_vehicle: float
 ) -> float:
     """Hours of traffic delay avoided by the shorter drone closures."""
-    slow = vehicles_delayed(inspections, closure_hours_traditional, traffic_per_lane_hour)
-    fast = vehicles_delayed(inspections, closure_hours_drone, traffic_per_lane_hour)
-    return (slow - fast) * delay_min_per_vehicle / 60.0
+    return (vehicles_traditional - vehicles_drone) * delay_min_per_vehicle / 60.0
 
 
 def delay_time_value(
-    inspections: float,
-    closure_hours_traditional: float,
-    closure_hours_drone: float,
-    traffic_per_lane_hour: float,
-    delay_min_per_vehicle: float,
-    vtts: float,
-    occupants_per_vehicle: float = 1.0,
+    hours: float, vtts: float, occupants_per_vehicle: float = 1.0
 ) -> float:
     """BF-5 delay branch: avoided delay hours priced at the travel-time value."""
-    hours = delay_hours_saved(
-        inspections,
-        closure_hours_traditional,
-        closure_hours_drone,
-        traffic_per_lane_hour,
-        delay_min_per_vehicle,
-    )
     return hours * occupants_per_vehicle * vtts
 
 

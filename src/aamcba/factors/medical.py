@@ -32,13 +32,10 @@ def value_per_survivor(vsl: float, cost_per_survivor) -> np.ndarray:
 
 
 def life_saving_value_all_cases(
-    population: float,
-    vsl: float,
-    rate_per_100k: float,
-    survival_rates,
-    cost_per_survivor,
+    ohca: float, vsl: float, survival_rates, cost_per_survivor
 ) -> np.ndarray:
-    """Net value of added survivors for every network case."""
+    """Net value of added survivors for every network case, given the
+    expected cardiac-arrest count."""
     rates = np.asarray(survival_rates, dtype=float)
     costs = np.asarray(cost_per_survivor, dtype=float)
     if rates.shape != costs.shape:
@@ -46,24 +43,4 @@ def life_saving_value_all_cases(
             "survival rates and per-survivor costs must align, got "
             f"{rates.shape} and {costs.shape}"
         )
-    ohca = ohca_count(population, rate_per_100k)
     return value_per_survivor(vsl, costs) * additional_survivors(ohca, rates)
-
-
-def life_saving_value(
-    population: float,
-    vsl: float,
-    rate_per_100k: float,
-    survival_rates,
-    cost_per_survivor,
-    case: int,
-) -> float:
-    """Net value of added survivors for one chosen network build-out."""
-    values = life_saving_value_all_cases(
-        population, vsl, rate_per_100k, survival_rates, cost_per_survivor
-    )
-    if not 0 <= case < values.size:
-        raise ValueError(
-            f"network case {case} out of range; {values.size} cases defined"
-        )
-    return float(values[case])

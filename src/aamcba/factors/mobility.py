@@ -19,13 +19,6 @@ def hours_saved(passenger_trips: float, minutes_saved_per_trip: float) -> float:
     return passenger_trips * minutes_saved_per_trip / 60.0
 
 
-def passenger_time_value(
-    passenger_trips: float, minutes_saved_per_trip: float, vtts: float
-) -> float:
-    """BF-1: hours saved times the scaled value of travel time."""
-    return hours_saved(passenger_trips, minutes_saved_per_trip) * vtts
-
-
 def vmt_local(vmt_us: float, us_population: float, population: float) -> float:
     """Local vehicle miles traveled, scaled from the national figure by population."""
     if us_population <= 0:
@@ -57,29 +50,3 @@ def air_miles_share(trips: float, trip_miles: float, vmt: float) -> float:
 def fatality_reduction(share: float, fatalities: float) -> float:
     """Expected fatality reduction given the realized air-travel share."""
     return share * fatalities
-
-
-def safety_cost_reduction(
-    passenger_trips: float,
-    trip_miles: float,
-    vmt_us: float,
-    us_population: float,
-    population: float,
-    ground_rate_per_100m: float,
-    air_rate_per_100m: float,
-    vsl: float,
-    seats_per_vehicle: float = 4.0,
-    use_trip_counts: bool = False,
-) -> float:
-    """BF-2: avoided-fatality value from shifting road miles to the air.
-
-    ``use_trip_counts`` divides passengers by vehicle seats (miles flown by
-    vehicles rather than passengers) before forming the mileage share.
-    """
-    vmt = vmt_local(vmt_us, us_population, population)
-    fatalities = avoided_fatalities(vmt, ground_rate_per_100m, air_rate_per_100m)
-    trips = passenger_trips
-    if use_trip_counts:
-        trips = evtol_trips(passenger_trips, seats_per_vehicle)
-    share = air_miles_share(trips, trip_miles, vmt)
-    return fatality_reduction(share, fatalities) * vsl

@@ -112,7 +112,12 @@ def adf_test(values, max_lag: int | None = None, name: str = "adf") -> TestRepor
     coef, *_ = np.linalg.lstsq(X, b, rcond=None)
     resid = b - X @ coef
     s2 = float(resid @ resid) / (rows - nparams)
-    xtx_inv = np.linalg.inv(X.T @ X)
+    try:
+        xtx_inv = np.linalg.inv(X.T @ X)
+    except np.linalg.LinAlgError:
+        raise ForecastError(
+            "degenerate ADF regression (singular design matrix)"
+        ) from None
     se = np.sqrt(s2 * xtx_inv[1, 1])
     if se == 0.0:
         raise ForecastError("degenerate ADF regression (zero standard error)")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-import numpy as np
 import yaml
 from yaml.events import (
     AliasEvent,
@@ -27,6 +26,7 @@ from yaml.events import (
 )
 from yaml.nodes import ScalarNode
 
+from .factors.table import FACTOR_IDS, FACTORS
 from .forecast import ArimaOrder, ForecastError
 
 
@@ -142,8 +142,6 @@ class _EventReader:
         )
 
 
-FACTOR_IDS = ("BF1", "BF2", "BF3", "BF4", "BF5", "BF6", "BF7", "BF8", "BF9")
-
 #: Constants stored as vectors rather than scalars.
 VECTOR_CONSTANTS = ("DSN", "survival_rates", "CAS")
 
@@ -158,130 +156,6 @@ TOGGLE_DEFAULTS: dict[str, Any] = {
     "bf7_case": 5,
     "amortize_capex_years": None,
     "include_mean_when_differenced": False,
-}
-
-_REQUIRED_CONSTANTS: dict[str, tuple[str, ...]] = {
-    "BF1": ("VTTS_2015", "MHI_2015", "trip_time_saved_min"),
-    "BF2": (
-        "trip_distance_miles",
-        "ground_fatality_per_100m_miles",
-        "air_fatality_per_100m_miles",
-    ),
-    "BF3": (
-        "market_value_2019",
-        "market_cagr",
-        "us_market_2019",
-        "annual_parcels",
-        "parcel_fraction",
-        "operational_days",
-        "round_trip_min",
-        "reserve_fraction",
-        "driver_hours_per_day",
-        "packages_per_driver_day",
-        "truck_cost_per_hour",
-        "drone_capital_cost",
-        "drone_operating_cost",
-        "ATS_min",
-        "VDTS",
-    ),
-    "BF4": (
-        "trip_time_saved_min",
-        "trip_distance_miles",
-        "warehouse_rent_psf_month",
-        "warehouse_nnn_psf_month",
-        "warehouse_size_sf",
-        "warehouse_wage_year",
-        "warehouse_area_per_worker_sf",
-        "truck_cost_per_mile",
-        "truck_payload_lb",
-        "evtol_cost_per_mile",
-        "evtol_payload_lb",
-        "evtol_cost_share",
-        "VDTS",
-    ),
-    "BF5": (
-        "VTTS_2015",
-        "MHI_2015",
-        "heavy_inspections_per_year",
-        "drone_capable_inspections",
-        "core_hours_share",
-        "lane_closure_hours_traditional",
-        "lane_closure_hours_drone",
-        "traffic_per_lane_hour",
-        "delay_min_per_vehicle",
-    ),
-    "BF6": (
-        "farms_total",
-        "farms_adopting",
-        "soybean_yield_uplift",
-        "corn_yield_uplift",
-        "wheat_yield_uplift",
-        "cost_savings_per_acre_soybean",
-        "cost_savings_per_acre_corn",
-        "cost_savings_per_acre_wheat",
-        "livestock_hours_saved_hill",
-        "livestock_hours_saved_grassland",
-        "farm_labor_rate",
-        "herd_size_case_study",
-    ),
-    "BF7": ("ohca_per_100k", "DSN", "survival_rates", "CAS"),
-    "BF8": (),
-    # The replaced-trip count folds in package deliveries, so the GHG factor
-    # carries the package-market constants as well.
-    "BF9": (
-        "scc_2020",
-        "scm_2020",
-        "scn_2020",
-        "scghg_discount",
-        "scghg_base_year",
-        "mpg_fleet",
-        "co2_share_of_ghg",
-        "co2_tons_per_gallon",
-        "evtol_emission_ratio",
-        "us_annual_trips",
-        "seats_per_evtol",
-        "trip_distance_miles",
-        "market_value_2019",
-        "market_cagr",
-        "us_market_2019",
-        "annual_parcels",
-        "parcel_fraction",
-    ),
-}
-
-_REQUIRED_EXOGENOUS: dict[str, tuple[str, ...]] = {
-    "BF1": ("passenger_trips",),
-    "BF2": ("passenger_trips", "us_population"),
-    "BF3": ("us_population",),
-    "BF4": ("cargo_trips",),
-    "BF5": (),
-    "BF6": (),
-    "BF7": (),
-    "BF8": ("tax_income",),
-    "BF9": ("passenger_trips", "cargo_trips", "us_population"),
-}
-
-_REQUIRED_HISTORICAL: dict[str, tuple[str, ...]] = {
-    "BF1": ("mhi",),
-    "BF2": ("vmt_us", "population", "vsl"),
-    "BF3": ("population",),
-    "BF4": (),
-    "BF5": ("mhi",),
-    "BF6": (
-        "soybean_area",
-        "corn_area",
-        "wheat_area",
-        "soybean_yield",
-        "corn_yield",
-        "wheat_yield",
-        "soybean_price",
-        "corn_price",
-        "wheat_price",
-        "livestock",
-    ),
-    "BF7": ("population", "vsl"),
-    "BF8": (),
-    "BF9": ("vmt_us", "population"),
 }
 
 #: Sanity brackets for warnings only; values outside are suspicious, not fatal.
@@ -342,9 +216,6 @@ class TimeSeries:
     @property
     def last_year(self) -> int:
         return self.years[-1]
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
     def value_at(self, year: int) -> float:
         try:
@@ -665,31 +536,20 @@ def validate_scenario(
     Hard failures raise ScenarioError naming the offending key, series, or
     year. Suspicious-but-legal values come back as warning strings.
     """
-    enabled = tuple(factors) if factors is not None else FACTOR_IDS
-    for f in enabled:
-        if f not in FACTOR_IDS:
-            raise ScenarioError(f"unknown benefit factor '{f}'")
-
+    enabled = normalize_factors(factors)
+    used = [FACTORS[f] for f in enabled]
     horizon = s.horizon_years
     warnings: list[str] = []
 
-    needed_constants: list[tuple[str, str]] = []
-    needed_exo: list[tuple[str, str]] = []
-    needed_hist: list[tuple[str, str]] = []
-    for f in enabled:
-        needed_constants += [(f, k) for k in _REQUIRED_CONSTANTS[f]]
-        needed_exo += [(f, k) for k in _REQUIRED_EXOGENOUS[f]]
-        needed_hist += [(f, k) for k in _REQUIRED_HISTORICAL[f]]
-    if ("BF2" in enabled and s.toggle("bf2_use_trip_miles")) or "BF9" in enabled:
-        needed_constants.append(("BF2", "seats_per_evtol"))
+    for factor in used:
+        for key in factor.required_constants(s):
+            if key not in s.constants:
+                raise ScenarioError(
+                    f"scenario constant '{key}' is required by {factor.id} but missing"
+                )
     # the cost ledger always runs
+    needed_exo = [(f.id, name) for f in used for name in f.exogenous]
     needed_exo += [("costs", "capex"), ("costs", "opex")]
-
-    for f, key in needed_constants:
-        if key not in s.constants:
-            raise ScenarioError(
-                f"scenario constant '{key}' is required by {f} but missing"
-            )
     for f, name in needed_exo:
         if name not in s.input_series:
             raise ScenarioError(
@@ -702,6 +562,7 @@ def validate_scenario(
                 f"exogenous series '{name}' does not cover year {missing[0]} "
                 f"(covers {ts.first_year}-{ts.last_year})"
             )
+    needed_hist = [(f.id, name) for f in used for name in f.historical]
     for f, name in needed_hist:
         if name not in s.historical_series:
             raise ScenarioError(
@@ -718,9 +579,12 @@ def validate_scenario(
                 f"historical series '{name}' has {len(ts.values)} points; "
                 f"at least 8 are needed for forecasting"
             )
-        if min(ts.values) == max(ts.values):
+        # Equal first differences leave the ADF regression singular.
+        steps = {b - a for a, b in zip(ts.values, ts.values[1:])}
+        if len(steps) == 1:
+            shape = "constant" if steps == {0.0} else "exactly linear"
             raise ScenarioError(
-                f"historical series '{name}' is constant; it cannot be forecast"
+                f"historical series '{name}' is {shape}; it cannot be forecast"
             )
 
     if "BF7" in enabled:
@@ -780,20 +644,34 @@ def validate_scenario(
     return warnings
 
 
+def normalize_factors(factors: Iterable[str] | None = None) -> tuple[str, ...]:
+    """Check factor ids and put them in canonical BF1..BF9 order; None is all."""
+    if factors is None:
+        return FACTOR_IDS
+    requested = set(factors)
+    unknown = requested - FACTORS.keys()
+    if unknown:
+        raise ScenarioError(
+            f"unknown benefit factors: {sorted(unknown)}; "
+            f"valid: {', '.join(FACTOR_IDS)}"
+        )
+    if not requested:
+        raise ScenarioError("no benefit factors enabled")
+    return tuple(f for f in FACTOR_IDS if f in requested)
+
+
 def required_inputs(
     factors: Iterable[str] | None = None,
 ) -> tuple[set[str], set[str], set[str]]:
-    """Constant, exogenous, and historical names the given factors need."""
-    enabled = tuple(factors) if factors is not None else FACTOR_IDS
+    """Constant, exogenous, and historical names the given factors need
+    under any toggles (``validate_scenario`` adds toggle-bound constants)."""
     constants: set[str] = set()
     exogenous: set[str] = {"capex", "opex"}
     historical: set[str] = set()
-    for f in enabled:
-        if f not in FACTOR_IDS:
-            raise ScenarioError(f"unknown benefit factor '{f}'")
-        constants.update(_REQUIRED_CONSTANTS[f])
-        exogenous.update(_REQUIRED_EXOGENOUS[f])
-        historical.update(_REQUIRED_HISTORICAL[f])
+    for f in normalize_factors(factors):
+        constants.update(FACTORS[f].constants)
+        exogenous.update(FACTORS[f].exogenous)
+        historical.update(FACTORS[f].historical)
     return constants, exogenous, historical
 
 

@@ -8,7 +8,6 @@ shifted down by that year's capital and operating spend.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,18 +15,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .ingest import FACTOR_IDS
-
-FACTOR_LABELS = {
-    "BF1": "passenger trip time savings",
-    "BF2": "traffic safety improvement",
-    "BF3": "package delivery savings",
-    "BF4": "air cargo savings",
-    "BF5": "bridge inspection savings",
-    "BF6": "farming productivity",
-    "BF7": "emergency medical response",
-    "BF8": "tax revenue",
-    "BF9": "greenhouse gas reduction",
-}
 
 # Channel ordering can slip by a rounding error when three nearly equal
 # inputs run through the same formula; anything past this is a real bug.
@@ -71,30 +58,12 @@ class BandValue:
     def shift(self, delta: float) -> "BandValue":
         return BandValue(self.lower + delta, self.mean + delta, self.upper + delta)
 
-    def scale(self, factor: float) -> "BandValue":
-        if factor < 0:
-            return BandValue(
-                self.upper * factor, self.mean * factor, self.lower * factor
-            )
-        return BandValue(
-            self.lower * factor, self.mean * factor, self.upper * factor
-        )
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def band_sum(bands: Iterable[BandValue]) -> BandValue:
     total = BandValue.point(0.0)
     for band in bands:
         total = total + band
     return total
-
-
-def tax_passthrough(tax_income: float) -> BandValue:
-    """Tax revenue enters the ledger as given, with no forecast spread."""
-    return BandValue.point(tax_income)
 
 
 def compute_npi(
@@ -112,11 +81,6 @@ class AnnualResult:
     benefits: dict[str, BandValue]
     capex: float
     opex: float
-
-    def __post_init__(self) -> None:
-        unknown = set(self.benefits) - set(FACTOR_IDS)
-        if unknown:
-            raise ValueError(f"unknown benefit factor ids: {sorted(unknown)}")
 
     @property
     def total_benefits(self) -> BandValue:
@@ -222,10 +186,3 @@ def summary_dict(results: Sequence[AnnualResult]) -> dict:
             npi_means[0], npi_means[-1], years[-1] - years[0]
         )
     return summary
-
-
-def write_summary_json(path: Path, results: Sequence[AnnualResult]) -> None:
-    payload = json.dumps(
-        summary_dict(results), sort_keys=True, separators=(",", ": "), indent=2
-    )
-    Path(path).write_text(payload + "\n")

@@ -1,10 +1,12 @@
-"""Shared fixtures: the bundled scenario and one evaluation of it."""
+"""Shared fixtures: the bundled scenario, one evaluation of it, and a
+single-factor evaluation on hand-set inputs."""
 from __future__ import annotations
 
 import pytest
 
 from aamcba.engine import evaluate
-from aamcba.ingest import default_scenario_path, load_scenario
+from aamcba.factors.table import FACTORS
+from aamcba.ingest import Scenario, default_scenario_path, load_scenario
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +17,22 @@ def default_scenario():
 @pytest.fixture(scope="session")
 def default_evaluation(default_scenario):
     return evaluate(default_scenario)
+
+
+@pytest.fixture(scope="session")
+def factor_value():
+    """Evaluate one factor in 2022, the first horizon year, on hand-set
+    constants and series values; ``items`` collects the tagged entries."""
+
+    def value(factor_id, constants, values, toggles=None, items=None):
+        scenario = Scenario("hand-set", 2022, 2022, constants=constants,
+                            toggles=toggles or {})
+
+        def rec(label, entry, item=None):
+            if item is not None and items is not None:
+                items[item] = entry
+            return entry
+
+        return FACTORS[factor_id].evaluate(scenario, values, 2022, rec)
+
+    return value

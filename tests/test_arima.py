@@ -212,7 +212,7 @@ def test_forecast_years_follow_the_calendar():
     rng = np.random.default_rng(12)
     values = 50.0 + np.cumsum(rng.normal(0.5, 1.0, 30))
     series = TimeSeries("demo", tuple(range(1992, 2022)), tuple(values))
-    fit = fit_arima(series.array(), ArimaOrder(0, 1, 0))
+    fit = fit_arima(values, ArimaOrder(0, 1, 0))
     band = forecast(fit, series, 3)
     assert band.years == (2022, 2023, 2024)
 

@@ -294,3 +294,17 @@ def test_validate_rejects_out_of_range_pin_and_constant_series(tmp_path, capsys)
     assert "historical series 'mhi' is constant" in capsys.readouterr().err
     assert main(["run", "--scenario", str(flat), "--out", out]) == 2
     assert "historical series 'mhi' is constant" in capsys.readouterr().err
+
+
+def test_validate_and_run_reject_exactly_linear_series(tmp_path, capsys):
+    # Equal first differences make the ADF regression singular; this used
+    # to pass validate and make run exit 3 with "Singular matrix".
+    doc = _bundled_doc()
+    mhi = doc["series"]["historical"]["mhi"]
+    mhi["values"] = [30000.0 + 100.0 * i for i in range(len(mhi["values"]))]
+    linear = _write_json(tmp_path / "linear.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(linear)]) == 2
+        err = capsys.readouterr().err
+        assert "historical series 'mhi' is exactly linear" in err
+        assert "numerical failure" not in err

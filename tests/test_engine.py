@@ -7,7 +7,6 @@ import pytest
 
 from aamcba.engine import (
     ALL_EMIT,
-    FACTOR_FILE_NAMES,
     RunManifest,
     _values_for_year,
     evaluate,
@@ -16,6 +15,7 @@ from aamcba.engine import (
     run,
     write_outputs,
 )
+from aamcba.factors.table import FACTOR_FILE_NAMES
 from aamcba.forecast import ForecastError
 from aamcba.ingest import FACTOR_IDS, ScenarioError, default_scenario_path
 
@@ -85,7 +85,7 @@ def test_tax_only_run_needs_no_forecasts(default_scenario):
     opex = default_scenario.exogenous("opex")
     for annual in result.annual:
         band = annual.benefits["BF8"]
-        assert band.width == 0.0
+        assert band.lower == band.mean == band.upper
         assert band.mean == tax.value_at(annual.year)
         want = (
             tax.value_at(annual.year)

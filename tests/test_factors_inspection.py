@@ -40,16 +40,14 @@ def test_source_table_inconsistency_is_preserved():
 def test_vehicles_delayed_and_delay_hours():
     assert vehicles_delayed(400.0, 8.0, 1200.0) == 3_840_000.0
     assert vehicles_delayed(400.0, 4.0, 1200.0) == 1_920_000.0
-    hours = delay_hours_saved(400.0, 8.0, 4.0, 1200.0, 10.0)
+    hours = delay_hours_saved(3_840_000.0, 1_920_000.0, 10.0)
     assert hours == pytest.approx(320_000.0, rel=1e-12)
 
 
 def test_delay_time_value_prices_the_hours():
-    value = delay_time_value(400.0, 8.0, 4.0, 1200.0, 10.0, vtts=20.0)
+    value = delay_time_value(320_000.0, vtts=20.0)
     assert value == pytest.approx(320_000.0 * 20.0, rel=1e-12)
-    doubled = delay_time_value(
-        400.0, 8.0, 4.0, 1200.0, 10.0, vtts=20.0, occupants_per_vehicle=2.0
-    )
+    doubled = delay_time_value(320_000.0, vtts=20.0, occupants_per_vehicle=2.0)
     assert doubled == pytest.approx(2.0 * value, rel=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Drone-delivered AED network valuation."""
+"""Drone-delivered AED network valuation (BF7)."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from aamcba.factors.medical import (
     additional_survivors,
-    life_saving_value,
     life_saving_value_all_cases,
     ohca_count,
     survivors,
@@ -40,37 +39,40 @@ def test_survivor_ladder():
 
 def test_all_cases_reference_values():
     got = life_saving_value_all_cases(
-        3.9e6, 1.17e7, 55.0, SURVIVAL_RATES, COST_PER_SURVIVOR
+        ohca_count(3.9e6, 55.0), 1.17e7, SURVIVAL_RATES, COST_PER_SURVIVOR
     )
     assert np.allclose(got, ALL_CASES_REFERENCE, rtol=1e-12, atol=0)
 
 
-def test_baseline_case_is_worth_nothing():
-    assert life_saving_value(
-        3.9e6, 1.17e7, 55.0, SURVIVAL_RATES, COST_PER_SURVIVOR, case=0
-    ) == 0.0
+def _case_value(factor_value, case):
+    constants = {
+        "ohca_per_100k": 55.0,
+        "DSN": [0, 10, 20, 30, 40, 50],
+        "survival_rates": list(SURVIVAL_RATES),
+        "CAS": list(COST_PER_SURVIVOR),
+    }
+    values = {"population": 3.9e6, "vsl": 1.17e7}
+    return factor_value("BF7", constants, values, toggles={"bf7_case": case})
 
 
-def test_single_case_selection():
-    got = life_saving_value(
-        3.9e6, 1.17e7, 55.0, SURVIVAL_RATES, COST_PER_SURVIVOR, case=5
-    )
+def test_baseline_case_is_worth_nothing(factor_value):
+    assert _case_value(factor_value, 0) == 0.0
+
+
+def test_single_case_selection(factor_value):
+    got = _case_value(factor_value, 5)
     assert got == pytest.approx(ALL_CASES_REFERENCE[5], rel=1e-12)
 
 
-def test_case_out_of_range():
+def test_case_out_of_range(factor_value):
     with pytest.raises(ValueError, match="network case 6 out of range"):
-        life_saving_value(
-            3.9e6, 1.17e7, 55.0, SURVIVAL_RATES, COST_PER_SURVIVOR, case=6
-        )
+        _case_value(factor_value, 6)
     with pytest.raises(ValueError, match="out of range"):
-        life_saving_value(
-            3.9e6, 1.17e7, 55.0, SURVIVAL_RATES, COST_PER_SURVIVOR, case=-1
-        )
+        _case_value(factor_value, -1)
 
 
 def test_mismatched_vectors_raise():
     with pytest.raises(ValueError, match="must align"):
         life_saving_value_all_cases(
-            3.9e6, 1.17e7, 55.0, SURVIVAL_RATES, COST_PER_SURVIVOR[:-1]
+            2145.0, 1.17e7, SURVIVAL_RATES, COST_PER_SURVIVOR[:-1]
         )

@@ -1,4 +1,4 @@
-"""Passenger time value and safety cost reduction."""
+"""Passenger time value (BF1) and safety cost reduction (BF2)."""
 from __future__ import annotations
 
 import pytest
@@ -8,8 +8,6 @@ from aamcba.factors.mobility import (
     avoided_fatalities,
     evtol_trips,
     hours_saved,
-    passenger_time_value,
-    safety_cost_reduction,
     vmt_local,
     vtts_scaled,
 )
@@ -22,10 +20,12 @@ def test_vtts_scales_with_income():
         vtts_scaled(60000.0, 0.0, 17.25)
 
 
-def test_passenger_time_value():
+def test_passenger_time_value(factor_value):
     assert hours_saved(120.0, 50.0) == pytest.approx(100.0, rel=1e-15)
     # one million trips, 50 minutes each, $20/h
-    assert passenger_time_value(1e6, 50.0, 20.0) == pytest.approx(
+    constants = {"MHI_2015": 30000.0, "VTTS_2015": 20.0, "trip_time_saved_min": 50.0}
+    values = {"mhi": 30000.0, "passenger_trips": 1e6}
+    assert factor_value("BF1", constants, values) == pytest.approx(
         1e6 * 50.0 / 60.0 * 20.0, rel=1e-15
     )
 
@@ -36,49 +36,42 @@ def test_vmt_attribution():
         vmt_local(3.2e12, 0.0, 4.0e6)
 
 
-def test_safety_value_closed_form():
-    # the local-VMT term cancels: value = trips*miles*(g-a)*VSL / 1e8
-    got = safety_cost_reduction(
-        passenger_trips=1e6,
-        trip_miles=50.0,
-        vmt_us=3.2e12,
-        us_population=3.33e8,
-        population=3.9e6,
-        ground_rate_per_100m=0.6,
-        air_rate_per_100m=0.3,
-        vsl=1.17e7,
+SAFETY_CONSTANTS = {
+    "trip_distance_miles": 50.0,
+    "ground_fatality_per_100m_miles": 0.6,
+    "air_fatality_per_100m_miles": 0.3,
+}
+
+
+def _safety_values(**overrides):
+    values = dict(
+        passenger_trips=1e6, vmt_us=3.2e12, us_population=3.33e8,
+        population=3.9e6, vsl=1.17e7,
     )
+    values.update(overrides)
+    return values
+
+
+def test_safety_value_closed_form(factor_value):
+    # the local-VMT term cancels: value = trips*miles*(g-a)*VSL / 1e8
+    got = factor_value("BF2", SAFETY_CONSTANTS, _safety_values())
     assert got == pytest.approx(1_755_000.0, rel=1e-9)
 
 
-def test_safety_value_is_invariant_to_the_vmt_inputs():
-    kwargs = dict(
-        passenger_trips=2.5e5,
-        trip_miles=50.0,
-        us_population=3.33e8,
-        population=3.9e6,
-        ground_rate_per_100m=0.6,
-        air_rate_per_100m=0.3,
-        vsl=1.17e7,
-    )
-    a = safety_cost_reduction(vmt_us=3.2e12, **kwargs)
-    b = safety_cost_reduction(vmt_us=9.9e12, **kwargs)
+def test_safety_value_is_invariant_to_the_vmt_inputs(factor_value):
+    a = factor_value("BF2", SAFETY_CONSTANTS,
+                     _safety_values(passenger_trips=2.5e5, vmt_us=3.2e12))
+    b = factor_value("BF2", SAFETY_CONSTANTS,
+                     _safety_values(passenger_trips=2.5e5, vmt_us=9.9e12))
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_safety_value_trip_count_mode_divides_by_seats():
-    kwargs = dict(
-        passenger_trips=1e6,
-        trip_miles=50.0,
-        vmt_us=3.2e12,
-        us_population=3.33e8,
-        population=3.9e6,
-        ground_rate_per_100m=0.6,
-        air_rate_per_100m=0.3,
-        vsl=1.17e7,
+def test_safety_value_trip_count_mode_divides_by_seats(factor_value):
+    passengers = factor_value("BF2", SAFETY_CONSTANTS, _safety_values())
+    vehicles = factor_value(
+        "BF2", {**SAFETY_CONSTANTS, "seats_per_evtol": 4.0}, _safety_values(),
+        toggles={"bf2_use_trip_miles": True},
     )
-    passengers = safety_cost_reduction(**kwargs)
-    vehicles = safety_cost_reduction(seats_per_vehicle=4.0, use_trip_counts=True, **kwargs)
     assert vehicles == pytest.approx(passengers / 4.0, rel=1e-12)
 
 

@@ -44,7 +44,7 @@ def test_time_series_invariants():
     assert ts.first_year == 2000
     assert ts.last_year == 2002
     assert ts.value_at(2001) == 2.0
-    assert list(ts.array()) == [1.0, 2.0, 3.0]
+    assert ts.values == (1.0, 2.0, 3.0)
     with pytest.raises(ScenarioError, match="is empty"):
         TimeSeries("x", (), ())
     with pytest.raises(ScenarioError, match="has 2 years but 3 values"):
@@ -260,7 +260,7 @@ def test_validate_historical_too_short(default_scenario):
 
 
 def test_validate_unknown_factor(default_scenario):
-    with pytest.raises(ScenarioError, match="unknown benefit factor 'BF77'"):
+    with pytest.raises(ScenarioError, match=r"unknown benefit factors: \['BF77'\]"):
         validate_scenario(default_scenario, ("BF77",))
 
 

@@ -81,6 +81,13 @@ def test_adf_error_branches():
         adf_test(white_noise_path(2, 50), max_lag=-1)
 
 
+def test_adf_exactly_linear_series_is_degenerate():
+    # constant first differences: the lagged-difference columns repeat the
+    # intercept, so the regression's normal matrix is singular
+    with pytest.raises(ForecastError, match="degenerate ADF regression"):
+        adf_test(30000.0 + 100.0 * np.arange(31))
+
+
 LJUNG_BOX_REFERENCE = {
     # lags -> (statistic, p_value) on X_SERIES, frozen from a library run.
     1: (0.022445449959871275, 0.8809081633641912),
