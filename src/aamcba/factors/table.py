@@ -19,6 +19,7 @@ if TYPE_CHECKING:
     from ..ingest import Scenario
 
 Recorder = Callable[..., float]
+Values = Mapping[str, float]
 
 _CROPS = ("soybean", "corn", "wheat")
 
@@ -39,7 +40,7 @@ class Factor:
     #: Plot table the factor goes in: its value, or with ``plot_items``
     #: the intermediates its ``evaluate`` tags with an item name.
     plot_file: str
-    evaluate: Callable[[Scenario, Mapping[str, float], int, Recorder], float]
+    evaluate: Callable[[Scenario, Values, int, Recorder], float]
     constants: tuple[str, ...] = ()
     exogenous: tuple[str, ...] = ()
     historical: tuple[str, ...] = ()
@@ -54,7 +55,7 @@ class Factor:
         )
 
 
-def _passenger_time(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _passenger_time(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     rec("median household income ($/yr)", v["mhi"])
     vtts = rec(
         "value of travel time, income-scaled ($/h)",
@@ -66,7 +67,7 @@ def _passenger_time(s: Scenario, v: Mapping[str, float], year: int, rec: Recorde
     return hours * vtts
 
 
-def _traffic_safety(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _traffic_safety(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     vmt = rec(
         "local road miles, population-scaled (mi)",
         mobility.vmt_local(v["vmt_us"], v["us_population"], v["population"]),
@@ -93,7 +94,7 @@ def _traffic_safety(s: Scenario, v: Mapping[str, float], year: int, rec: Recorde
     return reduction * rec("value of a statistical life ($)", v["vsl"])
 
 
-def _package_trips(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _package_trips(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     base_year = int(s.constants.get("market_base_year", 2019))
     base_value = s.constant("market_value_2019")
     cagr = s.constant("market_cagr")
@@ -124,7 +125,7 @@ def _package_trips(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder
     )
 
 
-def _package_delivery(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _package_delivery(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     trips = _package_trips(s, v, year, rec)
     per_drone = rec(
         "deliveries one drone can fly per year",
@@ -157,7 +158,7 @@ def _package_delivery(s: Scenario, v: Mapping[str, float], year: int, rec: Recor
     return cost + lead
 
 
-def _air_cargo(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _air_cargo(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     trips = rec("cargo trips", v["cargo_trips"])
     months = rec(
         "delivery months saved",
@@ -207,7 +208,7 @@ def _air_cargo(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) ->
     return core + lead
 
 
-def _bridge_inspection(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _bridge_inspection(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     inspections = s.constant("heavy_inspections_per_year")
     traffic = s.constant("traffic_per_lane_hour")
     slow = rec(
@@ -230,7 +231,9 @@ def _bridge_inspection(s: Scenario, v: Mapping[str, float], year: int, rec: Reco
         "value of travel time ($/h)",
         mobility.vtts_scaled(v["mhi"], s.constant("MHI_2015"), s.constant("VTTS_2015")),
     )
-    delay_value = rec("delay cost avoided ($)", inspection.delay_time_value(hours, vtts))
+    delay_value = rec(
+        "delay cost avoided ($)", inspection.delay_time_value(hours, vtts)
+    )
     lines = inspection.inspection_cost_savings(
         inspections,
         s.constant("drone_capable_inspections"),
@@ -242,7 +245,7 @@ def _bridge_inspection(s: Scenario, v: Mapping[str, float], year: int, rec: Reco
     return delay_value + rec("inspection cost savings ($)", lines.savings)
 
 
-def _farming(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _farming(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     incremental = bool(s.toggle("bf6_incremental"))
     reading = (
         "increment only" if incremental
@@ -250,9 +253,12 @@ def _farming(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> f
     )
     share = rec(
         "adopting-farm share",
-        agriculture.adoption_share(s.constant("farms_adopting"), s.constant("farms_total")),
+        agriculture.adoption_share(
+            s.constant("farms_adopting"), s.constant("farms_total")
+        ),
     )
-    # The published corn cost line runs on the soybean acreage.
+    # Without bf6_matching_area the corn cost line runs on the soybean
+    # acreage, as published.
     matching_area = s.toggle("bf6_matching_area")
     production = 0.0
     cost = 0.0
@@ -288,7 +294,7 @@ def _farming(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> f
     return production + cost + livestock
 
 
-def _medical_response(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _medical_response(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     stations = s.constant("DSN")
     ohca = rec(
         "cardiac arrests expected",
@@ -296,24 +302,24 @@ def _medical_response(s: Scenario, v: Mapping[str, float], year: int, rec: Recor
     )
     values = medical.life_saving_value_all_cases(
         ohca, v["vsl"], s.constant("survival_rates"), s.constant("CAS")
-    )
-    for j in range(1, len(stations)):
-        count = int(stations[j])
-        rec(f"net value, {count} stations ($)", values[j], item=f"stations_{count}")
+    ).tolist()
+    for count, value in zip(stations[1:], values[1:]):
+        count = int(count)
+        rec(f"net value, {count} stations ($)", value, item=f"stations_{count}")
     case = s.toggle("bf7_case")
-    if not 0 <= case < values.size:
+    if not 0 <= case < len(values):
         raise ValueError(
-            f"network case {case} out of range; {values.size} cases defined"
+            f"network case {case} out of range; {len(values)} cases defined"
         )
     rec("selected network size (stations)", stations[case])
-    return float(values[case])
+    return values[case]
 
 
-def _tax_revenue(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _tax_revenue(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     return rec("tax income passed through ($)", v["tax_income"])
 
 
-def _ghg_reduction(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder) -> float:
+def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     base_year = s.constant("scghg_base_year")
     rate = s.constant("scghg_discount")
     vmt = rec(
@@ -344,7 +350,9 @@ def _ghg_reduction(s: Scenario, v: Mapping[str, float], year: int, rec: Recorder
         environment.demand_factor(
             rec(
                 "eVTOL vehicle trips",
-                mobility.evtol_trips(v["passenger_trips"], s.constant("seats_per_evtol")),
+                mobility.evtol_trips(
+                    v["passenger_trips"], s.constant("seats_per_evtol")
+                ),
             ),
             rec("drone package deliveries", _package_trips(s, v, year, no_record)),
             rec("cargo trips", v["cargo_trips"]),

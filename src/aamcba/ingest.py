@@ -562,8 +562,11 @@ def validate_scenario(
                 f"exogenous series '{name}' does not cover year {missing[0]} "
                 f"(covers {ts.first_year}-{ts.last_year})"
             )
-    needed_hist = [(f.id, name) for f in used for name in f.historical]
-    for f, name in needed_hist:
+    needed_hist: dict[str, str] = {}
+    for factor in used:
+        for name in factor.historical:
+            needed_hist.setdefault(name, factor.id)
+    for name, f in needed_hist.items():
         if name not in s.historical_series:
             raise ScenarioError(
                 f"historical series '{name}' is required by {f} but missing"
@@ -580,9 +583,9 @@ def validate_scenario(
                 f"at least 8 are needed for forecasting"
             )
         # Equal first differences leave the ADF regression singular.
-        steps = {b - a for a, b in zip(ts.values, ts.values[1:])}
-        if len(steps) == 1:
-            shape = "constant" if steps == {0.0} else "exactly linear"
+        step = ts.values[1] - ts.values[0]
+        if all(b - a == step for a, b in zip(ts.values[1:], ts.values[2:])):
+            shape = "constant" if step == 0.0 else "exactly linear"
             raise ScenarioError(
                 f"historical series '{name}' is {shape}; it cannot be forecast"
             )
