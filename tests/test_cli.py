@@ -308,3 +308,38 @@ def test_validate_and_run_reject_exactly_linear_series(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "historical series 'mhi' is exactly linear" in err
         assert "numerical failure" not in err
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(aamcba.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "aamcba.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_module_entry_point_matches_in_process_main(tmp_path, capsys):
+    # ``python -m aamcba.cli`` goes through ``entry()``, the console
+    # script's path, which exits the interpreter with main()'s code.
+    proc = _run_module("run", "--out", str(tmp_path / "sub"))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", "--out", str(tmp_path / "inproc")]) == 0
+    captured = capsys.readouterr()
+    assert proc.stderr == captured.err
+
+    def body(stdout: str) -> list[str]:
+        return [ln for ln in stdout.splitlines()
+                if not ln.startswith("outputs written to")]
+
+    assert body(proc.stdout) == body(captured.out)
+    assert proc.stdout.splitlines()[-1] == f"outputs written to {tmp_path / 'sub'}"
+    sub = sorted((tmp_path / "sub").iterdir())
+    inproc = sorted((tmp_path / "inproc").iterdir())
+    assert [p.name for p in sub] == [p.name for p in inproc]
+    for a, b in zip(sub, inproc):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+    proc = _run_module("validate", "--scenario", str(tmp_path / "missing.yaml"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: scenario file not found" in proc.stderr

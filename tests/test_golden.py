@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of every file ``aamcba run`` writes for the
-bundled scenario, with default toggles and with two toggles flipped.
+bundled scenario: with default toggles, with two toggles flipped, and with
+a factor subset under four other toggles.
 
 A change that shifts any written number, however little, fails here. When
 a change is meant to alter outputs, update the hashes in the same commit
@@ -101,13 +102,79 @@ TOGGLED_RUN = {
 }
 
 
-@pytest.mark.parametrize("toggles, expected", [
+
+# Four factors, a seed and four toggles: the capex is amortized, the
+# BF4 cost-increase sign and BF2's trip-mile basis are flipped, and the
+# d=1 series are fitted with a mean, so their forecasts drift.
+SUBSET_RUN_ARGS = [
+    "--factors", "BF2,BF4,BF6,BF7", "--seed", "7",
+    "--toggle", "amortize_capex_years=5",
+    "--toggle", "bf4_ci_sign=positive_extra_cost",
+    "--toggle", "include_mean_when_differenced=true",
+    "--toggle", "bf2_use_trip_miles=true",
+]
+SUBSET_RUN = {
+    "air_cargo.csv":
+        "6ddfd38b5fb75b232522f14509495b7b86bbeaa5a8f3aeadef89b1136a6da24f",
+    "farming.csv":
+        "eb2464a55d9738f6b658e186eef61a89da3a05c9fd029254a9794e037a875d7f",
+    "forecast_corn_area.csv":
+        "2b625fdb690b5304dc636d4dd74f9d8099ae17293b03c1d60d8c07c48fd3c43e",
+    "forecast_corn_price.csv":
+        "077f8b5bf4b7667b0546be54a2e8b4f9180f8cb240b13a42af3d1da779e76397",
+    "forecast_corn_yield.csv":
+        "6d62ef01b590a16b316534b6ac0fef8df4e336aa46f1c369f40a5ec8038566d6",
+    "forecast_livestock.csv":
+        "686bd5259b589e503ca1b123205d64ec44feebf33b2f8a59f2d5964c362f0f1e",
+    "forecast_population.csv":
+        "281467daed36736599088ab308ba473816d571c23676418273ebe171e94f12de",
+    "forecast_soybean_area.csv":
+        "58e2f8037133c34afc49671c418b5e4216da14e8dbd6935036c168b28e51847d",
+    "forecast_soybean_price.csv":
+        "2885d943f3165e071b6434369d02b0f431ef3b246f78fc5fb727b8f0056bb0f4",
+    "forecast_soybean_yield.csv":
+        "22c57fcff3b9aefe577fadba6111d2acf1176e32ec49d66aba0ed9c4e5009c6b",
+    "forecast_vmt_us.csv":
+        "5754abfcb40afec1180552525ec2adc02e8573f5515fc2a92b69dee25b8a554d",
+    "forecast_vsl.csv":
+        "92d0695aaa90f9b3c3254876cb2cc12b659cd58b469e13b4a2ae5f62402105be",
+    "forecast_wheat_area.csv":
+        "2c638aa4b854599df91c9128503c21d2e584c7ca5627811278c74ccd385f03ce",
+    "forecast_wheat_price.csv":
+        "880e279015961c19a6d9b63796d909dc707f0ab009e0673d8cb0785f21608048",
+    "forecast_wheat_yield.csv":
+        "ae12b7c8a464407725986afd00eb50128285688a72c34a0d484255077359a222",
+    "medical_response.csv":
+        "01e0ef1ea24bcf44bbf1d6e25280d2aa5a234dd9cd667f0e813fc52b020eeb3e",
+    "npi.csv":
+        "cf28a17245448a22260066edf33a1b9832887b3267bbdae57760c47490399b06",
+    "plot_delivery_savings.csv":
+        "d963e5ae74891b3f9e9e70bbcc378b91fbdaf1489e4050069f6014807bb42f1d",
+    "plot_farming_components.csv":
+        "91c3b9a2034576d29ad63ff2bea9a734fcad558d7e847390739d7c1c0f5b8b13",
+    "plot_medical_cases.csv":
+        "36c155cf0cb572db4bddd87bba391f498ce752a3cea48d6de92c5e5803d97e0e",
+    "plot_npi_band.csv":
+        "cf28a17245448a22260066edf33a1b9832887b3267bbdae57760c47490399b06",
+    "plot_time_safety_inspection.csv":
+        "f69eaa5955afcf0235ac8da4b1c402b98a6823a2f222c6a80c74570a6d21a466",
+    "results.csv":
+        "df9aab965eb2cd49a76ca4a40b2fda5169c1890b264ac34b80eaf7fdca6d5da7",
+    "summary.json":
+        "9266921c7c9622de1266c969c4c0c7e6dec6c546a81e7a390b0093aef96cc618",
+    "traffic_safety.csv":
+        "0a192ee5a6081e6140d242a5ff966f44ee360bdc5702e6413e3336380b7f2eb7",
+}
+
+
+@pytest.mark.parametrize("args, expected", [
     ([], DEFAULT_RUN),
     (["--toggle", "bf6_incremental=true", "--toggle", "bf7_case=3"], TOGGLED_RUN),
-], ids=["default", "bf6_incremental-bf7_case3"])
-def test_run_outputs_match_golden_hashes(tmp_path, capsys, toggles, expected):
+    (SUBSET_RUN_ARGS, SUBSET_RUN),
+], ids=["default", "bf6_incremental-bf7_case3", "subset-seed7-four-toggles"])
+def test_run_outputs_match_golden_hashes(tmp_path, capsys, args, expected):
     out = tmp_path / "out"
-    assert main(["run", "--out", str(out), *toggles]) == 0
+    assert main(["run", "--out", str(out), *args]) == 0
     capsys.readouterr()
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
