@@ -8,6 +8,7 @@ directories listed in ``AAMCBA_SCENARIO_DIR`` (``os.pathsep`` separated);
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -231,7 +232,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # The process ends here, and the OS frees its memory anyway: frozen
+    # objects are left out of the full collection at interpreter shutdown,
+    # which would otherwise walk every numpy, PyYAML and aamcba object.
+    # Not in main(), which tests and library callers run many times in one
+    # process; and not os._exit, which would skip atexit handlers.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,13 +12,12 @@ matters; at this size it does not.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .factors.table import FACTORS, no_record
+from .factors.table import FACTORS, Recorder, no_record
 from .forecast import ArimaOrder, ForecastError, PipelineResult, auto_pipeline
 from .ingest import (
     FACTOR_IDS,
@@ -33,8 +32,9 @@ from .ledger import (
     AnnualResult,
     BandValue,
     summary_dict,
-    write_band_csv,
+    write_channels_csv,
     write_factor_csv,
+    write_item_csv,
     write_npi_csv,
     write_results_csv,
 )
@@ -88,6 +88,9 @@ class EvaluationResult:
     warnings: list[str]
     #: The inputs every factor saw: year -> channel -> series name -> value.
     channel_values: dict[int, dict[str, dict[str, float]]]
+    #: (factor id, year) -> the (item, band) pairs its evaluation tags, for
+    #: the factors whose plot table lists items.
+    item_bands: dict[tuple[str, int], list[tuple[str, BandValue]]]
 
 
 def _values_for_year(
@@ -95,12 +98,14 @@ def _values_for_year(
     forecasts: Mapping[str, PipelineResult],
     exogenous_names,
     year: int,
-    channel: str,
-) -> dict[str, float]:
-    """Merge exogenous points and one forecast channel for a single year."""
-    values: dict[str, float] = {}
-    for name in sorted(exogenous_names):
-        values[name] = scenario.exogenous(name).value_at(year)
+) -> dict[str, dict[str, float]]:
+    """Each channel's inputs for one year: the exogenous points, the same in
+    every channel, then each forecast's value in that channel."""
+    exogenous = {
+        name: scenario.exogenous(name).value_at(year)
+        for name in sorted(exogenous_names)
+    }
+    by_channel = {channel: dict(exogenous) for channel in _CHANNELS}
     for name, result in forecasts.items():
         band = result.band
         if not band.years[0] <= year <= band.years[-1]:
@@ -108,12 +113,25 @@ def _values_for_year(
                 f"forecast for '{name}' covers {band.years[0]}-{band.years[-1]}, "
                 f"not {year}"
             )
-        values[name] = getattr(band, channel)[year - band.years[0]]
-    return values
+        i = year - band.years[0]
+        for channel, values in by_channel.items():
+            values[name] = getattr(band, channel)[i]
+    return by_channel
 
 
 def _band_from_channels(lower: float, mean: float, upper: float) -> BandValue:
     return BandValue(min(lower, mean, upper), mean, max(lower, mean, upper))
+
+
+def _item_recorder(items: list[tuple[str, float]]) -> Recorder:
+    """A recorder that keeps the (item, value) of every item-tagged entry."""
+
+    def rec(label: str, value: float, item: str | None = None) -> float:
+        if item is not None:
+            items.append((item, value))
+        return value
+
+    return rec
 
 
 def evaluate(
@@ -169,21 +187,29 @@ def evaluate(
 
     annual: list[AnnualResult] = []
     values_by_year: dict[int, dict[str, dict[str, float]]] = {}
+    item_bands: dict[tuple[str, int], list[tuple[str, BandValue]]] = {}
     for year in scenario.horizon_years:
-        channel_values = values_by_year[year] = {
-            channel: _values_for_year(
-                scenario, forecasts, exogenous_names, year, channel
-            )
-            for channel in _CHANNELS
-        }
+        channel_values = values_by_year[year] = _values_for_year(
+            scenario, forecasts, exogenous_names, year
+        )
         benefits: dict[str, BandValue] = {}
         for factor_id in enabled:
-            evaluator = FACTORS[factor_id].evaluate
+            factor = FACTORS[factor_id]
+            if factor.plot_items:
+                kept: list[list[tuple[str, float]]] = [[] for _ in _CHANNELS]
+                recorders = [_item_recorder(items) for items in kept]
+            else:
+                recorders = [no_record] * len(_CHANNELS)
             lower, mean, upper = (
-                evaluator(scenario, channel_values[channel], year, no_record)
-                for channel in _CHANNELS
+                factor.evaluate(scenario, channel_values[channel], year, rec)
+                for channel, rec in zip(_CHANNELS, recorders)
             )
             benefits[factor_id] = _band_from_channels(lower, mean, upper)
+            if factor.plot_items:
+                item_bands[factor_id, year] = [
+                    (item, _band_from_channels(lo, mid, up))
+                    for (item, lo), (_, mid), (_, up) in zip(*kept)
+                ]
         annual.append(
             AnnualResult(
                 year=year,
@@ -199,6 +225,7 @@ def evaluate(
         forecasts=forecasts,
         warnings=warnings,
         channel_values=values_by_year,
+        item_bands=item_bands,
     )
 
 
@@ -243,10 +270,6 @@ def explain(result: EvaluationResult, factor_id: str, year: int) -> str:
     return "\n".join(lines)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
     s = result.scenario
     forecast_info = {}
@@ -279,16 +302,6 @@ def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
     return payload
 
 
-def _write_plot_rows(path: Path, rows: Sequence[tuple]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["year", "item", "lower", "mean", "upper"])
-        for year, item, band in rows:
-            writer.writerow(
-                [year, item, _fmt(band.lower), _fmt(band.mean), _fmt(band.upper)]
-            )
-
-
 def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
     """One table per factor plot file: each factor's value, or the items its
     evaluation tags, by year."""
@@ -301,17 +314,16 @@ def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
         for r in result.annual:
             for factor_id in members:
                 factor = FACTORS[factor_id]
-                if not factor.plot_items:
-                    rows.append((r.year, factor.file_stem, r.benefits[factor_id]))
-                    continue
-                traces = [_trace(result, factor_id, r.year, c) for c in _CHANNELS]
-                for (_, lower, _), (_, mean, item), (_, upper, _) in zip(*traces):
-                    if item is not None:
-                        rows.append(
-                            (r.year, item, _band_from_channels(lower, mean, upper))
-                        )
+                if factor.plot_items:
+                    bands = result.item_bands[factor_id, r.year]
+                else:
+                    bands = [(factor.file_stem, r.benefits[factor_id])]
+                rows += [
+                    (r.year, item, band.lower, band.mean, band.upper)
+                    for item, band in bands
+                ]
         path = out_dir / filename
-        _write_plot_rows(path, rows)
+        write_item_csv(path, rows)
         written.append(path)
 
     path = out_dir / "plot_npi_band.csv"
@@ -345,14 +357,7 @@ def write_outputs(
         for name in sorted(result.forecasts):
             band = result.forecasts[name].band
             path = out_dir / f"forecast_{name}.csv"
-            write_band_csv(
-                path,
-                band.years,
-                [
-                    BandValue(lo, mid, up)
-                    for lo, mid, up in zip(band.lower, band.mean, band.upper)
-                ],
-            )
+            write_channels_csv(path, band.years, band.lower, band.mean, band.upper)
             written.append(path)
     if "json" in emit:
         path = out_dir / "summary.json"

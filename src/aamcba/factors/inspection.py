@@ -3,35 +3,12 @@
 The per-inspection cost rates come from a published operational breakdown.
 Its per-line labor figures do not reproduce their own printed subtotals
 (the source table is internally inconsistent), so the printed payroll and
-equipment subtotals are canonical here and the raw line items are kept only
-for audit.
+equipment subtotals are canonical here; the raw line items live only in the
+tests, which pin the discrepancy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class LaborLine:
-    """One crew line from the published cost table (audit only)."""
-
-    role: str
-    crew: int
-    hours: float
-    hourly_rate: float
-    fringe: float
-    printed_total: float
-
-    def computed_total(self) -> float:
-        """Crew cost with fringe; does not equal printed_total in the source."""
-        return self.crew * self.hours * self.hourly_rate * (1.0 + self.fringe)
-
-
-SNOOPER_LABOR = (
-    LaborLine("bridge specialist", 3, 8.0, 37.0, 0.45, 854.0),
-    LaborLine("highway technician", 3, 8.0, 21.0, 0.45, 727.0),
-)
-DRONE_LABOR = (LaborLine("bridge specialist", 2, 4.0, 37.0, 0.45, 427.0),)
 
 SNOOPER_PAYROLL = 2018.0
 SNOOPER_EQUIPMENT = 1125.0

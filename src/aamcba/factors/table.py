@@ -5,8 +5,9 @@ the scenario inputs it reads, and one ``evaluate(s, v, year, rec)``: ``s``
 is the scenario, ``v`` one channel's series values for ``year``. It
 computes each intermediate once and hands it to ``rec(label, value,
 item=None)``, which returns the value unchanged. The engine passes a
-recorder that does nothing, ``explain`` one that keeps the trace, and the
-plot writer one that keeps the entries tagged with an ``item`` name.
+recorder that does nothing, or, for a factor whose plot table lists items,
+one that keeps the entries tagged with an ``item`` name; ``explain``
+passes one that keeps the whole trace.
 """
 from __future__ import annotations
 

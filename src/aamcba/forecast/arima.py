@@ -13,6 +13,7 @@ fits are all closed-form (0,d,0) never loads it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,12 @@ class ForecastBand:
         k = len(self.years)
         if not (len(self.lower) == len(self.mean) == len(self.upper) == k):
             raise ForecastError("band channels must share one length")
+        isfinite = math.isfinite
         for y, lo, mid, hi in zip(self.years, self.lower, self.mean, self.upper):
+            if not (isfinite(lo) and isfinite(mid) and isfinite(hi)):
+                raise ForecastError(
+                    f"band channels must be finite, got {lo}, {mid}, {hi} at {y}"
+                )
             if not (lo <= mid <= hi):
                 raise ForecastError(
                     f"band ordering violated at {y}: {lo} <= {mid} <= {hi}"
@@ -207,7 +213,7 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
             ma_coeffs=(),
             intercept=mu,
             sigma2=sigma2,
-            residuals=tuple(float(v) for v in e),
+            residuals=tuple(e.tolist()),
             loglik_proxy=-css,
             n_obs=n,
         )
@@ -288,11 +294,11 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     sigma2 = css / max(e.size - n_params, 1)
     return FittedArima(
         order=order,
-        ar_coeffs=tuple(float(v) for v in phi),
-        ma_coeffs=tuple(float(v) for v in theta),
+        ar_coeffs=tuple(phi.tolist()),
+        ma_coeffs=tuple(theta.tolist()),
         intercept=float(mu),
         sigma2=sigma2,
-        residuals=tuple(float(v) for v in e),
+        residuals=tuple(e.tolist()),
         loglik_proxy=-css,
         n_obs=n,
     )
@@ -309,17 +315,17 @@ def psi_weights(model: FittedArima, horizon: int) -> np.ndarray:
     ar = np.array([1.0] + [-c for c in model.ar_coeffs])
     for _ in range(model.order.d):
         ar = np.convolve(ar, [1.0, -1.0])
-    rec = -ar[1:]
+    # The recursion runs on Python floats: the same double operations as
+    # on array elements, without boxing each one.
+    rec = (-ar[1:]).tolist()
     theta = model.ma_coeffs
-    psi = np.empty(horizon)
-    psi[0] = 1.0
+    psi = [1.0]
     for j in range(1, horizon):
         v = theta[j - 1] if j <= len(theta) else 0.0
-        upto = min(j, rec.size)
-        for i in range(1, upto + 1):
+        for i in range(1, min(j, len(rec)) + 1):
             v += rec[i - 1] * psi[j - i]
-        psi[j] = v
-    return psi
+        psi.append(v)
+    return np.array(psi)
 
 
 def _series_values_and_last_year(series) -> tuple[np.ndarray, int]:
@@ -339,7 +345,7 @@ def forecast(model: FittedArima, series, horizon: int) -> ForecastBand:
     if horizon < 1:
         raise ForecastError(f"horizon must be >= 1, got {horizon}")
     x, last_year = _series_values_and_last_year(series)
-    d, p, q = model.order.d, model.order.p, model.order.q
+    d, p = model.order.d, model.order.p
     if x.size < max(d + p + 1, MIN_OBS):
         raise ForecastError(
             f"need at least {max(d + p + 1, MIN_OBS)} observations to "
@@ -347,25 +353,30 @@ def forecast(model: FittedArima, series, horizon: int) -> ForecastBand:
         )
     w = difference(x, d)
     z = w - model.intercept
-    e_full = np.zeros(z.size)
-    e_full[p:] = _css_residuals(z, np.asarray(model.ar_coeffs),
-                                np.asarray(model.ma_coeffs))
-
     n = z.size
-    zext = np.concatenate([z, np.zeros(horizon)])
-    eext = np.concatenate([e_full, np.zeros(horizon)])
-    for k in range(1, horizon + 1):
-        t = n + k - 1
+    ar, ma = model.ar_coeffs, model.ma_coeffs
+    # One-step recursion on Python floats; past errors enter only through
+    # the MA terms, so they are filtered only when there are some.
+    zs = z.tolist()
+    if ma:
+        es = [0.0] * p + _css_residuals(z, np.asarray(ar), np.asarray(ma)).tolist()
+    for t in range(n, n + horizon):
         v = 0.0
-        for i, c in enumerate(model.ar_coeffs, start=1):
-            v += c * zext[t - i]
-        for j, c in enumerate(model.ma_coeffs, start=1):
+        for i, c in enumerate(ar, start=1):
+            v += c * zs[t - i]
+        for j, c in enumerate(ma, start=1):
             if t - j < n:
-                v += c * eext[t - j]
-        zext[t] = v
-    w_pred = zext[n:] + model.intercept
+                v += c * es[t - j]
+        zs.append(v)
+    w_pred = [v + model.intercept for v in zs[n:]]
 
-    tails = [float(np.diff(x, k)[-1]) for k in range(d)]
+    # tails[k]: the last value of the k-times-differenced series, from the
+    # last d+1 observations with the same subtractions as np.diff.
+    tails = []
+    edge = x[x.size - d - 1:].tolist()
+    for _ in range(d):
+        tails.append(edge[-1])
+        edge = [b - a for a, b in zip(edge, edge[1:])]
     mean = integrate(w_pred, tails)
 
     psi = psi_weights(model, horizon)
@@ -373,7 +384,7 @@ def forecast(model: FittedArima, series, horizon: int) -> ForecastBand:
     years = tuple(range(last_year + 1, last_year + 1 + horizon))
     return ForecastBand(
         years=years,
-        lower=tuple(float(v) for v in mean - half),
-        mean=tuple(float(v) for v in mean),
-        upper=tuple(float(v) for v in mean + half),
+        lower=tuple((mean - half).tolist()),
+        mean=tuple(mean.tolist()),
+        upper=tuple((mean + half).tolist()),
     )

@@ -38,18 +38,21 @@ def pacf(values, nlags: int, rho: np.ndarray | None = None) -> np.ndarray:
         rho = acf(values, nlags)
     out = np.empty(nlags + 1)
     out[0] = 1.0
-    prev = np.empty(0)
+    # phi[:k] holds the order-k coefficients, updated in place
+    phi = np.empty(nlags)
     for k in range(1, nlags + 1):
         if k == 1:
             rk = rho[1]
         else:
+            prev = phi[:k - 1]
             num = rho[k] - float(prev @ rho[k - 1:0:-1])
             den = 1.0 - float(prev @ rho[1:k])
             if den == 0.0:
                 raise ForecastError(f"Durbin-Levinson breakdown at lag {k}")
             rk = num / den
+            prev[:] = prev - rk * prev[::-1]
         out[k] = rk
-        prev = np.concatenate([prev - rk * prev[::-1], [rk]])
+        phi[k - 1] = rk
     return out
 
 

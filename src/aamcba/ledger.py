@@ -7,7 +7,6 @@ shifted down by that year's capital and operating spend.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,7 +106,17 @@ def cagr(first: float, last: float, periods: int) -> float:
 
 
 def _fmt(value: float) -> str:
+    """A CSV cell that parses back to the exact double."""
     return repr(float(value))
+
+
+def _write_csv(path: Path, lines: list[str]) -> None:
+    """Write a rendered table in one call, each line ended by ``\r\n`` as
+    ``csv.writer`` would. Cells are numbers and program-defined names, so
+    none needs quoting."""
+    lines.append("")
+    with open(path, "w", newline="") as handle:
+        handle.write("\r\n".join(lines))
 
 
 def results_rows(results: Sequence[AnnualResult]) -> list[tuple]:
@@ -126,12 +135,35 @@ def results_rows(results: Sequence[AnnualResult]) -> list[tuple]:
     return rows
 
 
+def write_item_csv(path: Path, rows: Iterable[tuple]) -> None:
+    """A year,item,lower,mean,upper table from rows in that order."""
+    lines = ["year,item,lower,mean,upper"]
+    lines += [
+        f"{year},{item},{_fmt(lower)},{_fmt(mean)},{_fmt(upper)}"
+        for year, item, lower, mean, upper in rows
+    ]
+    _write_csv(path, lines)
+
+
 def write_results_csv(path: Path, results: Sequence[AnnualResult]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["year", "item", "lower", "mean", "upper"])
-        for year, item, lower, mean, upper in results_rows(results):
-            writer.writerow([year, item, _fmt(lower), _fmt(mean), _fmt(upper)])
+    write_item_csv(path, results_rows(results))
+
+
+def write_channels_csv(
+    path: Path,
+    years: Sequence[int],
+    lower: Sequence[float],
+    mean: Sequence[float],
+    upper: Sequence[float],
+) -> None:
+    """A year,lower,mean,upper table from its columns, as a forecast band
+    holds them."""
+    lines = ["year,lower,mean,upper"]
+    lines += [
+        f"{year},{_fmt(lo)},{_fmt(mid)},{_fmt(up)}"
+        for year, lo, mid, up in zip(years, lower, mean, upper)
+    ]
+    _write_csv(path, lines)
 
 
 def write_band_csv(
@@ -141,11 +173,13 @@ def write_band_csv(
         raise ValueError(
             f"got {len(years)} years but {len(bands)} band values"
         )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["year", "lower", "mean", "upper"])
-        for year, band in zip(years, bands):
-            writer.writerow([year, _fmt(band.lower), _fmt(band.mean), _fmt(band.upper)])
+    write_channels_csv(
+        path,
+        years,
+        [band.lower for band in bands],
+        [band.mean for band in bands],
+        [band.upper for band in bands],
+    )
 
 
 def write_factor_csv(

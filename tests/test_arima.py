@@ -162,6 +162,10 @@ def test_band_validation():
         ForecastBand(
             years=(1, 2), lower=(0.0, 3.0), mean=(1.0, 2.0), upper=(2.0, 4.0)
         )
+    with pytest.raises(ForecastError, match="must be finite, got 0.0, 1.0, inf at 2"):
+        ForecastBand(
+            years=(1, 2), lower=(0.0, 0.0), mean=(1.0, 1.0), upper=(2.0, float("inf"))
+        )
 
 
 def _bare_model(order: ArimaOrder, ar=(), ma=()) -> FittedArima:

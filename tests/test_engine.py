@@ -155,9 +155,7 @@ def test_manifest_validation(tmp_path):
 
 def test_forecast_coverage_guard(default_scenario, default_evaluation):
     with pytest.raises(ForecastError, match="covers 2022-2032, not 3000"):
-        _values_for_year(
-            default_scenario, default_evaluation.forecasts, [], 3000, "mean"
-        )
+        _values_for_year(default_scenario, default_evaluation.forecasts, [], 3000)
 
 
 def test_write_outputs_full_set(default_evaluation, tmp_path):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from aamcba.factors.inspection import (
-    DRONE_LABOR,
-    SNOOPER_LABOR,
+    DRONE_PAYROLL,
     SNOOPER_PAYROLL,
     blended_inspection_cost,
     delay_hours_saved,
@@ -25,16 +24,22 @@ def test_core_rates():
     assert drone_rate_core() == 522.0
 
 
+# The published crew lines: (crew, hours, hourly rate, fringe, printed total).
+SNOOPER_LABOR = ((3, 8.0, 37.0, 0.45, 854.0), (3, 8.0, 21.0, 0.45, 727.0))
+DRONE_LABOR = ((2, 4.0, 37.0, 0.45, 427.0),)
+
+
 def test_source_table_inconsistency_is_preserved():
     # The published labor lines do not reproduce their own printed totals,
     # and the printed totals do not sum to the printed payroll either. The
     # payroll subtotal is canonical; this test pins the discrepancy so a
     # well-meaning "fix" cannot silently change every downstream figure.
-    printed = sum(line.printed_total for line in SNOOPER_LABOR)
+    assert (SNOOPER_PAYROLL, DRONE_PAYROLL) == (2018.0, 427.0)
+    printed = sum(line[-1] for line in SNOOPER_LABOR)
     assert printed == 1581.0
     assert printed != SNOOPER_PAYROLL
-    for line in SNOOPER_LABOR + DRONE_LABOR:
-        assert line.computed_total() != line.printed_total
+    for crew, hours, rate, fringe, printed_total in SNOOPER_LABOR + DRONE_LABOR:
+        assert crew * hours * rate * (1.0 + fringe) != printed_total
 
 
 def test_vehicles_delayed_and_delay_hours():
