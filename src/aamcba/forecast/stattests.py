@@ -118,9 +118,14 @@ def adf_test(values, max_lag: int | None = None, name: str = "adf") -> TestRepor
         raise ForecastError(
             "degenerate ADF regression (singular design matrix)"
         ) from None
-    se = np.sqrt(s2 * xtx_inv[1, 1])
-    if se == 0.0:
-        raise ForecastError("degenerate ADF regression (zero standard error)")
+    variance = float(s2 * xtx_inv[1, 1])
+    # A nearly singular design (a series linear up to rounding) can leave
+    # the inverse's diagonal zero, negative or not finite.
+    if not (math.isfinite(variance) and variance > 0.0):
+        raise ForecastError(
+            f"degenerate ADF regression (coefficient variance {variance!r})"
+        )
+    se = np.sqrt(variance)
     statistic = float(coef[1] / se)
     p_value = float(np.interp(statistic, _DF_QUANTILES, _DF_PROBS))
     return TestReport(

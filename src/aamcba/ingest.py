@@ -158,6 +158,18 @@ TOGGLE_DEFAULTS: dict[str, Any] = {
     "include_mean_when_differenced": False,
 }
 
+#: The toggles that take true or false and nothing else.
+_BOOLEAN_TOGGLES = tuple(
+    key for key, default in TOGGLE_DEFAULTS.items() if isinstance(default, bool)
+)
+
+#: First differences that spread by at most this fraction of the series'
+#: largest magnitude are equal up to rounding: the series is linear (or
+#: constant), and its ADF regression is singular or numerically so. Measured
+#: on a 31-point series stepping 0.1 from 30000.1, the regression broke down
+#: at spreads up to 1.8e-12 of the magnitude and not from 2.2e-12 on.
+LINEAR_RTOL = 1e-11
+
 #: Sanity brackets for warnings only; values outside are suspicious, not fatal.
 _MAGNITUDE_BRACKETS: dict[str, tuple[float, float]] = {
     "VTTS_2015": (2.0, 100.0),
@@ -582,10 +594,13 @@ def validate_scenario(
                 f"historical series '{name}' has {len(ts.values)} points; "
                 f"at least 8 are needed for forecasting"
             )
-        # Equal first differences leave the ADF regression singular.
-        step = ts.values[1] - ts.values[0]
-        if all(b - a == step for a, b in zip(ts.values[1:], ts.values[2:])):
-            shape = "constant" if step == 0.0 else "exactly linear"
+        steps = [b - a for a, b in zip(ts.values, ts.values[1:])]
+        spread = max(steps) - min(steps)
+        if spread <= LINEAR_RTOL * max(map(abs, ts.values)):
+            if spread:
+                shape = "linear up to rounding"
+            else:
+                shape = "constant" if steps[0] == 0.0 else "exactly linear"
             raise ScenarioError(
                 f"historical series '{name}' is {shape}; it cannot be forecast"
             )
@@ -604,7 +619,8 @@ def validate_scenario(
         if dsn[0] != 0:
             raise ScenarioError(f"DSN must start at 0 (no-drone case), got {dsn[0]}")
         case = s.toggle("bf7_case")
-        if not isinstance(case, int) or not 1 <= case <= len(dsn) - 1:
+        # type(), not isinstance(): true and false are ints to isinstance
+        if type(case) is not int or not 1 <= case <= len(dsn) - 1:
             raise ScenarioError(
                 f"bf7_case must be an integer in 1..{len(dsn) - 1}, got {case!r}"
             )
@@ -613,13 +629,18 @@ def validate_scenario(
         if any(b < a for a, b in zip(dsn, dsn[1:])):
             warnings.append("DSN station counts are not non-decreasing")
 
+    for key in _BOOLEAN_TOGGLES:
+        if not isinstance(s.toggle(key), bool):
+            raise ScenarioError(
+                f"toggle {key} must be true or false, got {s.toggle(key)!r}"
+            )
     if s.toggle("bf4_ci_sign") not in ("as_printed", "positive_extra_cost"):
         raise ScenarioError(
             "toggle bf4_ci_sign must be 'as_printed' or 'positive_extra_cost', "
             f"got {s.toggle('bf4_ci_sign')!r}"
         )
     amortize = s.toggle("amortize_capex_years")
-    if amortize is not None and (not isinstance(amortize, int) or amortize < 1):
+    if amortize is not None and (type(amortize) is not int or amortize < 1):
         raise ScenarioError(
             f"toggle amortize_capex_years must be a positive integer or null, "
             f"got {amortize!r}"

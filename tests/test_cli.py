@@ -343,3 +343,49 @@ def test_module_entry_point_matches_in_process_main(tmp_path, capsys):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error: scenario file not found" in proc.stderr
+
+
+@pytest.mark.parametrize("toggle, message", [
+    ("bf6_incremental=maybe", "toggle bf6_incremental must be true or false, got 'maybe'"),
+    ("bf2_use_trip_miles=1", "toggle bf2_use_trip_miles must be true or false, got 1"),
+    ("include_mean_when_differenced=null",
+     "toggle include_mean_when_differenced must be true or false, got None"),
+    ("bf7_case=true", "bf7_case must be an integer in 1..5, got True"),
+    ("amortize_capex_years=true",
+     "toggle amortize_capex_years must be a positive integer or null, got True"),
+], ids=["bool-string", "bool-int", "bool-null", "int-bool", "int-or-null-bool"])
+def test_toggle_flag_of_the_wrong_type_exits_2(tmp_path, capsys, toggle, message):
+    # BF7 reads bf7_case; the other toggles are checked whatever the factors
+    for argv in (["run", "--out", str(tmp_path / "x")], ["explain", "BF7", "2022"]):
+        assert main(argv + ["--toggle", toggle]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_validate_rejects_string_boolean_toggle_in_json(tmp_path, capsys):
+    doc = _bundled_doc()
+    doc.setdefault("toggles", {})["bf6_incremental"] = "no"
+    bad = _write_json(tmp_path / "bad.json", doc)
+    message = "toggle bf6_incremental must be true or false, got 'no'"
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_validate_and_run_reject_series_linear_up_to_rounding(tmp_path, capsys):
+    # First differences equal but for the last bit: validate used to pass
+    # it, and run took the NaN ADF statistic of the differenced series for
+    # a unit root, fitted (5,2,5) and exited 3.
+    doc = _bundled_doc()
+    mhi = doc["series"]["historical"]["mhi"]
+    mhi["values"] = [30000.1 + 0.1 * i for i in range(len(mhi["values"]))]
+    assert len(mhi["values"]) == 31
+    steps = {b - a for a, b in zip(mhi["values"], mhi["values"][1:])}
+    assert len(steps) > 1
+    near = _write_json(tmp_path / "near.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(near)]) == 2
+        err = capsys.readouterr().err
+        assert "historical series 'mhi' is linear up to rounding" in err
+        assert "numerical failure" not in err

@@ -150,3 +150,11 @@ def test_chi2_sf_edges():
     assert chi2_sf(2.0, 2) == pytest.approx(np.exp(-1.0), rel=1e-15)
     with pytest.raises(ForecastError, match="degrees of freedom"):
         chi2_sf(1.0, 0)
+
+
+def test_adf_nearly_singular_regression_is_degenerate():
+    # Differences of a series linear up to rounding: constant but for the
+    # last bits, so the inverse normal matrix has a negative diagonal.
+    steps = np.diff([30000.1 + 0.1 * i for i in range(31)])
+    with pytest.raises(ForecastError, match="degenerate ADF regression"):
+        adf_test(steps)
