@@ -14,6 +14,7 @@ from aamcba.forecast.arima import (
     ArimaOrder,
     FittedArima,
     ForecastBand,
+    _css_residuals,
     difference,
     fit_arima,
     forecast,
@@ -275,3 +276,60 @@ def test_ma_forecast_is_frozen():
     band = forecast(fit, _ARMA_SERIES, 3)
     assert band.mean == (5.2173991174611904, 4.967723297152448, 4.818452327151639)
     assert band.upper == (7.255269857963064, 7.848617235954494, 7.92928024313332)
+
+
+def _psi_reference(model: FittedArima, horizon: int) -> np.ndarray:
+    """psi_weights with the recursion on array elements."""
+    ar = np.array([1.0] + [-c for c in model.ar_coeffs])
+    for _ in range(model.order.d):
+        ar = np.convolve(ar, [1.0, -1.0])
+    rec = -ar[1:]
+    psi = np.empty(horizon)
+    psi[0] = 1.0
+    for j in range(1, horizon):
+        v = model.ma_coeffs[j - 1] if j <= model.order.q else 0.0
+        for i in range(1, min(j, rec.size) + 1):
+            v += rec[i - 1] * psi[j - i]
+        psi[j] = v
+    return psi
+
+
+def _forecast_mean_reference(model: FittedArima, x: np.ndarray, horizon: int):
+    """The point forecast with the recursion on array elements and the
+    integration tails from np.diff of the whole series."""
+    p, d = model.order.p, model.order.d
+    z = difference(x, d) - model.intercept
+    n = z.size
+    e = np.zeros(n)
+    e[p:] = _css_residuals(z, np.asarray(model.ar_coeffs), np.asarray(model.ma_coeffs))
+    zext = np.concatenate([z, np.zeros(horizon)])
+    for t in range(n, n + horizon):
+        v = 0.0
+        for i, c in enumerate(model.ar_coeffs, start=1):
+            v += c * zext[t - i]
+        for j, c in enumerate(model.ma_coeffs, start=1):
+            if t - j < n:
+                v += c * e[t - j]
+        zext[t] = v
+    tails = [float(np.diff(x, k)[-1]) for k in range(d)]
+    return integrate(zext[n:] + model.intercept, tails)
+
+
+def test_forecast_recursion_matches_the_array_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        p, q = (int(k) for k in rng.integers(0, 4, size=2))
+        d = int(rng.integers(0, 3))
+        model = FittedArima(
+            order=ArimaOrder(p, d, q),
+            ar_coeffs=tuple((rng.uniform(-0.9, 0.9, p) / max(p, 1)).tolist()),
+            ma_coeffs=tuple((rng.uniform(-0.9, 0.9, q) / max(q, 1)).tolist()),
+            intercept=float(rng.normal()),
+            sigma2=float(rng.uniform(0.1, 5.0)),
+            residuals=(), loglik_proxy=0.0, n_obs=40,
+        )
+        x = np.cumsum(rng.normal(size=40)) * float(rng.uniform(0.1, 1e4))
+        horizon = int(rng.integers(1, 25))
+        assert np.array_equal(psi_weights(model, horizon), _psi_reference(model, horizon))
+        band = forecast(model, x, horizon)
+        assert band.mean == tuple(_forecast_mean_reference(model, x, horizon).tolist())

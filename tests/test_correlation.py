@@ -54,6 +54,32 @@ def test_pacf_matches_reference():
     assert np.array_equal(pacf(Y_SERIES, 5, acf(Y_SERIES, 5)), got)
 
 
+def _pacf_reference(values, nlags: int) -> np.ndarray:
+    """Durbin-Levinson building a new coefficient array at every lag."""
+    rho = acf(values, nlags)
+    out = np.empty(nlags + 1)
+    out[0] = 1.0
+    prev = np.empty(0)
+    for k in range(1, nlags + 1):
+        if k == 1:
+            rk = rho[1]
+        else:
+            num = rho[k] - float(prev @ rho[k - 1:0:-1])
+            rk = num / (1.0 - float(prev @ rho[1:k]))
+        out[k] = rk
+        prev = np.concatenate([prev - rk * prev[::-1], [rk]])
+    return out
+
+
+def test_pacf_matches_the_concatenating_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(12, 120))
+        x = rng.normal(size=n).cumsum() if rng.random() < 0.5 else rng.normal(size=n)
+        nlags = int(rng.integers(1, min(15, n // 2) + 1))
+        assert np.array_equal(pacf(x, nlags), _pacf_reference(x, nlags))
+
+
 def test_acf_lag_zero_is_one():
     assert acf(Y_SERIES, 3)[0] == 1.0
     assert pacf(Y_SERIES, 3)[0] == 1.0
