@@ -98,9 +98,8 @@ class ForecastBand:
         k = len(self.years)
         if not (len(self.lower) == len(self.mean) == len(self.upper) == k):
             raise ForecastError("band channels must share one length")
-        isfinite = math.isfinite
         for y, lo, mid, hi in zip(self.years, self.lower, self.mean, self.upper):
-            if not (isfinite(lo) and isfinite(mid) and isfinite(hi)):
+            if not (math.isfinite(lo) and math.isfinite(mid) and math.isfinite(hi)):
                 raise ForecastError(
                     f"band channels must be finite, got {lo}, {mid}, {hi} at {y}"
                 )

@@ -111,7 +111,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: Path, lines: list[str]) -> None:
-    """Write a rendered table in one call, each line ended by ``\r\n`` as
+    """Write a rendered table in one call, each line ended by CRLF as
     ``csv.writer`` would. Cells are numbers and program-defined names, so
     none needs quoting."""
     lines.append("")
