@@ -237,7 +237,7 @@ def entry() -> None:
     # objects are left out of the full collection at interpreter shutdown,
     # which would otherwise walk every numpy, PyYAML and aamcba object.
     # Not in main(), which tests and library callers run many times in one
-    # process; and not os._exit, which would skip atexit handlers.
+    # process; and no hard exit, which would skip atexit handlers.
     gc.freeze()
     sys.exit(code)
 
