@@ -7,40 +7,42 @@ per scenario.
 """
 from __future__ import annotations
 
-import numpy as np
-
 
 def ohca_count(population: float, rate_per_100k: float) -> float:
     """Expected out-of-hospital cardiac arrests for the service population."""
     return rate_per_100k / 1e5 * population
 
 
-def survivors(ohca: float, survival_rates) -> np.ndarray:
+def survivors(ohca: float, survival_rates) -> list[float]:
     """Survivor counts for each network case."""
-    return ohca * np.asarray(survival_rates, dtype=float)
+    return [ohca * float(rate) for rate in survival_rates]
 
 
-def additional_survivors(ohca: float, survival_rates) -> np.ndarray:
+def additional_survivors(ohca: float, survival_rates) -> list[float]:
     """Survivors beyond the no-drone baseline, per case."""
     counts = survivors(ohca, survival_rates)
-    return counts - counts[0]
+    return [count - counts[0] for count in counts]
 
 
-def value_per_survivor(vsl: float, cost_per_survivor) -> np.ndarray:
+def value_per_survivor(vsl: float, cost_per_survivor) -> list[float]:
     """Statistical-life value net of the network's cost per added survivor."""
-    return vsl - np.asarray(cost_per_survivor, dtype=float)
+    return [vsl - float(cost) for cost in cost_per_survivor]
 
 
 def life_saving_value_all_cases(
     ohca: float, vsl: float, survival_rates, cost_per_survivor
-) -> np.ndarray:
+) -> list[float]:
     """Net value of added survivors for every network case, given the
     expected cardiac-arrest count."""
-    rates = np.asarray(survival_rates, dtype=float)
-    costs = np.asarray(cost_per_survivor, dtype=float)
-    if rates.shape != costs.shape:
+    if len(survival_rates) != len(cost_per_survivor):
         raise ValueError(
             "survival rates and per-survivor costs must align, got "
-            f"{rates.shape} and {costs.shape}"
+            f"{len(survival_rates)} and {len(cost_per_survivor)} cases"
         )
-    return value_per_survivor(vsl, costs) * additional_survivors(ohca, rates)
+    return [
+        value * added
+        for value, added in zip(
+            value_per_survivor(vsl, cost_per_survivor),
+            additional_survivors(ohca, survival_rates),
+        )
+    ]

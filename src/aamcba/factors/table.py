@@ -303,7 +303,7 @@ def _medical_response(s: Scenario, v: Values, year: int, rec: Recorder) -> float
     )
     values = medical.life_saving_value_all_cases(
         ohca, v["vsl"], s.constant("survival_rates"), s.constant("CAS")
-    ).tolist()
+    )
     for count, value in zip(stations[1:], values[1:]):
         count = int(count)
         rec(f"net value, {count} stations ($)", value, item=f"stations_{count}")

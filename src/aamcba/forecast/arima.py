@@ -7,18 +7,20 @@ tanh to partial autocorrelations and then, via the Levinson recursion, to
 AR/MA coefficients, so stationarity and invertibility hold by construction
 for any order.
 
-scipy (Nelder-Mead and the MA filter) is imported when an iterative
-(p+q>0) fit, or a forecast with MA terms, first needs it, so a run whose
-fits are all closed-form (0,d,0) never loads it.
+The closed-form (0,d,0) path runs on Python floats, and its sums are
+``math.fsum``, so its outputs depend on neither the BLAS build nor the
+summation order. numpy and scipy (Nelder-Mead and the MA filter) are
+imported when an iterative (p+q>0) fit, a forecast with MA terms or a root
+check with coefficients first needs them, so a run whose fits are all
+closed-form never loads either.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
-import numpy as np
-
-from .common import CI_Z, CONFIDENCE, MIN_OBS, ForecastError
+from .common import CI_Z, CONFIDENCE, MIN_OBS, ForecastError, dot
 
 MAX_P = 5
 MAX_D = 2
@@ -109,58 +111,62 @@ class ForecastBand:
                 )
 
 
-def difference(values, d: int) -> np.ndarray:
+def difference(values, d: int) -> list[float]:
     """Apply d rounds of first differencing."""
-    x = np.asarray(values, dtype=float)
+    x = [float(v) for v in values]
     if d < 0:
         raise ForecastError(f"d must be >= 0, got {d}")
-    if x.size <= d:
-        raise ForecastError(f"cannot difference {x.size} points {d} times")
-    return np.diff(x, n=d) if d else x.copy()
+    if len(x) <= d:
+        raise ForecastError(f"cannot difference {len(x)} points {d} times")
+    for _ in range(d):
+        x = [b - a for a, b in zip(x, x[1:])]
+    return x
 
 
-def integrate(diffed, tails) -> np.ndarray:
+def integrate(diffed, tails) -> list[float]:
     """Undo differencing: cumulative sums seeded by the pre-sample tails.
 
     ``tails[k]`` is the last observed value of the k-times-differenced
     series; integrate(difference(x, d), [x[-1], diff(x)[-1], ...]) extends x.
+    The cumulative sums run left to right, as np.cumsum's do.
     """
-    out = np.asarray(diffed, dtype=float)
+    out = [float(v) for v in diffed]
     for tail in reversed(list(tails)):
-        out = tail + np.cumsum(out)
+        out = [tail + c for c in accumulate(out)]
     return out
 
 
-def _partials_to_coeffs(partials: np.ndarray) -> np.ndarray:
-    """Levinson recursion mapping partials in (-1, 1) to ARMA coefficients."""
+def _raw_to_coeffs(raw):
+    """Map unconstrained values through tanh to partials in (-1, 1), then by
+    the Levinson recursion to ARMA coefficients."""
+    if raw.size == 0:
+        return raw
+    import numpy as np
+
     a = np.empty(0)
-    for rk in partials:
+    for rk in np.clip(np.tanh(raw), -_PARTIAL_CAP, _PARTIAL_CAP):
         a = np.concatenate([a - rk * a[::-1], [rk]])
     return a
 
 
-def _raw_to_coeffs(raw: np.ndarray) -> np.ndarray:
-    if raw.size == 0:
-        return raw
-    return _partials_to_coeffs(np.clip(np.tanh(raw), -_PARTIAL_CAP, _PARTIAL_CAP))
-
-
 def _min_root_modulus(coeffs) -> float:
     """Smallest root modulus of 1 - c1*z - ... - ck*z^k (inf when k=0)."""
+    if len(coeffs) == 0:
+        return math.inf
+    import numpy as np
+
     c = np.asarray(coeffs, dtype=float)
-    if c.size == 0:
-        return np.inf
     poly = np.concatenate([[-c[i] for i in range(c.size - 1, -1, -1)], [1.0]])
     roots = np.roots(poly)
-    return float(np.min(np.abs(roots))) if roots.size else np.inf
+    return float(np.min(np.abs(roots))) if roots.size else math.inf
 
 
-def _css_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray,
-                   lfilter=None) -> np.ndarray:
+def _css_residuals(z, phi, theta, lfilter=None):
     """One-step errors conditioned on the first p values and zero presample errors.
 
-    ``lfilter`` is scipy.signal.lfilter, passed in by a caller that filters
-    many times; otherwise it is imported here, and only when q > 0.
+    ``z``, ``phi`` and ``theta`` are arrays. ``lfilter`` is
+    scipy.signal.lfilter, passed in by a caller that filters many times;
+    otherwise it is imported here, and only when q > 0.
     """
     p = phi.size
     zt = z[p:].copy()
@@ -169,8 +175,45 @@ def _css_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray,
     if theta.size:
         if lfilter is None:
             from scipy.signal import lfilter
-        return lfilter([1.0], np.concatenate([[1.0], theta]), zt)
+        return lfilter([1.0], [1.0, *theta], zt)
     return zt
+
+
+def _start_partials(z, nlags: int):
+    """Partial autocorrelations at lags 1..nlags for the Nelder-Mead start.
+
+    This is the array arithmetic (numpy mean and BLAS dot products) that
+    ``correlation.pacf`` used before it moved to correctly rounded sums,
+    kept so that every iterative fit starts, walks and ends on the same
+    bits as before. Replacing the Nelder-Mead fit (ROADMAP item 2)
+    deletes it.
+    """
+    import numpy as np
+
+    xm = z - z.mean()
+    denom = float(xm @ xm)
+    if denom == 0.0:
+        raise ForecastError("series is constant; autocorrelation undefined")
+    rho = np.empty(nlags + 1)
+    rho[0] = 1.0
+    for k in range(1, nlags + 1):
+        rho[k] = float(xm[k:] @ xm[:-k]) / denom
+    out = np.empty(nlags)
+    phi = np.empty(nlags)
+    for k in range(1, nlags + 1):
+        if k == 1:
+            rk = rho[1]
+        else:
+            prev = phi[:k - 1]
+            num = rho[k] - float(prev @ rho[k - 1:0:-1])
+            den = 1.0 - float(prev @ rho[1:k])
+            if den == 0.0:
+                raise ForecastError(f"Durbin-Levinson breakdown at lag {k}")
+            rk = num / den
+            prev[:] = prev - rk * prev[::-1]
+        out[k - 1] = rk
+        phi[k - 1] = rk
+    return out
 
 
 def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> FittedArima:
@@ -180,13 +223,13 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     differenced series is modeled without drift). The series is differenced
     internally; pass the original scale.
     """
-    x = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(x)):
+    x = [float(v) for v in values]
+    if not all(map(math.isfinite, x)):
         raise ForecastError("series has non-finite values")
     if include_mean is None:
         include_mean = order.d == 0
     w = difference(x, order.d)
-    n = w.size
+    n = len(w)
     n_params = order.n_coeffs + int(include_mean)
     if n < order.n_coeffs + 10:
         raise ForecastError(
@@ -197,9 +240,9 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     p, q = order.p, order.q
     if p == 0 and q == 0:
         # closed form: the CSS optimum is the sample mean (or zero)
-        mu = float(w.mean()) if include_mean else 0.0
-        e = w - mu
-        css = float(e @ e)
+        mu = math.fsum(w) / n if include_mean else 0.0
+        e = [v - mu for v in w]
+        css = dot(e, e)
         if css == 0.0:
             raise ForecastError(
                 "residuals are identically zero; the series is deterministic "
@@ -212,13 +255,16 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
             ma_coeffs=(),
             intercept=mu,
             sigma2=sigma2,
-            residuals=tuple(e.tolist()),
+            residuals=tuple(e),
             loglik_proxy=-css,
             n_obs=n,
         )
 
+    import numpy as np
     from scipy.optimize import minimize
     from scipy.signal import lfilter
+
+    w = np.array(w)
 
     # Optimize on a standardized copy so the Nelder-Mead tolerances mean
     # the same thing whatever the data units; AR/MA coefficients are
@@ -229,14 +275,14 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
         scale = 1.0
     z = (w - shift) / scale
 
-    def unpack(params: np.ndarray):
+    def unpack(params):
         i = 1 if include_mean else 0
         mu = params[0] if include_mean else 0.0
         phi = _raw_to_coeffs(params[i:i + p])
         theta = _raw_to_coeffs(params[i + p:i + p + q])
         return mu, phi, theta
 
-    def objective(params: np.ndarray) -> float:
+    def objective(params) -> float:
         mu, phi, theta = unpack(params)
         with np.errstate(over="ignore", invalid="ignore"):
             e = _css_residuals(z - mu, phi, theta, lfilter)
@@ -249,9 +295,7 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     ar_raw0 = np.zeros(p)
     if p:
         try:
-            from .correlation import pacf
-
-            partials = np.clip(pacf(z - mu0, p)[1:], -0.9, 0.9)
+            partials = np.clip(_start_partials(z - mu0, p), -0.9, 0.9)
             ar_raw0 = np.arctanh(partials)
         except ForecastError:
             pass
@@ -303,7 +347,7 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     )
 
 
-def psi_weights(model: FittedArima, horizon: int) -> np.ndarray:
+def psi_weights(model: FittedArima, horizon: int) -> list[float]:
     """MA-infinity weights of the integrated process, psi_0..psi_{horizon-1}.
 
     The AR polynomial is convolved with (1-B)^d so the weights accumulate
@@ -311,12 +355,10 @@ def psi_weights(model: FittedArima, horizon: int) -> np.ndarray:
     """
     if horizon < 1:
         raise ForecastError(f"horizon must be >= 1, got {horizon}")
-    ar = np.array([1.0] + [-c for c in model.ar_coeffs])
+    ar = [1.0] + [-c for c in model.ar_coeffs]
     for _ in range(model.order.d):
-        ar = np.convolve(ar, [1.0, -1.0])
-    # The recursion runs on Python floats: the same double operations as
-    # on array elements, without boxing each one.
-    rec = (-ar[1:]).tolist()
+        ar = [a - b for a, b in zip(ar + [0.0], [0.0] + ar)]
+    rec = [-a for a in ar[1:]]
     theta = model.ma_coeffs
     psi = [1.0]
     for j in range(1, horizon):
@@ -324,41 +366,38 @@ def psi_weights(model: FittedArima, horizon: int) -> np.ndarray:
         for i in range(1, min(j, len(rec)) + 1):
             v += rec[i - 1] * psi[j - i]
         psi.append(v)
-    return np.array(psi)
+    return psi
 
 
-def _series_values_and_last_year(series) -> tuple[np.ndarray, int]:
-    if hasattr(series, "values") and hasattr(series, "years"):
-        return np.asarray(series.values, dtype=float), int(series.years[-1])
-    x = np.asarray(series, dtype=float)
-    return x, 0
+def forecast(
+    model: FittedArima, values, horizon: int, *, last_year: int = 0
+) -> ForecastBand:
+    """Forecast ``horizon`` steps past the end of ``values``.
 
-
-def forecast(model: FittedArima, series, horizon: int) -> ForecastBand:
-    """Forecast ``horizon`` steps past the end of ``series``.
-
-    ``series`` is the observed data on the original scale (a TimeSeries or
-    a plain sequence, in which case years count from 1). Interval half-width
-    at step h is 1.96 * sqrt(sigma2 * sum(psi_0^2..psi_{h-1}^2)).
+    ``values`` is the observed data on the original scale, and
+    ``last_year`` the year of its last point; the band's years are
+    last_year+1 onwards, so by default they count from 1. Interval
+    half-width at step h is 1.96 * sqrt(sigma2 * sum(psi_0^2..psi_{h-1}^2)).
     """
     if horizon < 1:
         raise ForecastError(f"horizon must be >= 1, got {horizon}")
-    x, last_year = _series_values_and_last_year(series)
+    x = [float(v) for v in values]
     d, p = model.order.d, model.order.p
-    if x.size < max(d + p + 1, MIN_OBS):
+    if len(x) < max(d + p + 1, MIN_OBS):
         raise ForecastError(
             f"need at least {max(d + p + 1, MIN_OBS)} observations to "
-            f"forecast, got {x.size}"
+            f"forecast, got {len(x)}"
         )
-    w = difference(x, d)
-    z = w - model.intercept
-    n = z.size
+    zs = [v - model.intercept for v in difference(x, d)]
+    n = len(zs)
     ar, ma = model.ar_coeffs, model.ma_coeffs
-    # One-step recursion on Python floats; past errors enter only through
-    # the MA terms, so they are filtered only when there are some.
-    zs = z.tolist()
+    # Past errors enter only through the MA terms, so they are filtered
+    # only when there are some.
     if ma:
-        es = [0.0] * p + _css_residuals(z, np.asarray(ar), np.asarray(ma)).tolist()
+        import numpy as np
+
+        e = _css_residuals(np.array(zs), np.array(ar), np.array(ma))
+        es = [0.0] * p + e.tolist()
     for t in range(n, n + horizon):
         v = 0.0
         for i, c in enumerate(ar, start=1):
@@ -370,20 +409,21 @@ def forecast(model: FittedArima, series, horizon: int) -> ForecastBand:
     w_pred = [v + model.intercept for v in zs[n:]]
 
     # tails[k]: the last value of the k-times-differenced series, from the
-    # last d+1 observations with the same subtractions as np.diff.
+    # last d+1 observations with the same subtractions as difference().
     tails = []
-    edge = x[x.size - d - 1:].tolist()
+    edge = x[len(x) - d - 1:]
     for _ in range(d):
         tails.append(edge[-1])
         edge = [b - a for a, b in zip(edge, edge[1:])]
     mean = integrate(w_pred, tails)
 
     psi = psi_weights(model, horizon)
-    half = CI_Z * np.sqrt(model.sigma2 * np.cumsum(psi ** 2))
-    years = tuple(range(last_year + 1, last_year + 1 + horizon))
+    half = [
+        CI_Z * math.sqrt(model.sigma2 * c) for c in accumulate(v * v for v in psi)
+    ]
     return ForecastBand(
-        years=years,
-        lower=tuple((mean - half).tolist()),
-        mean=tuple(mean.tolist()),
-        upper=tuple((mean + half).tolist()),
+        years=tuple(range(last_year + 1, last_year + 1 + horizon)),
+        lower=tuple(m - h for m, h in zip(mean, half)),
+        mean=tuple(mean),
+        upper=tuple(m + h for m, h in zip(mean, half)),
     )

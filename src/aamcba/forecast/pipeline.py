@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arima import ArimaOrder, FittedArima, ForecastBand, fit_arima, forecast
 from .arima import MAX_P, MAX_Q
 from .common import MIN_OBS, ForecastError
@@ -30,9 +28,9 @@ class PipelineResult:
     adequate: bool
 
 
-def _last_spike(values: np.ndarray, bound: float) -> int:
+def _last_spike(values: list[float], bound: float) -> int:
     """Index of the last entry (lag >= 1) outside the band, else 0."""
-    spikes = [k for k in range(1, values.size) if abs(values[k]) > bound]
+    spikes = [k for k in range(1, len(values)) if abs(values[k]) > bound]
     return spikes[-1] if spikes else 0
 
 
@@ -52,14 +50,17 @@ def auto_pipeline(
     ``pinned`` short-circuits selection and escalation: the given order is
     fitted as-is and only its whiteness test is reported. Diagnostics list
     every ADF round and every Ljung-Box check in execution order.
+    ``series`` is a TimeSeries, whose years carry into the band, or a plain
+    sequence, whose band years count from 1.
     """
-    values = np.asarray(
-        series.values if hasattr(series, "values") else series, dtype=float
-    )
-    label = getattr(series, "name", "series")
-    if values.size < MIN_OBS:
+    if hasattr(series, "years"):
+        values, last_year, label = series.values, series.years[-1], series.name
+    else:
+        values, last_year, label = series, 0, "series"
+    values = [float(v) for v in values]
+    if len(values) < MIN_OBS:
         raise ForecastError(
-            f"series '{label}' has {values.size} observations; "
+            f"series '{label}' has {len(values)} observations; "
             f"forecasting needs at least {MIN_OBS}"
         )
 
@@ -77,9 +78,9 @@ def auto_pipeline(
             if report.reject_null or d == _MAX_AUTO_D:
                 break
             d += 1
-            work = np.diff(work)
+            work = [b - a for a, b in zip(work, work[1:])]
 
-        nw = work.size
+        nw = len(work)
         bound = bartlett_bound(nw)
         lags = min(_SELECTION_LAGS, nw // 2)
         if lags < 1:
@@ -88,7 +89,7 @@ def auto_pipeline(
         p = min(_last_spike(pacf(work, lags, rho), bound), MAX_P)
         q = min(_last_spike(rho, bound), MAX_Q)
         # keep a sane estimation budget on short series
-        while p + q > 0 and values.size - d < p + q + 10:
+        while p + q > 0 and len(values) - d < p + q + 10:
             if q >= p:
                 q -= 1
             else:
@@ -127,7 +128,7 @@ def auto_pipeline(
             break
 
     assert best_fit is not None
-    band = forecast(best_fit, series, horizon)
+    band = forecast(best_fit, values, horizon, last_year=last_year)
     return PipelineResult(
         fit=best_fit,
         band=band,

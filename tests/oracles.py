@@ -80,6 +80,44 @@ def adf_stat_bruteforce(values, lags: int) -> float:
     return float(beta[1] / se)
 
 
+def adf_stat_exact(values, lags: int) -> float:
+    """The ADF t-statistic of exact least squares on the given doubles.
+
+    The differences are the rounded ones the library sees; from there every
+    step (normal equations, Gauss-Jordan elimination, residuals, variance)
+    is exact in Fractions, and only the final square root is rounded.
+    """
+    y = [float(v) for v in values]
+    dy = [b - a for a, b in zip(y, y[1:])]
+    rows = len(dy) - lags
+    cols = 2 + lags
+    X = [
+        [Fraction(1), Fraction(y[lags + t])]
+        + [Fraction(dy[lags + t - j]) for j in range(1, lags + 1)]
+        for t in range(rows)
+    ]
+    b = [Fraction(v) for v in dy[lags:]]
+    xtx = [[sum(r[i] * r[j] for r in X) for j in range(cols)] for i in range(cols)]
+    # [X'X | X'b | e_1], reduced to [I | beta | column 1 of (X'X)^-1]
+    aug = [
+        xtx[i] + [sum(r[i] * bt for r, bt in zip(X, b)), Fraction(int(i == 1))]
+        for i in range(cols)
+    ]
+    for c in range(cols):
+        pivot = next(i for i in range(c, cols) if aug[i][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        head = aug[c][c]
+        aug[c] = [v / head for v in aug[c]]
+        for i in range(cols):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
+    beta = [aug[i][cols] for i in range(cols)]
+    rss = sum((bt - sum(c * x for c, x in zip(beta, r))) ** 2 for r, bt in zip(X, b))
+    t_squared = beta[1] ** 2 / (rss / (rows - cols) * aug[1][cols + 1])
+    return math.copysign(math.sqrt(float(t_squared)), beta[1])
+
+
 # -- exact bridge-inspection cost arithmetic ------------------------------
 #
 # The published per-inspection rates: payroll plus equipment during core

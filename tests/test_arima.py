@@ -218,7 +218,7 @@ def test_forecast_years_follow_the_calendar():
     values = 50.0 + np.cumsum(rng.normal(0.5, 1.0, 30))
     series = TimeSeries("demo", tuple(range(1992, 2022)), tuple(values))
     fit = fit_arima(values, ArimaOrder(0, 1, 0))
-    band = forecast(fit, series, 3)
+    band = forecast(fit, series.values, 3, last_year=series.years[-1])
     assert band.years == (2022, 2023, 2024)
 
 
@@ -295,10 +295,10 @@ def _psi_reference(model: FittedArima, horizon: int) -> np.ndarray:
 
 
 def _forecast_mean_reference(model: FittedArima, x: np.ndarray, horizon: int):
-    """The point forecast with the recursion on array elements and the
-    integration tails from np.diff of the whole series."""
+    """The point forecast with the recursion on array elements, the
+    integration tails from np.diff of the whole series and np.cumsum."""
     p, d = model.order.p, model.order.d
-    z = difference(x, d) - model.intercept
+    z = np.asarray(difference(x, d)) - model.intercept
     n = z.size
     e = np.zeros(n)
     e[p:] = _css_residuals(z, np.asarray(model.ar_coeffs), np.asarray(model.ma_coeffs))
@@ -312,7 +312,10 @@ def _forecast_mean_reference(model: FittedArima, x: np.ndarray, horizon: int):
                 v += c * e[t - j]
         zext[t] = v
     tails = [float(np.diff(x, k)[-1]) for k in range(d)]
-    return integrate(zext[n:] + model.intercept, tails)
+    out = zext[n:] + model.intercept
+    for tail in reversed(tails):
+        out = tail + np.cumsum(out)
+    return out
 
 
 def test_forecast_recursion_matches_the_array_reference_bit_for_bit():

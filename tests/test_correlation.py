@@ -1,9 +1,12 @@
 """Sample ACF/PACF against independently computed reference values.
 
 The reference numbers were produced once with a separate statistical
-library (biased ACF estimator, Durbin-Levinson PACF) and frozen here.
+library (biased ACF estimator, Durbin-Levinson PACF) and frozen here. An
+exact-arithmetic reference pins the bits.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,30 +57,50 @@ def test_pacf_matches_reference():
     assert np.array_equal(pacf(Y_SERIES, 5, acf(Y_SERIES, 5)), got)
 
 
-def _pacf_reference(values, nlags: int) -> np.ndarray:
-    """Durbin-Levinson building a new coefficient array at every lag."""
-    rho = acf(values, nlags)
-    out = np.empty(nlags + 1)
-    out[0] = 1.0
-    prev = np.empty(0)
+def _exact_sum(terms) -> float:
+    """The terms added exactly as fractions, rounded once to a float."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+def _acf_reference(values, nlags: int) -> list[float]:
+    x = [float(v) for v in values]
+    mean = _exact_sum(x) / len(x)
+    xm = [v - mean for v in x]
+    denom = _exact_sum([a * a for a in xm])
+    return [1.0] + [
+        _exact_sum([a * b for a, b in zip(xm[k:], xm)]) / denom
+        for k in range(1, nlags + 1)
+    ]
+
+
+def _pacf_reference(rho: list[float], nlags: int) -> list[float]:
+    """Durbin-Levinson with every dot product summed exactly."""
+    out = [1.0]
+    phi: list[float] = []
     for k in range(1, nlags + 1):
         if k == 1:
             rk = rho[1]
         else:
-            num = rho[k] - float(prev @ rho[k - 1:0:-1])
-            rk = num / (1.0 - float(prev @ rho[1:k]))
-        out[k] = rk
-        prev = np.concatenate([prev - rk * prev[::-1], [rk]])
+            num = rho[k] - _exact_sum([phi[i] * rho[k - 1 - i] for i in range(k - 1)])
+            den = 1.0 - _exact_sum([phi[i] * rho[i + 1] for i in range(k - 1)])
+            rk = num / den
+            phi = [phi[i] - rk * phi[k - 2 - i] for i in range(k - 1)]
+        out.append(rk)
+        phi.append(rk)
     return out
 
 
-def test_pacf_matches_the_concatenating_reference_bit_for_bit():
+def test_acf_and_pacf_match_the_exact_fraction_reference_bit_for_bit():
+    # Each sum is the exact sum of the rounded terms, rounded once, so the
+    # result depends on neither the summation order nor the BLAS build.
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(12, 120))
         x = rng.normal(size=n).cumsum() if rng.random() < 0.5 else rng.normal(size=n)
         nlags = int(rng.integers(1, min(15, n // 2) + 1))
-        assert np.array_equal(pacf(x, nlags), _pacf_reference(x, nlags))
+        rho = _acf_reference(x, nlags)
+        assert acf(x, nlags) == rho
+        assert pacf(x, nlags) == _pacf_reference(rho, nlags)
 
 
 def test_acf_lag_zero_is_one():
