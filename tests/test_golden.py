@@ -20,11 +20,11 @@ DEFAULT_RUN = {
     "bridge_inspection.csv":
         "89abde664d3b934b8dd28c721724196e18478d1c46bc253d5152e17166056bb8",
     "farming.csv":
-        "e1c73994825be75bcfb115d8cac2b71876fbae558ddaef0345d103236fc6fccc",
+        "6e10d37b48f5e2a5709f9801063bb55564527de2a5ae1667a3df015ae7b99bb9",
     "forecast_corn_area.csv":
         "2b625fdb690b5304dc636d4dd74f9d8099ae17293b03c1d60d8c07c48fd3c43e",
     "forecast_corn_price.csv":
-        "077f8b5bf4b7667b0546be54a2e8b4f9180f8cb240b13a42af3d1da779e76397",
+        "c24211b693fad208181932a33376b31de5ff03964dce65df15e7762626b95a25",
     "forecast_corn_yield.csv":
         "8fcebeab673baa9e246a8376f20338112b9a594b294243c775f49a27a24cfca9",
     "forecast_livestock.csv":
@@ -36,11 +36,11 @@ DEFAULT_RUN = {
     "forecast_soybean_area.csv":
         "58e2f8037133c34afc49671c418b5e4216da14e8dbd6935036c168b28e51847d",
     "forecast_soybean_price.csv":
-        "2885d943f3165e071b6434369d02b0f431ef3b246f78fc5fb727b8f0056bb0f4",
+        "052fa4fa336a08d0491dfe30902e48ff3cf92138a8ca87d24bb37a7c1778ed2d",
     "forecast_soybean_yield.csv":
         "b54c5922f17fa9c0fac194b36fb7ce14eff9ccae1b953c30fdf47059c5095693",
     "forecast_vmt_us.csv":
-        "25fffcda2ab2d33090b17ed878b2a022298db0594756efd11349f4b41d98a386",
+        "06b75acb09ed308c0714a6e84cbcf39ee8680ef9ee41e1cd34be203ca05f2f47",
     "forecast_vsl.csv":
         "3ea8997547195054933b422a543197d3fad21768853fc7c0d2216fcbf4247d8a",
     "forecast_wheat_area.csv":
@@ -50,11 +50,11 @@ DEFAULT_RUN = {
     "forecast_wheat_yield.csv":
         "462dde6bf1c7c45d43b9fcfcbfdac96102f4b8a34a649dd40dac1d950b70fc1c",
     "ghg_reduction.csv":
-        "8bfbc55e96754c0206e13e68f4a39f3fe96601b45208d04aa2819aa3a07c5101",
+        "bdd68e6029a071582cb61c7122fb017b14cb9dd54fa309d07d5a95bfcc84e67b",
     "medical_response.csv":
         "336d3c387fc30254f8ab6c3a9a0400c71d20d214c1e45dbfab5d82ced5621f70",
     "npi.csv":
-        "66992b8c6a00711ee9486273987f1098f48782bb6e4411231c47d5eb558c8423",
+        "0d8d20531a58046201cfffed4237ee459d285b37472f69b0f350f493fad1970e",
     "package_delivery.csv":
         "ee40ee13ede5951558a8c7db3c202401bf4bbd107caade66b3db98d525964e90",
     "passenger_time_savings.csv":
@@ -62,23 +62,23 @@ DEFAULT_RUN = {
     "plot_delivery_savings.csv":
         "618bc627dda7d906bb07240aaa9b0961f910fe3320aeae5618c13831f752681a",
     "plot_farming_components.csv":
-        "7880fd379dc79902b1e5a03408ebaf60326e7dab4e7e8d7c2d11c5abf50b4e51",
+        "532c8f43a226886bb57e37aa60819898c5a0f9faf66d3a81218a2b4db5497703",
     "plot_medical_cases.csv":
         "6b6071ee83ad324a17772748a6982b5d3cfd2e016b234dfa9c4b34fd1db0ed96",
     "plot_npi_band.csv":
-        "66992b8c6a00711ee9486273987f1098f48782bb6e4411231c47d5eb558c8423",
+        "0d8d20531a58046201cfffed4237ee459d285b37472f69b0f350f493fad1970e",
     "plot_tax_ghg.csv":
-        "2b95167914721728a10a47cd737ec7145198846a3d1534959e32d16f10dfb6db",
+        "48053df9a6c43bd50f34b1b2a46c2dff3030d3d0ae49e875314f1e4bd8fad012",
     "plot_time_safety_inspection.csv":
-        "4fea4e09d0e82ebcaa67f507a4c81ac4ba987bd279263069c9c830b6952ebaf0",
+        "fe3d276f3647d7dffcb0b881b44471e335d20f5ee495d5e0036eef01978e645b",
     "results.csv":
-        "f46c89fa70ff3b136ff12da3ba538546fdce43650234deab7b3134817e38577e",
+        "d64a68dc5944f2d938c651a804b2e46ec81e3a144f0393411b0b01a5e987909d",
     "summary.json":
-        "19b79d6ae98b5005b4169a04f20eefe2ada5168483bdc951953625b00f714de8",
+        "26910fa57a4b376b0343c4afaadd3648e8a8588255601a466d1b61a4fb3200d9",
     "tax_revenue.csv":
         "51ffa8f57a589cc637ae598890fd1e9041f9c4f7a62c61af67b96e287ddd0867",
     "traffic_safety.csv":
-        "ee5a54b4e5fb30074a7d4af6aa5cddd854d827f1b93c23f58bb2a1b02e02a827",
+        "55aa326ca2e744b041fa996aa6127d027a2906f4b9e771f4989996d36df2f61c",
 }
 
 # bf6_incremental changes the farming factor, bf7_case the medical one;
@@ -86,19 +86,19 @@ DEFAULT_RUN = {
 TOGGLED_RUN = {
     **DEFAULT_RUN,
     "farming.csv":
-        "41405e7f5a130672e38c38f29c950d44ffd8e872cfb7add85b5bac6b23d10b09",
+        "114fbb864b9759012ce013516bac4f836162305a5c0a626bd6a5e41b2ff46ac5",
     "medical_response.csv":
         "b396a23c59a13f655cbadb567c495e97609529d6b9242ac1948871c04a0ae89e",
     "npi.csv":
         "30b92d56c93b9a2e9b9d0ac135d64d2db272610c292dfd7c6e4f0a81bddc9ef9",
     "plot_farming_components.csv":
-        "b70ce298dfb62c7c86e2f1b06ab1c1605b561ee963617ecb56ccf6669f65c2e0",
+        "3232f22e17c7d2a587215b108263f0216458f1e30bafc5e6aa3e7282bddde7af",
     "plot_npi_band.csv":
         "30b92d56c93b9a2e9b9d0ac135d64d2db272610c292dfd7c6e4f0a81bddc9ef9",
     "results.csv":
-        "3b004ce936d1ab6ecf88e835948ead229b072655eff45b4f601a17b6ec02dd33",
+        "b6d9d54e0f4a43cdc78f77f6ab8efd02e56bea40074bb51a0ec908195ce4c0d7",
     "summary.json":
-        "daa19b94a2d80fb97480776a3eb97cc22f36eceb19bc320e11a04e19a07e56e0",
+        "8fe3d19b8462bfa422e39b278575ef86fe9da69d6a291cdfca3a42902121a4b9",
 }
 
 
@@ -117,11 +117,11 @@ SUBSET_RUN = {
     "air_cargo.csv":
         "6ddfd38b5fb75b232522f14509495b7b86bbeaa5a8f3aeadef89b1136a6da24f",
     "farming.csv":
-        "eb2464a55d9738f6b658e186eef61a89da3a05c9fd029254a9794e037a875d7f",
+        "09b008def7c652fb4a014787f177da0f2b5359a2c7803e60edeb025f712f0895",
     "forecast_corn_area.csv":
         "2b625fdb690b5304dc636d4dd74f9d8099ae17293b03c1d60d8c07c48fd3c43e",
     "forecast_corn_price.csv":
-        "077f8b5bf4b7667b0546be54a2e8b4f9180f8cb240b13a42af3d1da779e76397",
+        "c24211b693fad208181932a33376b31de5ff03964dce65df15e7762626b95a25",
     "forecast_corn_yield.csv":
         "6d62ef01b590a16b316534b6ac0fef8df4e336aa46f1c369f40a5ec8038566d6",
     "forecast_livestock.csv":
@@ -131,7 +131,7 @@ SUBSET_RUN = {
     "forecast_soybean_area.csv":
         "58e2f8037133c34afc49671c418b5e4216da14e8dbd6935036c168b28e51847d",
     "forecast_soybean_price.csv":
-        "2885d943f3165e071b6434369d02b0f431ef3b246f78fc5fb727b8f0056bb0f4",
+        "052fa4fa336a08d0491dfe30902e48ff3cf92138a8ca87d24bb37a7c1778ed2d",
     "forecast_soybean_yield.csv":
         "22c57fcff3b9aefe577fadba6111d2acf1176e32ec49d66aba0ed9c4e5009c6b",
     "forecast_vmt_us.csv":
@@ -147,21 +147,21 @@ SUBSET_RUN = {
     "medical_response.csv":
         "01e0ef1ea24bcf44bbf1d6e25280d2aa5a234dd9cd667f0e813fc52b020eeb3e",
     "npi.csv":
-        "cf28a17245448a22260066edf33a1b9832887b3267bbdae57760c47490399b06",
+        "c9eb723fcf07167f70c98ff40bd422dcd96804175534d07ccad9f40fab2a22da",
     "plot_delivery_savings.csv":
         "d963e5ae74891b3f9e9e70bbcc378b91fbdaf1489e4050069f6014807bb42f1d",
     "plot_farming_components.csv":
-        "91c3b9a2034576d29ad63ff2bea9a734fcad558d7e847390739d7c1c0f5b8b13",
+        "614fff8dce49d9bdd310c3f963c608af6f54e4fd14c88f3ad7128d0a4cbf835e",
     "plot_medical_cases.csv":
         "36c155cf0cb572db4bddd87bba391f498ce752a3cea48d6de92c5e5803d97e0e",
     "plot_npi_band.csv":
-        "cf28a17245448a22260066edf33a1b9832887b3267bbdae57760c47490399b06",
+        "c9eb723fcf07167f70c98ff40bd422dcd96804175534d07ccad9f40fab2a22da",
     "plot_time_safety_inspection.csv":
         "f69eaa5955afcf0235ac8da4b1c402b98a6823a2f222c6a80c74570a6d21a466",
     "results.csv":
-        "df9aab965eb2cd49a76ca4a40b2fda5169c1890b264ac34b80eaf7fdca6d5da7",
+        "d0fc1dc9e43c0be9cf60d096001f46642714696b0a383d41c2a686ac10ad1d38",
     "summary.json":
-        "9266921c7c9622de1266c969c4c0c7e6dec6c546a81e7a390b0093aef96cc618",
+        "1d1e67b6fa9c7c13b00631b087d14896c76e8f5e8c98135caa8216524a51ef8c",
     "traffic_safety.csv":
         "0a192ee5a6081e6140d242a5ff966f44ee360bdc5702e6413e3336380b7f2eb7",
 }
