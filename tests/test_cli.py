@@ -188,25 +188,33 @@ def test_validate_and_run_reject_nan_constant(tmp_path, capsys):
 
 
 def test_import_and_closed_form_run_load_no_scipy(tmp_path):
-    # scipy serves only iterative (p+q>0) fits; every bundled series fits a
-    # closed-form (0,d,0) model, so neither the import nor the run needs it.
+    # numpy and scipy serve only iterative (p+q>0) fits; every bundled series
+    # fits a closed-form (0,d,0) model, so neither the import, nor validate,
+    # nor the run needs them.
     script = (
         "import json, sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.partition('.')[0] in ('numpy', 'scipy'))\n"
         "import aamcba\n"
-        "after_import = scipy_modules()\n"
+        "after_import = loaded()\n"
         "from aamcba.cli import main\n"
+        "validated = main(['validate'])\n"
+        "after_validate = loaded()\n"
         "code = main(['run', '--out', sys.argv[1], '--emit', 'json'])\n"
-        "print(json.dumps([after_import, code, scipy_modules()]))\n"
+        "print(json.dumps([after_import, validated, after_validate, code, loaded()]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(aamcba.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=True,
     )
-    after_import, code, after_run = json.loads(proc.stdout.splitlines()[-1])
+    after_import, validated, after_validate, code, after_run = json.loads(
+        proc.stdout.splitlines()[-1]
+    )
     assert after_import == []
+    assert validated == 0
+    assert after_validate == []
     assert code == 0
     assert after_run == []
 

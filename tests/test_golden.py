@@ -9,9 +9,14 @@ and say which files changed and why.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aamcba
 from aamcba.cli import main
 
 DEFAULT_RUN = {
@@ -183,3 +188,24 @@ def test_run_outputs_match_golden_hashes(tmp_path, capsys, args, expected):
     assert sorted(got) == sorted(expected)
     changed = sorted(name for name in expected if got[name] != expected[name])
     assert not changed, f"outputs differ from the golden hashes: {changed}"
+
+
+def test_subset_run_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernels by CPU family; OPENBLAS_CORETYPE forces one.
+    # A closed-form run sums with math.fsum and never loads numpy, so every
+    # kernel choice must write the same bytes.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(aamcba.__file__).resolve().parents[1])
+    trees = []
+    for coretype in (None, "Prescott", "Haswell"):
+        out = tmp_path / (coretype or "unset")
+        run_env = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
+        subprocess.run(
+            [sys.executable, "-m", "aamcba.cli", "run", "--out", str(out),
+             *SUBSET_RUN_ARGS],
+            capture_output=True, env=run_env, check=True,
+        )
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(trees[0]) == sorted(SUBSET_RUN)
+    for tree in trees[1:]:
+        assert tree == trees[0]

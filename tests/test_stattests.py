@@ -15,7 +15,12 @@ from aamcba.forecast import ForecastError
 from aamcba.forecast import stattests
 from aamcba.forecast.stattests import adf_test, chi2_sf, default_adf_lag, ljung_box
 
-from oracles import adf_stat_bruteforce, random_walk_path, white_noise_path
+from oracles import (
+    adf_stat_bruteforce,
+    adf_stat_exact,
+    random_walk_path,
+    white_noise_path,
+)
 from test_correlation import X_SERIES
 
 ADF_LAGS = 5
@@ -79,6 +84,32 @@ def test_adf_error_branches():
         adf_test(np.full(50, 3.0))
     with pytest.raises(ForecastError, match="max_lag must be >= 0"):
         adf_test(white_noise_path(2, 50), max_lag=-1)
+
+
+def test_adf_is_accurate_to_1e13_on_the_bundled_series(default_scenario):
+    # Exact least squares in Fractions on the same doubles, at every
+    # differencing order the pipeline can reach.
+    worst = 0.0
+    for series in default_scenario.historical_series.values():
+        x = list(series.values)
+        for d in range(3):
+            got = adf_test(x).statistic
+            exact = adf_stat_exact(x, default_adf_lag(len(x)))
+            worst = max(worst, abs(got - exact) / abs(exact))
+            x = [b - a for a, b in zip(x, x[1:])]
+    assert worst <= 1e-13
+
+
+def test_df_p_value_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(3)
+    knots = np.asarray(stattests._DF_QUANTILES)
+    stats_ = np.concatenate([
+        rng.uniform(-5.0, 2.5, 9964), knots, np.nextafter(knots, -np.inf),
+    ])
+    assert stats_.size == 10_000
+    for x in stats_.tolist():
+        expected = float(np.interp(x, knots, stattests._DF_PROBS))
+        assert stattests._df_p_value(x) == expected, x
 
 
 def test_adf_exactly_linear_series_is_degenerate():
