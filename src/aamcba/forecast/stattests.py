@@ -28,6 +28,8 @@ _DF_QUANTILES = (
 
 ALPHA = 0.05
 
+_SINGULAR = "degenerate ADF regression (singular design matrix)"
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -105,10 +107,6 @@ def _forward(chol: list[list[float]], rhs: list[float]) -> list[float]:
     return v
 
 
-def _singular() -> ForecastError:
-    return ForecastError("degenerate ADF regression (singular design matrix)")
-
-
 def adf_test(values, max_lag: int | None = None, name: str = "adf") -> TestReport:
     """Augmented Dickey-Fuller test (regression with intercept, no trend).
 
@@ -154,7 +152,7 @@ def adf_test(values, max_lag: int | None = None, name: str = "adf") -> TestRepor
         centred = [v - mean for v in col]
         ss = dot(centred, centred)
         if ss <= tiny * (ss + rows * mean * mean):
-            raise _singular()
+            raise ForecastError(_SINGULAR)
         xs.append(centred)
         gram_diag.append(ss)
     b_mean = math.fsum(dy[max_lag:]) / rows
@@ -167,7 +165,7 @@ def adf_test(values, max_lag: int | None = None, name: str = "adf") -> TestRepor
             row.append((dot(xs[i], xs[j]) - dot(row, chol[j])) / chol[j][j])
         pivot = ss - dot(row, row)
         if not pivot > 0.0:
-            raise _singular()
+            raise ForecastError(_SINGULAR)
         row.append(math.sqrt(pivot))
         chol.append(row)
     # L L' coef = X'b by forward then back substitution
