@@ -2,17 +2,23 @@
 
 Fitting minimizes the conditional sum of squared one-step errors (CSS):
 residuals start at t=p on the differenced scale with presample errors set
-to zero. The optimizer works in an unconstrained space that maps through
-tanh to partial autocorrelations and then, via the Levinson recursion, to
-AR/MA coefficients, so stationarity and invertibility hold by construction
-for any order.
+to zero. MA terms enter as theta(B) = 1 + theta_1 B + ... + theta_q B^q in
+the residual filter, the forecast, the psi weights and the root check
+alike.
+
+The optimizer is Levenberg-Marquardt on a standardized copy of the series,
+with an analytic Jacobian (the residual recursion's derivatives, filtered
+by 1/theta(B)) and five restarts. It works in an unconstrained space that
+maps through a scaled tanh to partial autocorrelations and then, via the
+Levinson recursion, to phi and -theta, so stationarity and invertibility
+hold by construction for any order. The MA filter runs in blocks, so its
+cost is linear in the series length.
 
 The closed-form (0,d,0) path runs on Python floats, and its sums are
 ``math.fsum``, so its outputs depend on neither the BLAS build nor the
-summation order. numpy and scipy (Nelder-Mead and the MA filter) are
-imported when an iterative (p+q>0) fit, a forecast with MA terms or a root
-check with coefficients first needs them, so a run whose fits are all
-closed-form never loads either.
+summation order. numpy is imported when an iterative (p+q>0) fit, a
+forecast with MA terms or a root check with coefficients first needs it,
+so a run whose fits are all closed-form never loads it. No path uses scipy.
 """
 from __future__ import annotations
 
@@ -21,17 +27,28 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .common import CI_Z, CONFIDENCE, MIN_OBS, ForecastError, dot
+from .correlation import pacf
 
 MAX_P = 5
 MAX_D = 2
 MAX_Q = 5
 
-# Partial autocorrelations are clipped just inside the unit interval so the
-# implied polynomial roots stay strictly outside the unit circle even when
-# the optimizer saturates tanh (e.g. an exactly constant differenced series).
-_PARTIAL_CAP = 1.0 - 1e-7
+# Partial autocorrelations are scaled just inside the unit interval so the
+# implied polynomial roots stay outside the unit circle even when the
+# optimizer saturates tanh (e.g. an exactly constant differenced series), by
+# a margin np.roots can resolve: at 1 - 1e-7, saturated MA fits put roots
+# within 1e-8 of the circle, and the root check refused them.
+_PARTIAL_CAP = 1.0 - 1e-3
 
 _RESTART_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0)
+
+# Levenberg-Marquardt iterations per start, and the relative CSS decrease
+# of an accepted step below which a start has converged.
+_MAX_ITER = 200
+_FTOL = 1e-9
+
+# Steps per block of the MA filter (see _inverse_ma).
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -77,8 +94,9 @@ class FittedArima:
             raise ForecastError("coefficient counts do not match the order")
         if not self.sigma2 > 0.0:
             raise ForecastError(f"sigma2 must be positive, got {self.sigma2}")
-        for label, coeffs in (("AR", self.ar_coeffs), ("MA", self.ma_coeffs)):
-            m = _min_root_modulus(coeffs)
+        ar_poly = [-c for c in self.ar_coeffs]
+        for label, poly in (("AR", ar_poly), ("MA", self.ma_coeffs)):
+            m = _min_root_modulus(poly)
             if m <= 1.0:
                 raise ForecastError(
                     f"{label} polynomial root inside the unit circle "
@@ -136,84 +154,200 @@ def integrate(diffed, tails) -> list[float]:
     return out
 
 
-def _raw_to_coeffs(raw):
-    """Map unconstrained values through tanh to partials in (-1, 1), then by
-    the Levinson recursion to ARMA coefficients."""
-    if raw.size == 0:
-        return raw
-    import numpy as np
-
-    a = np.empty(0)
-    for rk in np.clip(np.tanh(raw), -_PARTIAL_CAP, _PARTIAL_CAP):
-        a = np.concatenate([a - rk * a[::-1], [rk]])
-    return a
+def _levinson(partials: list[float]) -> tuple[list[float], list[list[float]]]:
+    """The Levinson recursion from partial autocorrelations r in (-1, 1) to
+    the coefficients a of 1 - a_1 z - ... - a_k z^k, whose roots then lie
+    outside the unit circle, with its Jacobian: ``jac[i][s]`` = da_i/dr_s."""
+    k = len(partials)
+    a: list[float] = []
+    jac: list[list[float]] = []
+    for s, r in enumerate(partials):
+        rev = a[::-1]
+        jac = [
+            [x - r * y for x, y in zip(jac[i], jac[s - 1 - i])] for i in range(s)
+        ] + [[float(c == s) for c in range(k)]]
+        for i in range(s):
+            jac[i][s] -= rev[i]
+        a = [x - r * y for x, y in zip(a, rev)] + [r]
+    return a, jac
 
 
 def _min_root_modulus(coeffs) -> float:
-    """Smallest root modulus of 1 - c1*z - ... - ck*z^k (inf when k=0)."""
+    """Smallest root modulus of 1 + c1*z + ... + ck*z^k (inf when k=0)."""
     if len(coeffs) == 0:
         return math.inf
     import numpy as np
 
-    c = np.asarray(coeffs, dtype=float)
-    poly = np.concatenate([[-c[i] for i in range(c.size - 1, -1, -1)], [1.0]])
-    roots = np.roots(poly)
+    roots = np.roots([*reversed(coeffs), 1.0])
     return float(np.min(np.abs(roots))) if roots.size else math.inf
 
 
-def _css_residuals(z, phi, theta, lfilter=None):
-    """One-step errors conditioned on the first p values and zero presample errors.
+def _inverse_ma(theta):
+    """The filter 1/theta(B), theta(B) = 1 + theta_1 B + ... + theta_q B^q,
+    from a zero state: y_t = x_t - theta_1 y_{t-1} - ... - theta_q y_{t-q}.
 
-    ``z``, ``phi`` and ``theta`` are arrays. ``lfilter`` is
-    scipy.signal.lfilter, passed in by a caller that filters many times;
-    otherwise it is imported here, and only when q > 0.
-    """
-    p = phi.size
-    zt = z[p:].copy()
-    for i in range(1, p + 1):
-        zt -= phi[i - 1] * z[p - i:z.size - i]
-    if theta.size:
-        if lfilter is None:
-            from scipy.signal import lfilter
-        return lfilter([1.0], [1.0, *theta], zt)
-    return zt
-
-
-def _start_partials(z, nlags: int):
-    """Partial autocorrelations at lags 1..nlags for the Nelder-Mead start.
-
-    This is the array arithmetic (numpy mean and BLAS dot products) that
-    ``correlation.pacf`` used before it moved to correctly rounded sums,
-    kept so that every iterative fit starts, walks and ends on the same
-    bits as before. Replacing the Nelder-Mead fit (ROADMAP item 2)
-    deletes it.
+    The returned function filters the columns of an (m, k) array. It runs
+    in blocks of ``_BLOCK`` steps: inside a block, y is the block's input
+    convolved with the impulse response of 1/theta(B), plus the response to
+    the q outputs carried over from the block before. The cost is linear
+    in m, and the Python loop runs once per block, not once per step.
     """
     import numpy as np
 
-    xm = z - z.mean()
-    denom = float(xm @ xm)
-    if denom == 0.0:
-        raise ForecastError("series is constant; autocorrelation undefined")
-    rho = np.empty(nlags + 1)
-    rho[0] = 1.0
-    for k in range(1, nlags + 1):
-        rho[k] = float(xm[k:] @ xm[:-k]) / denom
-    out = np.empty(nlags)
-    phi = np.empty(nlags)
-    for k in range(1, nlags + 1):
-        if k == 1:
-            rk = rho[1]
-        else:
-            prev = phi[:k - 1]
-            num = rho[k] - float(prev @ rho[k - 1:0:-1])
-            den = 1.0 - float(prev @ rho[1:k])
-            if den == 0.0:
-                raise ForecastError(f"Durbin-Levinson breakdown at lag {k}")
-            rk = num / den
-            prev[:] = prev - rk * prev[::-1]
-        out[k - 1] = rk
-        phi[k - 1] = rk
-    return out
+    theta = [float(c) for c in theta]
+    q, size = len(theta), _BLOCK
+    h = [1.0]
+    for t in range(1, size):
+        h.append(-sum(theta[j - 1] * h[t - j] for j in range(1, min(t, q) + 1)))
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    conv = np.where(lag >= 0, np.array(h)[np.maximum(lag, 0)], 0.0)
+    # The carried output y_{s-1-i} enters y_{s+t} of the block starting at s
+    # through the term -theta_j y_{s+t-j} with j = t+1+i <= q.
+    carry_in = np.zeros((size, q))
+    for i in range(q):
+        for t in range(q - i):
+            carry_in[t, i] = -theta[t + i]
+    carry = conv @ carry_in
+
+    def apply(x):
+        m, k = x.shape
+        blocks = -(-m // size)
+        padded = np.zeros((blocks * size, k))
+        padded[:m] = x
+        y = conv @ padded.reshape(blocks, size, k)
+        for b in range(1, blocks):
+            y[b] += carry @ y[b - 1, size - 1:size - 1 - q:-1]
+        return y.reshape(blocks * size, k)[:m]
+
+    return apply
+
+
+def _css_residuals(z, phi, theta):
+    """One-step errors conditioned on the first p values and zero presample
+    errors: (1 - phi(B)) z filtered by 1/theta(B), from t=p. ``z`` is an
+    array; ``phi`` and ``theta`` are sequences."""
+    p = len(phi)
+    zt = z[p:].copy()
+    for i in range(1, p + 1):
+        zt -= phi[i - 1] * z[p - i:z.size - i]
+    if len(theta):
+        return _inverse_ma(theta)(zt[:, None])[:, 0]
+    return zt
+
+
+def _unpack(params, p: int, q: int, include_mean: bool):
+    """Constant, AR partials' tanh and MA partials' tanh of a parameter
+    vector laid out as [constant] + p AR + q MA unconstrained values."""
+    import numpy as np
+
+    i = int(include_mean)
+    const = float(params[0]) if include_mean else 0.0
+    return const, np.tanh(params[i:i + p]), np.tanh(params[i + p:i + p + q])
+
+
+def _coeffs(t_ar, t_ma):
+    """phi and theta, with their Jacobians in the partials: each
+    unconstrained value v maps to the partial _PARTIAL_CAP * tanh(v), the
+    AR partials by the Levinson recursion to phi, and the MA ones to -theta,
+    so 1 - phi(z) and theta(z) = 1 + theta_1 z + ... both have their roots
+    outside the unit circle."""
+    phi, dphi = _levinson((_PARTIAL_CAP * t_ar).tolist())
+    neg_theta, dneg = _levinson((_PARTIAL_CAP * t_ma).tolist())
+    return phi, dphi, [-c for c in neg_theta], [[-v for v in row] for row in dneg]
+
+
+def _residuals_and_jacobian(z, params, p: int, q: int, include_mean: bool):
+    """CSS residuals of the standardized series ``z`` at ``params`` and
+    their derivatives in ``params`` (Box, Jenkins & Reinsel, section 7.2).
+
+    The mean enters as the constant c = (1 - phi(1)) mu, which stays
+    identified when an AR root nears the unit circle. With
+    u_t = (1 - phi(B)) z_t - c for t >= p and F the filter 1/theta(B) from a
+    zero state, e = F u, de/dc = -F 1, de/dphi_i = -F z_{t-i} and
+    de/dtheta_j = -F e_{t-j}, which is F e shifted by j steps, so one more
+    filter gives every MA column. The chain rule then runs through the
+    Levinson recursion and tanh.
+    """
+    import numpy as np
+
+    const, t_ar, t_ma = _unpack(params, p, q, include_mean)
+    phi, dphi, theta, dtheta = _coeffs(t_ar, t_ma)
+    n, i0 = z.size, int(include_mean)
+    # column 0: u; then du/dc when a mean is fitted; then du/dphi_i
+    cols = np.empty((n - p, 1 + i0 + p))
+    cols[:, 0] = _css_residuals(z, phi, ()) - const
+    if include_mean:
+        cols[:, 1] = -1.0
+    for i in range(1, p + 1):
+        cols[:, i0 + i] = -z[p - i:n - i]
+    if q:
+        inverse = _inverse_ma(theta)
+        cols = inverse(cols)
+    e = cols[:, 0]
+    jac = np.empty((n - p, i0 + p + q))
+    if include_mean:
+        jac[:, 0] = cols[:, 1]
+    if p:
+        jac[:, i0:i0 + p] = cols[:, 1 + i0:] @ (
+            np.array(dphi) * (_PARTIAL_CAP * (1.0 - t_ar * t_ar))
+        )
+    if q:
+        fe = inverse(e[:, None])[:, 0]
+        shifted = np.zeros((n - p, q))
+        for j in range(1, q + 1):
+            shifted[j:, j - 1] = -fe[:n - p - j]
+        jac[:, i0 + p:] = shifted @ (
+            np.array(dtheta) * (_PARTIAL_CAP * (1.0 - t_ma * t_ma))
+        )
+    return e, jac
+
+
+def _levenberg_marquardt(z, start, p: int, q: int, include_mean: bool):
+    """Minimize the CSS of ``z`` from ``start`` by Levenberg-Marquardt with
+    Marquardt's diagonal scaling. The damping follows the ratio of the
+    actual to the predicted CSS decrease (Nielsen's update).
+
+    Returns (css, params) once a step lowers the CSS by at most a relative
+    ``_FTOL``, or no step lowers it at all; None when neither happens
+    within ``_MAX_ITER`` steps.
+    """
+    import numpy as np
+
+    x = start
+    e, jac = _residuals_and_jacobian(z, x, p, q, include_mean)
+    css = float(e @ e)
+    damping, growth = 1e-3, 2.0
+    for _ in range(_MAX_ITER):
+        gram = jac.T @ jac
+        grad = jac.T @ e
+        scale = np.diag(gram).copy()
+        # a partial saturated at the cap leaves a zero column
+        scale = np.maximum(scale, 1e-12 * max(float(scale.max()), 1e-300))
+        while True:
+            try:
+                step = np.linalg.solve(gram + damping * np.diag(scale), -grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None:
+                trial = x + step
+                e1, jac1 = _residuals_and_jacobian(z, trial, p, q, include_mean)
+                css1 = float(e1 @ e1)
+                if css1 < css:
+                    break
+            damping *= growth
+            growth *= 2.0
+            if damping > 1e16:
+                return css, x
+        # the decrease |e|^2 - |e + J step|^2 of the linearized model
+        predicted = float(step @ gram @ step + 2.0 * damping * step @ (scale * step))
+        gain = (css - css1) / predicted if predicted > 0.0 else 1.0
+        done = css - css1 <= _FTOL * css
+        x, e, jac, css = trial, e1, jac1, css1
+        if done:
+            return css, x
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        growth = 2.0
+    return None
 
 
 def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> FittedArima:
@@ -261,12 +395,10 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
         )
 
     import numpy as np
-    from scipy.optimize import minimize
-    from scipy.signal import lfilter
 
     w = np.array(w)
 
-    # Optimize on a standardized copy so the Nelder-Mead tolerances mean
+    # Optimize on a standardized copy so the convergence tolerances mean
     # the same thing whatever the data units; AR/MA coefficients are
     # invariant under the affine map and the mean/variance map back exactly.
     shift = float(w.mean()) if include_mean else 0.0
@@ -275,49 +407,28 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
         scale = 1.0
     z = (w - shift) / scale
 
-    def unpack(params):
-        i = 1 if include_mean else 0
-        mu = params[0] if include_mean else 0.0
-        phi = _raw_to_coeffs(params[i:i + p])
-        theta = _raw_to_coeffs(params[i + p:i + p + q])
-        return mu, phi, theta
-
-    def objective(params) -> float:
-        mu, phi, theta = unpack(params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = _css_residuals(z - mu, phi, theta, lfilter)
-            v = float(e @ e)
-        # a finite penalty keeps Nelder-Mead's simplex arithmetic clean when
-        # a candidate point sends the filtered residuals into overflow
-        return v if np.isfinite(v) else 1e300
-
-    mu0 = float(z.mean()) if include_mean else 0.0
-    ar_raw0 = np.zeros(p)
+    ar0 = [0.0] * p
     if p:
         try:
-            partials = np.clip(_start_partials(z - mu0, p), -0.9, 0.9)
-            ar_raw0 = np.arctanh(partials)
+            ar0 = [
+                math.atanh(max(-0.9, min(0.9, r)) / _PARTIAL_CAP)
+                for r in pacf(z.tolist(), p)[1:]
+            ]
         except ForecastError:
             pass
-
-    base = np.concatenate([[mu0] if include_mean else [], ar_raw0, np.zeros(q)])
+    base = np.array([0.0] * int(include_mean) + ar0 + [0.0] * q)
     best = None
     for offset in _RESTART_OFFSETS:
         start = base.copy()
-        start[1 if include_mean else 0:] += offset
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 2000 * (n_params + 1)},
-        )
-        if not res.success:
+        start[int(include_mean):] += offset
+        res = _levenberg_marquardt(z, start, p, q, include_mean)
+        if res is None:
             continue
-        if best is not None and abs(res.fun - best.fun) <= 1e-9 * max(1.0, abs(best.fun)):
-            if res.fun < best.fun:
+        if best is not None and abs(res[0] - best[0]) <= 1e-9 * max(1.0, abs(best[0])):
+            if res[0] < best[0]:
                 best = res
             break
-        if best is None or res.fun < best.fun:
+        if best is None or res[0] < best[0]:
             best = res
     if best is None:
         raise ForecastError(
@@ -325,9 +436,10 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
             f"({order.p},{order.d},{order.q})"
         )
 
-    mu_z, phi, theta = unpack(best.x)
-    mu = shift + scale * mu_z
-    e = _css_residuals(w - mu, phi, theta, lfilter)
+    const, t_ar, t_ma = _unpack(best[1], p, q, include_mean)
+    phi, _, theta, _ = _coeffs(t_ar, t_ma)
+    mu = shift + scale * const / (1.0 - math.fsum(phi))
+    e = _css_residuals(w - mu, phi, theta)
     css = float(e @ e)
     if css == 0.0:
         raise ForecastError(
@@ -337,8 +449,8 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     sigma2 = css / max(e.size - n_params, 1)
     return FittedArima(
         order=order,
-        ar_coeffs=tuple(phi.tolist()),
-        ma_coeffs=tuple(theta.tolist()),
+        ar_coeffs=tuple(phi),
+        ma_coeffs=tuple(theta),
         intercept=float(mu),
         sigma2=sigma2,
         residuals=tuple(e.tolist()),
@@ -396,8 +508,7 @@ def forecast(
     if ma:
         import numpy as np
 
-        e = _css_residuals(np.array(zs), np.array(ar), np.array(ma))
-        es = [0.0] * p + e.tolist()
+        es = [0.0] * p + _css_residuals(np.array(zs), ar, ma).tolist()
     for t in range(n, n + horizon):
         v = 0.0
         for i, c in enumerate(ar, start=1):

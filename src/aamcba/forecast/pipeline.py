@@ -105,6 +105,9 @@ def auto_pipeline(
     include_mean = None
     if include_mean_when_differenced and d > 0:
         include_mean = True
+    # A no-mean (0,d,0) fit's residuals are the differenced series whose ACF
+    # selection took, and acf entries do not depend on nlags.
+    reuse_rho = pinned is None and d > 0 and include_mean is None
 
     best_fit: FittedArima | None = None
     best_p = -1.0
@@ -117,6 +120,7 @@ def auto_pipeline(
             lags,
             fitted_params=order.n_coeffs,
             name=f"ljung_box(p={order.p},q={order.q})",
+            rho=rho[:lags + 1] if reuse_rho and order.n_coeffs == 0 else None,
         )
         diagnostics.append(check)
         if check.p_value > best_p:

@@ -198,13 +198,18 @@ def adf_test(values, max_lag: int | None = None, name: str = "adf") -> TestRepor
 
 
 def ljung_box(
-    residuals, lags: int, fitted_params: int = 0, name: str = "ljung_box"
+    residuals,
+    lags: int,
+    fitted_params: int = 0,
+    name: str = "ljung_box",
+    rho: list[float] | None = None,
 ) -> TestReport:
     """Ljung-Box whiteness test on residuals.
 
     Null hypothesis: residuals are white noise. Degrees of freedom are
     lags - fitted_params, so lags must exceed the number of fitted ARMA
-    coefficients.
+    coefficients. ``rho`` is ``acf(residuals, lags)`` when the caller
+    already has it.
     """
     n = len(residuals)
     if lags < 1:
@@ -218,7 +223,8 @@ def ljung_box(
             f"lags ({lags}) must exceed fitted parameters ({fitted_params}) "
             "for a valid chi-square reference"
         )
-    rho = acf(residuals, lags)
+    if rho is None:
+        rho = acf(residuals, lags)
     statistic = n * (n + 2) * math.fsum(
         [rho[k] * rho[k] / (n - k) for k in range(1, lags + 1)]
     )

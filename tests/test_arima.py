@@ -6,6 +6,9 @@ seeded simulations keep the optimizer honest without asserting exact values.
 """
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from aamcba.forecast.arima import (
     FittedArima,
     ForecastBand,
     _css_residuals,
+    _residuals_and_jacobian,
     difference,
     fit_arima,
     forecast,
@@ -24,6 +28,8 @@ from aamcba.forecast.arima import (
 from aamcba.ingest import TimeSeries
 
 from oracles import lcg_normals
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def _ar1_path(seed: int, n: int, phi: float, mu: float = 0.0) -> np.ndarray:
@@ -156,6 +162,62 @@ def test_fitted_model_validation():
         FittedArima(order=ArimaOrder(1, 0, 0), ar_coeffs=(1.5,), ma_coeffs=(), **ok)
 
 
+def _min_ma_root(ma) -> float:
+    """Smallest root modulus of 1 + ma_1 z + ... + ma_q z^q, the polynomial
+    that the residual filter, forecast and psi_weights all use."""
+    return float(np.min(np.abs(np.roots([*reversed(ma), 1.0]))))
+
+
+def test_ma_root_check_uses_the_residual_filter_polynomial():
+    # 1 - 1.0533 z - 0.2856 z^2 has its roots at 0.783 and -4.47, so the
+    # residual filter 1/(1 - 1.0533 B - 0.2856 B^2) explodes; the mirror
+    # polynomial 1 + 1.0533 z - 0.2856 z^2 has none inside the circle.
+    ma = (-1.0533, -0.2856)
+    assert _min_ma_root(ma) == pytest.approx(0.783, abs=1e-3)
+    with pytest.raises(ForecastError, match="MA polynomial root inside the unit circle"):
+        FittedArima(
+            order=ArimaOrder(0, 0, 2), ar_coeffs=(), ma_coeffs=ma,
+            intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0, n_obs=60,
+        )
+
+
+def test_micro_suite_ma_fits_are_invertible():
+    if not BENCH_WORKLOADS.is_file():
+        pytest.skip("no bench/ in this checkout")
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for _, n, tag, ks in workloads.MICRO_SUITE:
+        x = workloads.micro_series(n, tag)
+        for k in ks:
+            fit = fit_arima(x, ArimaOrder(k, 0, k))
+            assert _min_ma_root(fit.ma_coeffs) > 1.0, (n, tag, k, fit.ma_coeffs)
+
+
+@pytest.mark.parametrize("include_mean", [False, True])
+def test_analytic_jacobian_matches_central_differences(include_mean):
+    rng = np.random.default_rng(21)
+    z = rng.normal(size=80)
+    step = 1e-6
+    for p in range(6):
+        for q in range(6):
+            if p + q == 0:
+                continue
+            params = rng.uniform(-1.0, 1.0, int(include_mean) + p + q)
+            _, jac = _residuals_and_jacobian(z, params, p, q, include_mean)
+            numeric = np.empty_like(jac)
+            for i in range(params.size):
+                up, down = params.copy(), params.copy()
+                up[i] += step
+                down[i] -= step
+                numeric[:, i] = (
+                    _residuals_and_jacobian(z, up, p, q, include_mean)[0]
+                    - _residuals_and_jacobian(z, down, p, q, include_mean)[0]
+                ) / (2.0 * step)
+            gap = np.max(np.abs(jac - numeric)) / np.max(np.abs(jac))
+            assert gap <= 1e-6, (p, q, gap)
+
+
 def test_band_validation():
     with pytest.raises(ForecastError, match="share one length"):
         ForecastBand(years=(1, 2), lower=(0.0,), mean=(1.0, 2.0), upper=(2.0, 3.0))
@@ -231,31 +293,42 @@ def test_forecast_needs_enough_observations():
         forecast(fit, x, 0)
 
 
-# Iterative CSS fits frozen bit for bit: the optimizer's objective may be
-# restructured for speed, but it must evaluate the same floating-point
-# operations, so Nelder-Mead walks the same path to the same optimum.
+# Iterative CSS fits, pinned to the Levenberg-Marquardt optimum they reach.
+# The optimizer runs on numpy and BLAS, so the pins hold to a tolerance,
+# not to the bit. Every fit must be invertible: the Nelder-Mead fit that
+# the (5,0,5) row pinned before had an MA root of modulus 0.633.
 _ARMA_SERIES = 5.0 + _arma11_lcg(11, 120, 0.6, 0.3)
 FROZEN_FITS = [
     (
         ArimaOrder(1, 0, 1), _ARMA_SERIES,
-        (0.5617174608036665,), (0.4503732270645046,),
-        5.038228073302702, 1.0778665188360728, -125.03251618498443,
+        (0.5617136463705108,), (0.4503804174555872,),
+        5.034724178637311, 1.0778653603057744, -125.03238179546983,
     ),
     (
         ArimaOrder(2, 0, 2), _ARMA_SERIES,
-        (1.5357510259117133, -0.6222990124900243),
-        (-0.5365079399568202, -0.3363183872121413),
-        5.038228073302699, 1.0810384097755252, -122.15734030463436,
+        (1.539550329041414, -0.6247408916647846),
+        (-0.5410461106504572, -0.33809748360963604),
+        4.997749859021331, 1.0803507511315138, -122.07963487786105,
     ),
     (
         ArimaOrder(5, 0, 5), 5.0 + _arma11_lcg(5, 30, 0.9, 0.0),
-        (0.48894720947106873, 0.03385407915249121, 0.11110886712337852,
-         0.8797817905622712, -0.5153594826245874),
-        (0.703189699611904, 1.628359111595762, -1.2355463077286633,
-         -0.763719710652064, 0.621180892526508),
-        6.265707488293197, 0.48046747233509624, -6.726544612691347,
+        (1.18886837242537, 1.609232204277642, -1.990585023707026,
+         -0.6164571225216854, 0.8089415691437738),
+        (0.17616651350690837, -1.506554478417638, -0.8456751418439605,
+         0.5065578853544077, 0.669510909318387),
+        84889579.54665664, 2.6927646534470013, -37.69870514825802,
     ),
 ]
+
+# CSS of the Nelder-Mead fits of the same data, whose (1,0,1) and (2,0,2)
+# fits were invertible; Levenberg-Marquardt must do no worse on them. On
+# the (5,0,5) row, Nelder-Mead with the MA sign fixed reached 13.486, with
+# partials on the old cap of 1 - 1e-7 (13.768 with the cap of 1 - 1e-3);
+# Levenberg-Marquardt's five starts stop at a higher local minimum.
+NELDER_MEAD_CSS = {
+    ArimaOrder(1, 0, 1): 125.03251618498443,
+    ArimaOrder(2, 0, 2): 122.15734030463436,
+}
 
 
 @pytest.mark.parametrize(
@@ -264,18 +337,28 @@ FROZEN_FITS = [
 )
 def test_iterative_fit_is_frozen(order, x, ar, ma, intercept, sigma2, loglik):
     fit = fit_arima(x, order)
-    assert fit.ar_coeffs == ar
-    assert fit.ma_coeffs == ma
-    assert fit.intercept == intercept
-    assert fit.sigma2 == sigma2
-    assert fit.loglik_proxy == loglik
+    assert _min_ma_root(fit.ma_coeffs) > 1.0
+    assert fit.ar_coeffs == pytest.approx(ar, abs=1e-6)
+    assert fit.ma_coeffs == pytest.approx(ma, abs=1e-6)
+    assert fit.sigma2 == pytest.approx(sigma2, rel=1e-6)
+    assert fit.loglik_proxy == pytest.approx(loglik, rel=1e-9)
+    # The intercept is compared through the constant (1 - sum(phi)) mu,
+    # which stays well-conditioned when an AR root nears the unit circle,
+    # as on the (5,0,5) row.
+    assert (1.0 - sum(fit.ar_coeffs)) * fit.intercept == pytest.approx(
+        (1.0 - sum(ar)) * intercept, rel=1e-6
+    )
+    if order in NELDER_MEAD_CSS:
+        assert -fit.loglik_proxy <= NELDER_MEAD_CSS[order]
 
 
 def test_ma_forecast_is_frozen():
+    # Re-pinned when Levenberg-Marquardt replaced Nelder-Mead: the (2,0,2)
+    # fit moved to a lower CSS, and the band with it.
     fit = fit_arima(_ARMA_SERIES, ArimaOrder(2, 0, 2))
     band = forecast(fit, _ARMA_SERIES, 3)
-    assert band.mean == (5.2173991174611904, 4.967723297152448, 4.818452327151639)
-    assert band.upper == (7.255269857963064, 7.848617235954494, 7.92928024313332)
+    assert band.mean == (5.180258507183982, 4.893716851970668, 4.723565193195646)
+    assert band.upper == (7.217480990259118, 7.772630599445048, 7.8312187267323)
 
 
 def _psi_reference(model: FittedArima, horizon: int) -> np.ndarray:

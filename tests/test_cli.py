@@ -188,28 +188,31 @@ def test_validate_and_run_reject_nan_constant(tmp_path, capsys):
 
 
 def test_import_and_closed_form_run_load_no_scipy(tmp_path):
-    # numpy and scipy serve only iterative (p+q>0) fits; every bundled series
-    # fits a closed-form (0,d,0) model, so neither the import, nor validate,
-    # nor the run needs them.
+    # numpy serves only iterative (p+q>0) fits; every bundled series fits a
+    # closed-form (0,d,0) model, so neither the import, nor validate, nor
+    # the run needs it. No fit needs scipy, an iterative one included.
     script = (
         "import json, sys\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules\n"
-        "                  if m.partition('.')[0] in ('numpy', 'scipy'))\n"
+        "def loaded(*names):\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] in names)\n"
         "import aamcba\n"
-        "after_import = loaded()\n"
+        "after_import = loaded('numpy', 'scipy')\n"
         "from aamcba.cli import main\n"
         "validated = main(['validate'])\n"
-        "after_validate = loaded()\n"
+        "after_validate = loaded('numpy', 'scipy')\n"
         "code = main(['run', '--out', sys.argv[1], '--emit', 'json'])\n"
-        "print(json.dumps([after_import, validated, after_validate, code, loaded()]))\n"
+        "after_run = loaded('numpy', 'scipy')\n"
+        "from aamcba.forecast import ArimaOrder, fit_arima\n"
+        "fit_arima([(i * 7919 % 101) / 10.0 for i in range(60)], ArimaOrder(1, 0, 1))\n"
+        "print(json.dumps([after_import, validated, after_validate, code, after_run,\n"
+        "                  loaded('scipy')]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(aamcba.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=True,
     )
-    after_import, validated, after_validate, code, after_run = json.loads(
+    after_import, validated, after_validate, code, after_run, after_fit = json.loads(
         proc.stdout.splitlines()[-1]
     )
     assert after_import == []
@@ -217,6 +220,7 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
     assert after_validate == []
     assert code == 0
     assert after_run == []
+    assert after_fit == []
 
 
 def _bundled_doc() -> dict:

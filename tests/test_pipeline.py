@@ -22,13 +22,17 @@ def test_white_noise_stays_undifferenced():
     assert result.diagnostics[0].reject_null
 
 
-def test_spurious_spikes_saturate_and_get_flagged():
-    # seed 2 happens to carry a lag-5 sampling spike, so selection selects a
-    # saturated order with no escalation room; the result must be flagged
-    # rather than silently accepted.
-    x = 10.0 + white_noise_path(2, 200)
-    result = auto_pipeline(x, 5)
-    assert result.fit.order.d == 0
+def test_spikes_beyond_max_order_saturate_and_get_flagged():
+    # A lag-8 seasonal AR: its ACF and PACF spike at lag 8, so selection
+    # saturates at (5,0,5) with no escalation room, and no order up to
+    # (5,0,5) whitens it within the ten Ljung-Box lags. The result must be
+    # flagged rather than silently accepted.
+    x = white_noise_path(2, 200)
+    for t in range(8, x.size):
+        x[t] += 0.6 * x[t - 8]
+    result = auto_pipeline(10.0 + x, 5)
+    assert result.fit.order == ArimaOrder(5, 0, 5)
+    assert [r.name for r in result.diagnostics] == ["adf(d=0)", "ljung_box(p=5,q=5)"]
     assert not result.adequate
 
 

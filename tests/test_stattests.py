@@ -13,6 +13,7 @@ from scipy import special, stats
 
 from aamcba.forecast import ForecastError
 from aamcba.forecast import stattests
+from aamcba.forecast.correlation import acf
 from aamcba.forecast.stattests import adf_test, chi2_sf, default_adf_lag, ljung_box
 
 from oracles import (
@@ -134,6 +135,8 @@ def test_ljung_box_matches_reference(lags):
     assert report.statistic == pytest.approx(stat, abs=1e-12)
     assert report.p_value == pytest.approx(p, abs=1e-12)
     assert not report.reject_null
+    # an ACF the caller already took, to more lags, gives the same report
+    assert ljung_box(X_SERIES, lags, rho=acf(X_SERIES, 8)[:lags + 1]) == report
 
 
 def test_ljung_box_scale_invariance():
