@@ -264,7 +264,7 @@ def _residuals_and_jacobian(z, params, p: int, q: int, include_mean: bool):
     identified when an AR root nears the unit circle. With
     u_t = (1 - phi(B)) z_t - c for t >= p and F the filter 1/theta(B) from a
     zero state, e = F u, de/dc = -F 1, de/dphi_i = -F z_{t-i} and
-    de/dtheta_j = -F e_{t-j}, which is F e shifted by j steps, so one more
+    de/dtheta_j = -F e_{t-j}, which is -F e shifted by j steps, so one more
     filter gives every MA column. The chain rule then runs through the
     Levinson recursion and tanh.
     """

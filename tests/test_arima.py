@@ -171,7 +171,8 @@ def _min_ma_root(ma) -> float:
 def test_ma_root_check_uses_the_residual_filter_polynomial():
     # 1 - 1.0533 z - 0.2856 z^2 has its roots at 0.783 and -4.47, so the
     # residual filter 1/(1 - 1.0533 B - 0.2856 B^2) explodes; the mirror
-    # polynomial 1 + 1.0533 z - 0.2856 z^2 has none inside the circle.
+    # polynomial 1 + 1.0533 z + 0.2856 z^2, which the root check once
+    # tested, has both roots at modulus 1.871.
     ma = (-1.0533, -0.2856)
     assert _min_ma_root(ma) == pytest.approx(0.783, abs=1e-3)
     with pytest.raises(ForecastError, match="MA polynomial root inside the unit circle"):
