@@ -36,8 +36,8 @@ MAX_Q = 5
 # Partial autocorrelations are scaled just inside the unit interval so the
 # implied polynomial roots stay outside the unit circle even when the
 # optimizer saturates tanh (e.g. an exactly constant differenced series), by
-# a margin np.roots can resolve: at 1 - 1e-7, saturated MA fits put roots
-# within 1e-8 of the circle, and the root check refused them.
+# a margin np.roots can resolve: at 1 - 1e-7, the root check refused
+# saturated MA fits as having a root of modulus 1.000000.
 _PARTIAL_CAP = 1.0 - 1e-3
 
 _RESTART_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0)
