@@ -13,18 +13,17 @@ import os
 import sys
 from pathlib import Path
 
-import yaml
-
 from .engine import ALL_EMIT, RunManifest, evaluate, explain, normalize_emit, run
 from .forecast import ForecastError
 from .ingest import (
     FACTOR_IDS,
     TOGGLE_DEFAULTS,
-    YAML_LOADER,
+    InvalidYAML,
     ScenarioError,
     default_scenario_path,
     load_scenario,
     normalize_factors,
+    read_yaml,
     validate_scenario,
 )
 
@@ -71,8 +70,8 @@ def _parse_toggles(pairs: list[str] | None) -> dict:
                 f"unknown toggle '{key}'; valid: {', '.join(sorted(TOGGLE_DEFAULTS))}"
             )
         try:
-            toggles[key] = yaml.load(raw.strip(), Loader=YAML_LOADER)
-        except yaml.YAMLError:
+            toggles[key] = read_yaml(raw.strip())
+        except InvalidYAML:
             raise ScenarioError(f"--toggle {key}: not a YAML value: {raw!r}") from None
     return toggles
 

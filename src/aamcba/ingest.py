@@ -14,18 +14,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-import yaml
-from yaml.events import (
-    AliasEvent,
-    DocumentStartEvent,
-    MappingEndEvent,
-    ScalarEvent,
-    SequenceEndEvent,
-    SequenceStartEvent,
-    StreamEndEvent,
-)
-from yaml.nodes import ScalarNode
-
 from .factors.table import FACTOR_IDS, FACTORS
 from .forecast import ArimaOrder, ForecastError
 
@@ -34,112 +22,176 @@ class ScenarioError(ValueError):
     """A series or scenario document failed validation."""
 
 
-#: libyaml's parser when PyYAML was built with it (about 6x faster on the
-#: bundled scenario), else the pure-Python one; both build the same objects.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class InvalidYAML(ValueError):
+    """yaml.load rejected a text; args are (line or None, problem)."""
+
 
 # Plain scalars that YAML 1.1 resolves to float or int and that Python's
 # float()/int() read to the same value as PyYAML's constructors. Subsets of
 # the resolver's own patterns: no underscores, octal, hex or sexagesimal.
 _PLAIN_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
 _PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
-_STR_TAG = "tag:yaml.org,2002:str"
-# A plain "<<" or "=": a merge key, or a key that SafeConstructor reads as
-# a string while it rejects the same scalar as a value.
-_COMPOSER_TAGS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+# A number whose exponent has no sign (6.5e9) matches no YAML 1.1 resolver.
+_PLAIN_STR_NUMBER = re.compile(r"[-+]?[0-9]+(?:\.[0-9]*)?[eE][0-9]+")
+# The plain words YAML 1.1 reads as null or a boolean, in every spelling.
+_PLAIN_WORDS = {
+    spelling: value
+    for word, value in (("~", None), ("null", None), ("yes", True), ("true", True),
+                        ("on", True), ("no", False), ("false", False), ("off", False))
+    for spelling in (word, word.title(), word.upper())
+}
+# A scalar on one line: quoted without escapes, or plain without indicators,
+# ':', '#', ',' or brackets. (Of plain scalars led by "-", only numbers are
+# read, so "- x" is never taken for a string.)
+_SCALAR = re.compile(
+    r"'[^'\n]*'|\"[^\"\\\n]*\"|[\w.+/~()$-](?:[\w.+/~()$ -]*[\w.+/~()$-])?"
+)
+# Printable ASCII and newlines: a tab, a CR or any other byte leaves the subset.
+_SUBSET_BYTES = bytes(range(32, 127)) + b"\n"
+# The indent and content of each line that is not blank or a comment.
+_LINE = re.compile(r"^( *)([^ #\n](?:[^\n]*[^ \n])?)", re.M)
 
 
-class _NeedsComposer(Exception):
-    """The document uses a feature the event reader leaves to yaml.load."""
+class _OutsideSubset(Exception):
+    """The text uses YAML that the line reader leaves to yaml.load."""
 
 
-def read_yaml(text: str, Loader=YAML_LOADER) -> Any:
-    """``yaml.load(text, Loader=Loader)``, built from the parser's events.
+def read_yaml(text: str) -> Any:
+    """The document ``yaml.load`` reads from ``text``, with a safe loader.
 
-    Skips PyYAML's node graph: plain decimal floats and ints are converted
-    directly, other plain scalars go through the loader's resolver and
-    constructors, anchors and aliases are kept here. Explicit tags, merge
-    keys, non-scalar keys, undefined or duplicate anchors, anything but
-    exactly one document, and syntax errors make it re-read the text with
-    ``yaml.load``, the reference this reader is tested against, so errors
-    are yaml.load's own.
+    A text in this subset of YAML is read line by line, without PyYAML:
+    block mappings and sequences (a sequence may sit at its key's indent),
+    flow sequences of scalars over any number of lines, ``{}``, plain
+    scalars resolved as YAML 1.1 does, quoted scalars without escapes, and
+    comments. Any other text (anchors, tags, block scalars, flow mappings,
+    duplicate keys, multi-line plain scalars, octal or sexagesimal numbers,
+    several documents, syntax errors) is read by ``yaml.load``, with
+    libyaml's safe loader if PyYAML has it; its errors become InvalidYAML.
     """
-    loader = Loader(text)
     try:
-        # Every event first, then the document: building while parsing
-        # interleaves the short-lived events with the document's objects
-        # and fragments the heap (a warm process grew 0.6 MB more over
-        # 1200 scenario loads).
-        events = list(iter(loader.get_event, None))
-        return _EventReader(loader, events).document()
-    except (_NeedsComposer, yaml.YAMLError):
-        return yaml.load(text, Loader=Loader)
-    finally:
-        loader.dispose()
+        return _read_subset(text)
+    except _OutsideSubset:
+        pass
+    import yaml
+
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as err:
+        mark = getattr(err, "problem_mark", None)
+        problem = getattr(err, "problem", None) or err
+        raise InvalidYAML(mark and mark.line + 1, problem) from err
 
 
-class _EventReader:
-    def __init__(self, loader, events: list) -> None:
-        self.loader = loader
-        self.next_event = iter(events).__next__
-        self.anchors: dict[str, Any] = {}
+def _scalar(token: str) -> Any:
+    """The value of a scalar token, resolved as PyYAML's SafeLoader does."""
+    if token in _PLAIN_WORDS:
+        return _PLAIN_WORDS[token]
+    if _PLAIN_FLOAT.fullmatch(token):
+        return float(token)
+    if _PLAIN_INT.fullmatch(token):
+        return int(token)
+    if _SCALAR.fullmatch(token):
+        if token[0] in "'\"":
+            return token[1:-1]
+        if token[0].isalpha() or _PLAIN_STR_NUMBER.fullmatch(token):
+            return token
+    raise _OutsideSubset
 
-    def document(self) -> Any:
-        self.next_event()  # stream start
-        if type(self.next_event()) is not DocumentStartEvent:
-            raise _NeedsComposer  # empty stream
-        data = self.node(self.next_event())
-        self.next_event()  # document end
-        if type(self.next_event()) is not StreamEndEvent:
-            raise _NeedsComposer  # more than one document
-        return data
 
-    def node(self, event) -> Any:
-        kind = type(event)
-        if kind is AliasEvent:
-            if event.anchor not in self.anchors:
-                raise _NeedsComposer  # undefined, or a node that holds itself
-            return self.anchors[event.anchor]
-        if event.tag is not None:
-            raise _NeedsComposer
-        if kind is ScalarEvent:
-            data = self.scalar(event)
-        elif kind is SequenceStartEvent:
-            data = []
-            item = self.next_event()
-            while type(item) is not SequenceEndEvent:
-                data.append(self.node(item))
-                item = self.next_event()
-        else:
-            data = {}
-            key = self.next_event()
-            while type(key) is not MappingEndEvent:
-                if type(key) is not ScalarEvent:
-                    raise _NeedsComposer
-                data[self.node(key)] = self.node(self.next_event())
-                key = self.next_event()
-        if event.anchor is not None:
-            if event.anchor in self.anchors:
-                raise _NeedsComposer  # duplicate anchor
-            self.anchors[event.anchor] = data
-        return data
+def _value_token(text: str) -> Any:
+    """The scalar or ``{}`` that starts ``text``, before a comment."""
+    token = text.partition(" #")[0].rstrip(" ")
+    return {} if token == "{}" else _scalar(token)
 
-    def scalar(self, event: ScalarEvent) -> Any:
-        value = event.value
-        if not event.implicit[0]:
-            return value  # quoted or block scalar: always a string
-        if _PLAIN_FLOAT.fullmatch(value):
-            return float(value)
-        if _PLAIN_INT.fullmatch(value):
-            return int(value)
-        tag = self.loader.resolve(ScalarNode, value, event.implicit)
-        if tag == _STR_TAG:
-            return value
-        if tag in _COMPOSER_TAGS:
-            raise _NeedsComposer
-        return self.loader.construct_object(
-            ScalarNode(tag, value, event.start_mark, event.end_mark, event.style)
-        )
+
+def _entry(body: str) -> tuple[str | None, str] | None:
+    """(key, value text) of "key: value", (None, value text) of "- value"."""
+    if body == "-" or body[:2] == "- ":
+        return None, body[2:]
+    key, colon, rest = body.partition(": ")
+    if colon:
+        return key, rest
+    return (body[:-1], "") if body[-1] == ":" else None
+
+
+def _read_subset(text: str) -> Any:
+    """The document of a text in the subset; else raises _OutsideSubset."""
+    if not text.isascii() or text.encode().translate(None, _SUBSET_BYTES):
+        raise _OutsideSubset
+    # Indents stay strings of spaces, which compare as their lengths do.
+    lines = _LINE.findall(text)
+
+    def block(i: int, indent: str) -> tuple[Any, int]:
+        """The mapping or sequence whose entries start at ``indent``.
+
+        It ends at the first line at another indent or of the other kind;
+        a caller that cannot take that line finds it at the wrong indent,
+        and the document's end check rejects what nobody took.
+        """
+        data: Any = None
+        while i < len(lines) and lines[i][0] == indent:
+            entry = _entry(lines[i][1])
+            if entry is None:
+                raise _OutsideSubset
+            key, rest = entry
+            if data is None:
+                data = [] if key is None else {}
+            elif (key is None) != (type(data) is list):
+                break  # a key after a sequence at its key's indent
+            if rest and rest[0] not in " #[":  # a scalar: the common case
+                item = _value_token(rest)
+                i += 1
+            else:
+                item, i = value(i, rest, indent, in_mapping=key is not None)
+            if key is None:
+                data.append(item)
+            elif len(key) > 1024 or (key := _scalar(key)) in data:
+                raise _OutsideSubset  # too long for a simple key, or a duplicate
+            else:
+                data[key] = item
+        return data, i
+
+    def value(i: int, rest: str, indent: str, in_mapping: bool) -> tuple[Any, int]:
+        """The node that ``rest`` of line ``i`` holds; the next line's index."""
+        rest = rest.lstrip(" ")
+        if rest[:1] == "[":
+            return flow_sequence(i, rest)
+        if rest and rest[0] != "#":
+            return _value_token(rest), i + 1
+        i += 1
+        if i < len(lines):
+            at, body = lines[i]
+            if at > indent:
+                return block(i, at)
+            if in_mapping and at == indent and (body == "-" or body[:2] == "- "):
+                return block(i, at)  # a sequence at its key's indent
+        return None, i
+
+    def flow_sequence(i: int, text: str) -> tuple[list, int]:
+        """The scalars of the flow sequence that ``text`` opens."""
+        while "]" not in text:  # it spans lines, at any indent
+            i += 1
+            if i == len(lines):
+                raise _OutsideSubset
+            text += "\n" + lines[i][1]
+        inner, _, after = text[1:].partition("]")
+        if after.lstrip(" ")[:1] not in ("", "#"):
+            raise _OutsideSubset
+        if not inner.strip():
+            return [], i + 1
+        return [_scalar(item.strip()) for item in inner.split(",")], i + 1
+
+    if not lines:
+        raise _OutsideSubset
+    indent, body = lines[0]
+    entry = _entry(body)
+    if entry is None:
+        doc, end = value(0, body, indent, in_mapping=False)
+    else:
+        doc, end = block(0, indent)
+    if end != len(lines):
+        raise _OutsideSubset
+    return doc
 
 
 #: Constants stored as vectors rather than scalars.
@@ -404,10 +456,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: not UTF-8 text ({err.reason})") from None
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path}:{err.lineno}: invalid JSON: {err.msg}") from None
-    except yaml.YAMLError as err:
-        mark = getattr(err, "problem_mark", None)
-        where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
-        problem = getattr(err, "problem", None) or err
+    except InvalidYAML as err:
+        line, problem = err.args
+        where = f"{path}:{line}" if line else str(path)
         raise ScenarioError(f"{where}: invalid YAML: {problem}") from None
     if not isinstance(doc, Mapping):
         raise ScenarioError(f"{path}: scenario document must be a mapping")
@@ -502,42 +553,6 @@ def scenario_from_dict(
         orders=orders,
         toggles=dict(_section(doc, "toggles")),
     )
-
-
-def scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    """Inverse of scenario_from_dict; series in start/values form."""
-
-    def dump_series(ts: TimeSeries) -> dict[str, Any]:
-        out: dict[str, Any] = {"start": ts.first_year, "values": list(ts.values)}
-        if ts.unit:
-            out["unit"] = ts.unit
-        return out
-
-    return {
-        "name": s.name,
-        "horizon": {"start": s.horizon_start, "end": s.horizon_end},
-        "constants": {
-            k: (list(v) if k in VECTOR_CONSTANTS else v)
-            for k, v in s.constants.items()
-        },
-        "series": {
-            "exogenous": {k: dump_series(v) for k, v in s.input_series.items()},
-            "historical": {k: dump_series(v) for k, v in s.historical_series.items()},
-        },
-        "orders": {k: list(v) for k, v in s.orders.items()},
-        "toggles": dict(s.toggles),
-    }
-
-
-def save_scenario(s: Scenario, path: str | Path) -> None:
-    """Write a scenario back out; load_scenario(save) round-trips equal."""
-    path = Path(path)
-    doc = scenario_to_dict(s)
-    if path.suffix.lower() == ".json":
-        path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n",
-                        encoding="utf-8")
-    else:
-        path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
 
 
 def validate_scenario(
@@ -697,36 +712,6 @@ def required_inputs(
         exogenous.update(FACTORS[f].exogenous)
         historical.update(FACTORS[f].historical)
     return constants, exogenous, historical
-
-
-def cargo_trips_from_tonnage(
-    total_tons: float,
-    payload_lb: float,
-    shares: Iterable[float],
-    start_year: int,
-    name: str = "cargo_trips",
-    lb_per_ton: float = 2000.0,
-) -> TimeSeries:
-    """Spread a multi-year cargo tonnage forecast into annual trip counts.
-
-    Total tonnage is converted to pounds, divided by the per-trip payload,
-    and distributed across consecutive years by the share vector (which must
-    sum to 1).
-    """
-    shares = [float(x) for x in shares]
-    if not shares:
-        raise ScenarioError("share vector is empty")
-    if any(x < 0 for x in shares):
-        raise ScenarioError("share vector has negative entries")
-    total_share = sum(shares)
-    if abs(total_share - 1.0) > 1e-9:
-        raise ScenarioError(f"share vector sums to {total_share}, expected 1")
-    if payload_lb <= 0:
-        raise ScenarioError(f"payload must be positive, got {payload_lb}")
-    total_trips = total_tons * lb_per_ton / payload_lb
-    years = tuple(range(start_year, start_year + len(shares)))
-    return TimeSeries(name, years, tuple(total_trips * x for x in shares),
-                      unit="trips")
 
 
 def default_scenario_path() -> Path:

@@ -191,17 +191,20 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
     # numpy serves only iterative (p+q>0) fits; every bundled series fits a
     # closed-form (0,d,0) model, so neither the import, nor validate, nor
     # the run needs it. No fit needs scipy, an iterative one included.
+    # PyYAML reads only YAML outside the line reader's subset, and the
+    # bundled scenario is inside it.
     script = (
         "import json, sys\n"
         "def loaded(*names):\n"
-        "    return sorted(m for m in sys.modules if m.partition('.')[0] in names)\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.lstrip('_').partition('.')[0] in names)\n"
         "import aamcba\n"
-        "after_import = loaded('numpy', 'scipy')\n"
+        "after_import = loaded('numpy', 'scipy', 'yaml')\n"
         "from aamcba.cli import main\n"
         "validated = main(['validate'])\n"
-        "after_validate = loaded('numpy', 'scipy')\n"
+        "after_validate = loaded('numpy', 'scipy', 'yaml')\n"
         "code = main(['run', '--out', sys.argv[1], '--emit', 'json'])\n"
-        "after_run = loaded('numpy', 'scipy')\n"
+        "after_run = loaded('numpy', 'scipy', 'yaml')\n"
         "from aamcba.forecast import ArimaOrder, fit_arima\n"
         "fit_arima([(i * 7919 % 101) / 10.0 for i in range(60)], ArimaOrder(1, 0, 1))\n"
         "print(json.dumps([after_import, validated, after_validate, code, after_run,\n"
