@@ -120,78 +120,83 @@ def _read_subset(text: str) -> Any:
         raise _OutsideSubset
     # Indents stay strings of spaces, which compare as their lengths do.
     lines = _LINE.findall(text)
-
-    def block(i: int, indent: str) -> tuple[Any, int]:
-        """The mapping or sequence whose entries start at ``indent``.
-
-        It ends at the first line at another indent or of the other kind;
-        a caller that cannot take that line finds it at the wrong indent,
-        and the document's end check rejects what nobody took.
-        """
-        data: Any = None
-        while i < len(lines) and lines[i][0] == indent:
-            entry = _entry(lines[i][1])
-            if entry is None:
-                raise _OutsideSubset
-            key, rest = entry
-            if data is None:
-                data = [] if key is None else {}
-            elif (key is None) != (type(data) is list):
-                break  # a key after a sequence at its key's indent
-            if rest and rest[0] not in " #[":  # a scalar: the common case
-                item = _value_token(rest)
-                i += 1
-            else:
-                item, i = value(i, rest, indent, in_mapping=key is not None)
-            if key is None:
-                data.append(item)
-            elif len(key) > 1024 or (key := _scalar(key)) in data:
-                raise _OutsideSubset  # too long for a simple key, or a duplicate
-            else:
-                data[key] = item
-        return data, i
-
-    def value(i: int, rest: str, indent: str, in_mapping: bool) -> tuple[Any, int]:
-        """The node that ``rest`` of line ``i`` holds; the next line's index."""
-        rest = rest.lstrip(" ")
-        if rest[:1] == "[":
-            return flow_sequence(i, rest)
-        if rest and rest[0] != "#":
-            return _value_token(rest), i + 1
-        i += 1
-        if i < len(lines):
-            at, body = lines[i]
-            if at > indent:
-                return block(i, at)
-            if in_mapping and at == indent and (body == "-" or body[:2] == "- "):
-                return block(i, at)  # a sequence at its key's indent
-        return None, i
-
-    def flow_sequence(i: int, text: str) -> tuple[list, int]:
-        """The scalars of the flow sequence that ``text`` opens."""
-        while "]" not in text:  # it spans lines, at any indent
-            i += 1
-            if i == len(lines):
-                raise _OutsideSubset
-            text += "\n" + lines[i][1]
-        inner, _, after = text[1:].partition("]")
-        if after.lstrip(" ")[:1] not in ("", "#"):
-            raise _OutsideSubset
-        if not inner.strip():
-            return [], i + 1
-        return [_scalar(item.strip()) for item in inner.split(",")], i + 1
-
     if not lines:
         raise _OutsideSubset
     indent, body = lines[0]
-    entry = _entry(body)
-    if entry is None:
-        doc, end = value(0, body, indent, in_mapping=False)
+    if _entry(body) is None:
+        doc, end = _value(lines, 0, body, indent, in_mapping=False)
     else:
-        doc, end = block(0, indent)
+        doc, end = _block(lines, 0, indent)
     if end != len(lines):
         raise _OutsideSubset
     return doc
+
+
+# The readers below are plain functions that take the lines, not closures
+# over them: closures that call each other form a reference cycle, which
+# would keep each text's lines alive until the cyclic collector ran.
+def _block(lines: list, i: int, indent: str) -> tuple[Any, int]:
+    """The mapping or sequence whose entries start at ``indent``.
+
+    It ends at the first line at another indent or of the other kind; a
+    caller that cannot take that line finds it at the wrong indent, and the
+    document's end check rejects what nobody took.
+    """
+    data: Any = None
+    while i < len(lines) and lines[i][0] == indent:
+        entry = _entry(lines[i][1])
+        if entry is None:
+            raise _OutsideSubset
+        key, rest = entry
+        if data is None:
+            data = [] if key is None else {}
+        elif (key is None) != (type(data) is list):
+            break  # a key after a sequence at its key's indent
+        if rest and rest[0] not in " #[":  # a scalar: the common case
+            item = _value_token(rest)
+            i += 1
+        else:
+            item, i = _value(lines, i, rest, indent, in_mapping=key is not None)
+        if key is None:
+            data.append(item)
+        elif len(key) > 1024 or (key := _scalar(key)) in data:
+            raise _OutsideSubset  # too long for a simple key, or a duplicate
+        else:
+            data[key] = item
+    return data, i
+
+
+def _value(lines: list, i: int, rest: str, indent: str,
+           in_mapping: bool) -> tuple[Any, int]:
+    """The node that ``rest`` of line ``i`` holds; the next line's index."""
+    rest = rest.lstrip(" ")
+    if rest[:1] == "[":
+        return _flow_sequence(lines, i, rest)
+    if rest and rest[0] != "#":
+        return _value_token(rest), i + 1
+    i += 1
+    if i < len(lines):
+        at, body = lines[i]
+        if at > indent:
+            return _block(lines, i, at)
+        if in_mapping and at == indent and (body == "-" or body[:2] == "- "):
+            return _block(lines, i, at)  # a sequence at its key's indent
+    return None, i
+
+
+def _flow_sequence(lines: list, i: int, text: str) -> tuple[list, int]:
+    """The scalars of the flow sequence that ``text`` opens."""
+    while "]" not in text:  # it spans lines, at any indent
+        i += 1
+        if i == len(lines):
+            raise _OutsideSubset
+        text += "\n" + lines[i][1]
+    inner, _, after = text[1:].partition("]")
+    if after.lstrip(" ")[:1] not in ("", "#"):
+        raise _OutsideSubset
+    if not inner.strip():
+        return [], i + 1
+    return [_scalar(item.strip()) for item in inner.split(",")], i + 1
 
 
 #: Constants stored as vectors rather than scalars.
