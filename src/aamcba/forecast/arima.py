@@ -16,9 +16,10 @@ cost is linear in the series length.
 
 The closed-form (0,d,0) path runs on Python floats, and its sums are
 ``math.fsum``, so its outputs depend on neither the BLAS build nor the
-summation order. numpy is imported when an iterative (p+q>0) fit, a
-forecast with MA terms or a root check with coefficients first needs it,
-so a run whose fits are all closed-form never loads it. No path uses scipy.
+summation order. The stability check of a fitted model is the step-down
+(Schur-Cohn) recursion on Python floats, so numpy is imported only when an
+iterative (p+q>0) fit or a forecast with MA terms first needs it: a run
+whose fits are all closed-form never loads it. No path uses scipy.
 """
 from __future__ import annotations
 
@@ -35,9 +36,9 @@ MAX_Q = 5
 
 # Partial autocorrelations are scaled just inside the unit interval so the
 # implied polynomial roots stay outside the unit circle even when the
-# optimizer saturates tanh (e.g. an exactly constant differenced series), by
-# a margin np.roots can resolve: at 1 - 1e-7, the root check refused
-# saturated MA fits as having a root of modulus 1.000000.
+# optimizer saturates tanh (e.g. an exactly constant differenced series).
+# The step-down root check would accept a cap much closer to 1; this one
+# stays because moving it moves the fits.
 _PARTIAL_CAP = 1.0 - 1e-3
 
 _RESTART_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0)
@@ -47,8 +48,10 @@ _RESTART_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0)
 _MAX_ITER = 200
 _FTOL = 1e-9
 
-# Steps per block of the MA filter (see _inverse_ma).
+# Steps per block of the MA filter (see _inverse_ma), and the block
+# matrix's index into the impulse response, built at the first filter.
 _BLOCK = 32
+_BLOCK_LAGS = None
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,8 @@ class FittedArima:
     ``intercept`` is the mean of the differenced series (0.0 when no mean
     term was fitted); ``loglik_proxy`` is the negative CSS, comparable only
     across fits on the same data; ``residuals`` are on the differenced scale
-    starting at t=p.
+    starting at t=p. The roots of 1 - phi(z) and theta(z) must lie outside
+    the unit circle.
     """
 
     order: ArimaOrder
@@ -96,11 +100,11 @@ class FittedArima:
             raise ForecastError(f"sigma2 must be positive, got {self.sigma2}")
         ar_poly = [-c for c in self.ar_coeffs]
         for label, poly in (("AR", ar_poly), ("MA", self.ma_coeffs)):
-            m = _min_root_modulus(poly)
-            if m <= 1.0:
+            bad = _unstable_lag(poly)
+            if bad is not None:
                 raise ForecastError(
                     f"{label} polynomial root inside the unit circle "
-                    f"(modulus {m:.6f})"
+                    f"(reflection coefficient {bad[1]:.6g} at lag {bad[0]})"
                 )
 
 
@@ -172,14 +176,18 @@ def _levinson(partials: list[float]) -> tuple[list[float], list[list[float]]]:
     return a, jac
 
 
-def _min_root_modulus(coeffs) -> float:
-    """Smallest root modulus of 1 + c1*z + ... + ck*z^k (inf when k=0)."""
-    if len(coeffs) == 0:
-        return math.inf
-    import numpy as np
-
-    roots = np.roots([*reversed(coeffs), 1.0])
-    return float(np.min(np.abs(roots))) if roots.size else math.inf
+def _unstable_lag(coeffs) -> tuple[int, float] | None:
+    """None when every root of 1 + c1*z + ... + ck*z^k lies outside the
+    unit circle, else the first (k, c_k) at which the step-down recursion,
+    the inverse of _levinson, peels off a reflection coefficient c_k that
+    is not in (-1, 1) (a NaN is not)."""
+    c = [float(v) for v in coeffs]
+    for k in range(len(c), 0, -1):
+        r = c[k - 1]
+        if not abs(r) < 1.0:
+            return k, r
+        c = [(c[i] - r * c[k - 2 - i]) / (1.0 - r * r) for i in range(k - 1)]
+    return None
 
 
 def _inverse_ma(theta):
@@ -194,13 +202,20 @@ def _inverse_ma(theta):
     """
     import numpy as np
 
+    global _BLOCK_LAGS
     theta = [float(c) for c in theta]
     q, size = len(theta), _BLOCK
     h = [1.0]
     for t in range(1, size):
-        h.append(-sum(theta[j - 1] * h[t - j] for j in range(1, min(t, q) + 1)))
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    conv = np.where(lag >= 0, np.array(h)[np.maximum(lag, 0)], 0.0)
+        acc = 0.0  # left to right: sum() rounds differently from 3.12 on
+        for j in range(1, min(t, q) + 1):
+            acc += theta[j - 1] * h[t - j]
+        h.append(-acc)
+    if _BLOCK_LAGS is None:
+        # the lag t - s at or below the diagonal, else the 0.0 after h
+        lag = np.subtract.outer(np.arange(size), np.arange(size))
+        _BLOCK_LAGS = np.where(lag >= 0, lag, size)
+    conv = np.array(h + [0.0])[_BLOCK_LAGS]
     # The carried output y_{s-1-i} enters y_{s+t} of the block starting at s
     # through the term -theta_j y_{s+t-j} with j = t+1+i <= q.
     carry_in = np.zeros((size, q))

@@ -80,6 +80,9 @@ def read_yaml(text: str) -> Any:
         mark = getattr(err, "problem_mark", None)
         problem = getattr(err, "problem", None) or err
         raise InvalidYAML(mark and mark.line + 1, problem) from err
+    except ValueError as err:
+        # a constructor's error, such as a timestamp that is no valid date
+        raise InvalidYAML(None, err) from err
 
 
 def _scalar(token: str) -> Any:

@@ -7,18 +7,27 @@ seeded simulations keep the optimizer honest without asserting exact values.
 from __future__ import annotations
 
 import importlib.util
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aamcba.forecast import ForecastError
+import aamcba
 from aamcba.forecast.arima import (
+    _BLOCK,
     ArimaOrder,
     FittedArima,
     ForecastBand,
     _css_residuals,
+    _inverse_ma,
+    _levinson,
     _residuals_and_jacobian,
+    _unstable_lag,
     difference,
     fit_arima,
     forecast,
@@ -180,6 +189,114 @@ def test_ma_root_check_uses_the_residual_filter_polynomial():
             order=ArimaOrder(0, 0, 2), ar_coeffs=(), ma_coeffs=ma,
             intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0, n_obs=60,
         )
+
+
+def test_step_down_check_agrees_with_root_moduli():
+    rng = np.random.default_rng(17)
+    for _ in range(4000):
+        c = rng.uniform(-2.0, 2.0, int(rng.integers(1, 6))).tolist()
+        assert (_unstable_lag(c) is None) == (_min_ma_root(c) > 1.0), c
+
+
+def test_step_down_check_accepts_saturated_partials():
+    # the optimizer's partials saturate at +-(1 - 1e-3); every polynomial
+    # that the Levinson map builds from them is stable
+    for k in range(1, 6):
+        for signs in range(2 ** k):
+            partials = [(1.0 - 1e-3) * (-1.0) ** (signs >> i & 1) for i in range(k)]
+            a, _ = _levinson(partials)
+            assert _unstable_lag([-v for v in a]) is None, partials
+            FittedArima(
+                order=ArimaOrder(k, 0, k), ar_coeffs=tuple(a),
+                ma_coeffs=tuple(-v for v in a), intercept=0.0, sigma2=1.0,
+                residuals=(), loglik_proxy=0.0, n_obs=60,
+            )
+
+
+@pytest.mark.parametrize("coeffs, stage", [
+    ([-1.0], (1, -1.0)),
+    ([1.0], (1, 1.0)),
+    ([-2.0, 1.0], (2, 1.0)),  # (1 - z)^2
+    ([0.5, math.nan], (2, math.nan)),
+    ([math.nan, 0.5], (1, math.nan)),
+    ([0.0, math.inf], (2, math.inf)),
+], ids=["1-z", "1+z", "double-unit-root", "nan-last", "nan-first", "inf"])
+def test_step_down_check_rejects_unit_and_invalid_roots(coeffs, stage):
+    k, r = _unstable_lag(coeffs)
+    assert k == stage[0]
+    assert r == stage[1] or (math.isnan(r) and math.isnan(stage[1]))
+
+
+def test_root_check_names_the_lag_and_reflection_coefficient():
+    with pytest.raises(
+        ForecastError,
+        match=r"^AR polynomial root inside the unit circle "
+              r"\(reflection coefficient -1 at lag 1\)$",
+    ):
+        FittedArima(
+            order=ArimaOrder(1, 0, 0), ar_coeffs=(1.0,), ma_coeffs=(),
+            intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0, n_obs=60,
+        )
+
+
+def test_ar_only_model_checks_and_forecasts_without_numpy():
+    script = (
+        "import sys\n"
+        "from aamcba.forecast import ArimaOrder, FittedArima, forecast\n"
+        "model = FittedArima(order=ArimaOrder(2, 1, 0), ar_coeffs=(0.5, -0.2),\n"
+        "                    ma_coeffs=(), intercept=0.0, sigma2=1.0,\n"
+        "                    residuals=(), loglik_proxy=0.0, n_obs=40)\n"
+        "band = forecast(model, [float(i * i % 17) for i in range(40)], 5)\n"
+        "print(len(band.mean), sorted(m for m in sys.modules\n"
+        "                             if m.partition('.')[0] == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(aamcba.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert proc.stdout.split(maxsplit=1) == ["5", "[]\n"]
+
+
+def _impulse_response(theta, size: int) -> list[float]:
+    """h of 1/theta(B), each step's sum added left to right."""
+    h = [1.0]
+    for t in range(1, size):
+        acc = 0.0
+        for j in range(1, min(t, len(theta)) + 1):
+            acc += theta[j - 1] * h[t - j]
+        h.append(-acc)
+    return h
+
+
+def test_ma_filter_block_is_the_left_to_right_impulse_response():
+    # sum() over the same products rounds differently from Python 3.12 on
+    rng = np.random.default_rng(29)
+    impulse = np.zeros((_BLOCK, 1))
+    impulse[0, 0] = 1.0
+    for q in range(1, 6):
+        for _ in range(40):
+            theta = rng.uniform(-1.0, 1.0, q).tolist()
+            got = _inverse_ma(theta)(impulse)[:, 0].tolist()
+            assert got == _impulse_response(theta, _BLOCK), theta
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 64, 65, 200])
+@pytest.mark.parametrize("k", [1, 3])
+def test_ma_filter_matches_the_per_step_recursion(m, k):
+    rng = np.random.default_rng(100 * m + k)
+    for q in range(1, 6):
+        a, _ = _levinson(rng.uniform(-0.9, 0.9, q).tolist())
+        theta = [-v for v in a]
+        x = rng.normal(size=(m, k))
+        y = np.zeros((m, k))
+        for t in range(m):
+            y[t] = x[t]
+            for j in range(1, min(t, q) + 1):
+                y[t] -= theta[j - 1] * y[t - j]
+        got = _inverse_ma(theta)(x)
+        assert got.shape == (m, k)
+        np.testing.assert_allclose(got, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
 
 
 def test_micro_suite_ma_fits_are_invertible():

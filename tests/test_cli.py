@@ -253,6 +253,25 @@ def test_parse_errors_exit_2_naming_file_and_line(tmp_path, capsys, name, text, 
         assert "numerical failure" not in err
 
 
+def test_invalid_timestamp_exits_2_naming_file_or_toggle(tmp_path, capsys):
+    # YAML 1.1 resolves 2001-13-45 as a timestamp, and PyYAML's constructor
+    # then raises a ValueError that is no YAMLError; it used to exit 3.
+    text = default_scenario_path().read_text(encoding="utf-8")
+    assert "\nname: ohio-baseline\n" in text
+    bad = tmp_path / "date.yaml"
+    bad.write_text(text.replace("\nname: ohio-baseline\n", "\nname: 2001-13-45\n"))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: invalid YAML: month must be in 1..12" in err
+        assert "numerical failure" not in err
+    assert main(["run", "--out", str(tmp_path / "y"), "--toggle", "bf7_case=2001-13-45"]) == 2
+    err = capsys.readouterr().err
+    assert "--toggle bf7_case: not a YAML value: '2001-13-45'" in err
+    assert "numerical failure" not in err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
 def _set(*path_and_value):
     """An edit that sets doc[k1]...[kn] = value."""
     *path, key, value = path_and_value
