@@ -169,6 +169,12 @@ def test_fitted_model_validation():
         )
     with pytest.raises(ForecastError, match="root inside the unit circle"):
         FittedArima(order=ArimaOrder(1, 0, 0), ar_coeffs=(1.5,), ma_coeffs=(), **ok)
+    with pytest.raises(
+        ForecastError,
+        match=r"^AR polynomial root inside the unit circle "
+              r"\(reflection coefficient -1 at lag 1\)$",
+    ):
+        FittedArima(order=ArimaOrder(1, 0, 0), ar_coeffs=(1.0,), ma_coeffs=(), **ok)
 
 
 def _min_ma_root(ma) -> float:
@@ -225,18 +231,6 @@ def test_step_down_check_rejects_unit_and_invalid_roots(coeffs, stage):
     k, r = _unstable_lag(coeffs)
     assert k == stage[0]
     assert r == stage[1] or (math.isnan(r) and math.isnan(stage[1]))
-
-
-def test_root_check_names_the_lag_and_reflection_coefficient():
-    with pytest.raises(
-        ForecastError,
-        match=r"^AR polynomial root inside the unit circle "
-              r"\(reflection coefficient -1 at lag 1\)$",
-    ):
-        FittedArima(
-            order=ArimaOrder(1, 0, 0), ar_coeffs=(1.0,), ma_coeffs=(),
-            intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0, n_obs=60,
-        )
 
 
 def test_ar_only_model_checks_and_forecasts_without_numpy():
