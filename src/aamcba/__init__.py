@@ -4,115 +4,9 @@ The package forecasts a scenario's historical input series, evaluates nine
 benefit factors on the forecast bands, and nets them against capital and
 operating costs into a yearly net-positive-gain estimate with 95% bands.
 """
-from . import factors
-from .factors.table import FACTOR_FILE_NAMES, FACTOR_LABELS
-from .engine import (
-    EvaluationResult,
-    RunManifest,
-    evaluate,
-    explain,
-    run,
-    write_outputs,
-)
-from .forecast import (
-    CI_Z,
-    CONFIDENCE,
-    MIN_OBS,
-    ArimaOrder,
-    FittedArima,
-    ForecastBand,
-    ForecastError,
-    PipelineResult,
-    TestReport,
-    acf,
-    adf_test,
-    auto_pipeline,
-    bartlett_bound,
-    difference,
-    fit_arima,
-    forecast,
-    integrate,
-    ljung_box,
-    pacf,
-    psi_weights,
-)
-from .ingest import (
-    FACTOR_IDS,
-    TOGGLE_DEFAULTS,
-    Scenario,
-    ScenarioError,
-    TimeSeries,
-    default_scenario_path,
-    load_scenario,
-    load_series,
-    required_inputs,
-    scenario_from_dict,
-    validate_scenario,
-)
-from .ledger import (
-    AnnualResult,
-    BandValue,
-    band_sum,
-    cagr,
-    compute_npi,
-    summary_dict,
-    write_band_csv,
-    write_factor_csv,
-    write_npi_csv,
-    write_results_csv,
-)
+from .engine import evaluate
+from .ingest import default_scenario_path, load_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArimaOrder",
-    "AnnualResult",
-    "BandValue",
-    "CI_Z",
-    "CONFIDENCE",
-    "EvaluationResult",
-    "FACTOR_FILE_NAMES",
-    "FACTOR_IDS",
-    "FACTOR_LABELS",
-    "FittedArima",
-    "ForecastBand",
-    "ForecastError",
-    "MIN_OBS",
-    "PipelineResult",
-    "RunManifest",
-    "Scenario",
-    "ScenarioError",
-    "TOGGLE_DEFAULTS",
-    "TestReport",
-    "TimeSeries",
-    "acf",
-    "adf_test",
-    "auto_pipeline",
-    "band_sum",
-    "bartlett_bound",
-    "cagr",
-    "compute_npi",
-    "default_scenario_path",
-    "difference",
-    "evaluate",
-    "explain",
-    "factors",
-    "fit_arima",
-    "forecast",
-    "integrate",
-    "ljung_box",
-    "load_scenario",
-    "load_series",
-    "pacf",
-    "psi_weights",
-    "required_inputs",
-    "run",
-    "scenario_from_dict",
-    "summary_dict",
-    "validate_scenario",
-    "write_band_csv",
-    "write_factor_csv",
-    "write_npi_csv",
-    "write_outputs",
-    "write_results_csv",
-]
+__all__ = ["default_scenario_path", "evaluate", "load_scenario"]

@@ -325,10 +325,6 @@ def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
         path = out_dir / filename
         write_item_csv(path, rows)
         written.append(path)
-
-    path = out_dir / "plot_npi_band.csv"
-    write_npi_csv(path, result.annual)
-    written.append(path)
     return written
 
 

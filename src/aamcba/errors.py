@@ -1,0 +1,6 @@
+"""The error a malformed scenario raises; a leaf module, so that both
+``ingest`` and ``factors.table`` can raise it."""
+
+
+class ScenarioError(ValueError):
+    """A series or scenario document failed validation."""

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 
 def adoption_share(farms_adopting: float, farms_total: float) -> float:
-    if farms_total <= 0:
-        raise ValueError(f"total farm count must be positive, got {farms_total}")
     return farms_adopting / farms_total
 
 
@@ -49,8 +47,6 @@ def livestock_savings_per_head(
     herd_size: float,
 ) -> float:
     """Per-animal labor savings from the published monitoring case study."""
-    if herd_size <= 0:
-        raise ValueError(f"herd size must be positive, got {herd_size}")
     return (hours_saved_hill + hours_saved_grassland) * labor_rate / herd_size
 
 

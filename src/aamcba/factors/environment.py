@@ -33,17 +33,11 @@ def non_co2_tons_per_gallon(
     co2_tons_per_gallon: float, co2_share_of_ghg: float
 ) -> float:
     """Methane-plus-nitrous tons per gallon implied by the CO2 share."""
-    if not 0.0 < co2_share_of_ghg <= 1.0:
-        raise ValueError(
-            f"CO2 share of GHG must be in (0, 1], got {co2_share_of_ghg}"
-        )
     return co2_tons_per_gallon * (1.0 / co2_share_of_ghg - 1.0)
 
 
 def fleet_gallons(vmt: float, mpg_fleet: float) -> float:
     """Fuel burned to drive the attributed vehicle miles."""
-    if mpg_fleet <= 0:
-        raise ValueError(f"fleet mpg must be positive, got {mpg_fleet}")
     return vmt / mpg_fleet
 
 
@@ -60,8 +54,6 @@ def local_ground_trips(
     us_annual_trips: float, us_population: float, population: float
 ) -> float:
     """US annual vehicle trips attributed to the region by population."""
-    if us_population <= 0:
-        raise ValueError(f"national population must be positive, got {us_population}")
     return population / us_population * us_annual_trips
 
 

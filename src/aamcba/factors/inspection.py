@@ -80,11 +80,6 @@ def inspection_cost_savings(
     drone_offhours: float | None = None,
 ) -> InspectionCostSavings:
     """BF-5 cost branch: status-quo cost minus the mixed drone/snooper cost."""
-    if drone_capable > inspections:
-        raise ValueError(
-            f"drone-capable count {drone_capable} exceeds total inspections "
-            f"{inspections}"
-        )
     sc = snooper_rate_core() if snooper_core is None else snooper_core
     so = SNOOPER_RATE_OFFHOURS if snooper_offhours is None else snooper_offhours
     dc = drone_rate_core() if drone_core is None else drone_core

@@ -33,8 +33,6 @@ def market_value(year: int, base_value: float, base_year: int, cagr: float) -> f
 
 def us_market_share(us_base: float, global_base: float) -> float:
     """US share of the global market in the base year."""
-    if global_base <= 0:
-        raise ValueError(f"global base value must be positive, got {global_base}")
     return us_base / global_base
 
 
@@ -53,8 +51,6 @@ def normalized_market(
     The printed form scales by the US share a second time; ``single_ratio``
     drops that extra factor and normalizes the US value directly.
     """
-    if us_value_2022 <= 0:
-        raise ValueError(f"2022 US market value must be positive, got {us_value_2022}")
     if single_ratio:
         return us_value / us_value_2022
     return us_value * share / us_value_2022
@@ -68,23 +64,17 @@ def smco_package_trips(
     us_population: float,
 ) -> float:
     """Annual drone package deliveries in the study region."""
-    if us_population <= 0:
-        raise ValueError(f"US population must be positive, got {us_population}")
     return normalized * (annual_parcels * parcel_fraction) * (population / us_population)
 
 
 def max_trips_per_drone(round_trip_min: float, operational_days: float) -> float:
     """Yearly ceiling on deliveries for one drone flying every operational day."""
-    if round_trip_min <= 0:
-        raise ValueError(f"round trip must take positive time, got {round_trip_min}")
     return 60.0 / round_trip_min * 24.0 * operational_days
 
 
 def fleet_size(
     package_trips: float, trips_per_drone: float, reserve_fraction: float
 ) -> FleetSize:
-    if trips_per_drone <= 0:
-        raise ValueError(f"trips per drone must be positive, got {trips_per_drone}")
     active = package_trips / trips_per_drone
     return FleetSize(active=active, reserve=reserve_fraction * active)
 
@@ -107,10 +97,6 @@ def logistics_cost_savings(
     """
     if package_trips <= 0:
         raise ValueError(f"package trips must be positive, got {package_trips}")
-    if packages_per_driver_day <= 0:
-        raise ValueError(
-            f"packages per driver-day must be positive, got {packages_per_driver_day}"
-        )
     truck_cost_per_package = driver_hours_per_day * truck_cost_per_hour / packages_per_driver_day
     capital = drone_capital_cost
     if amortize_capex_years is not None:
@@ -137,10 +123,6 @@ def warehouse_monthly_cost(
     area_per_worker_sf: float,
 ) -> float:
     """Monthly cost of one warehouse: lease plus staffing."""
-    if area_per_worker_sf <= 0:
-        raise ValueError(
-            f"area per worker must be positive, got {area_per_worker_sf}"
-        )
     return (rent_psf + nnn_psf) * size_sf + size_sf / area_per_worker_sf * (
         wage_per_year / 12.0
     )
@@ -159,8 +141,6 @@ def inventory_cost_bracket(
 ) -> float:
     """Per-pound-mile cost gap between truck and eVTOL (negative when flying
     costs more)."""
-    if truck_payload_lb <= 0 or evtol_payload_lb <= 0:
-        raise ValueError("payloads must be positive")
     return truck_cost_per_mile / truck_payload_lb - evtol_cost_per_mile / evtol_payload_lb
 
 

@@ -34,11 +34,6 @@ def life_saving_value_all_cases(
 ) -> list[float]:
     """Net value of added survivors for every network case, given the
     expected cardiac-arrest count."""
-    if len(survival_rates) != len(cost_per_survivor):
-        raise ValueError(
-            "survival rates and per-survivor costs must align, got "
-            f"{len(survival_rates)} and {len(cost_per_survivor)} cases"
-        )
     return [
         value * added
         for value, added in zip(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 def vtts_scaled(mhi: float, mhi_base: float, vtts_base: float) -> float:
     """Travel-time value re-scaled by median household income growth."""
-    if mhi_base <= 0:
-        raise ValueError(f"base MHI must be positive, got {mhi_base}")
     return mhi / mhi_base * vtts_base
 
 
@@ -21,15 +19,11 @@ def hours_saved(passenger_trips: float, minutes_saved_per_trip: float) -> float:
 
 def vmt_local(vmt_us: float, us_population: float, population: float) -> float:
     """Local vehicle miles traveled, scaled from the national figure by population."""
-    if us_population <= 0:
-        raise ValueError(f"US population must be positive, got {us_population}")
     return vmt_us / us_population * population
 
 
 def evtol_trips(passenger_trips: float, seats_per_vehicle: float) -> float:
     """Vehicle trips implied by passenger counts at full occupancy."""
-    if seats_per_vehicle <= 0:
-        raise ValueError(f"seats per vehicle must be positive, got {seats_per_vehicle}")
     return passenger_trips / seats_per_vehicle
 
 

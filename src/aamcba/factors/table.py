@@ -7,13 +7,16 @@ computes each intermediate once and hands it to ``rec(label, value,
 item=None)``, which returns the value unchanged. The engine passes a
 recorder that does nothing, or, for a factor whose plot table lists items,
 one that keeps the entries tagged with an ``item`` name; ``explain``
-passes one that keeps the whole trace.
+passes one that keeps the whole trace. A record may also hold a
+``check(s)`` across its inputs, which validation runs before any
+evaluation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from ..errors import ScenarioError
 from . import agriculture, environment, inspection, logistics, medical, mobility
 
 if TYPE_CHECKING:
@@ -48,6 +51,10 @@ class Factor:
     #: (toggle, constant) pairs: the constant is read while the toggle is on.
     toggle_constants: tuple[tuple[str, str], ...] = ()
     plot_items: bool = False
+    #: Checks across the factor's inputs, run by validation once its
+    #: constants are known present: a failure is a ScenarioError, and the
+    #: warnings are returned.
+    check: Callable[[Scenario], list[str]] | None = None
 
     def required_constants(self, s: Scenario) -> tuple[str, ...]:
         """The constants an evaluation under ``s``'s toggles reads."""
@@ -93,6 +100,17 @@ def _traffic_safety(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
         "expected fatality reduction", mobility.fatality_reduction(share, fatalities)
     )
     return reduction * rec("value of a statistical life ($)", v["vsl"])
+
+
+def _fatality_rates(s: Scenario) -> list[str]:
+    ground = s.constant("ground_fatality_per_100m_miles")
+    air = s.constant("air_fatality_per_100m_miles")
+    if air < ground:
+        return []
+    return [
+        f"air fatality rate ({air}) is not below ground rate ({ground}); "
+        "safety benefit will be non-positive"
+    ]
 
 
 def _package_trips(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
@@ -246,6 +264,17 @@ def _bridge_inspection(s: Scenario, v: Values, year: int, rec: Recorder) -> floa
     return delay_value + rec("inspection cost savings ($)", lines.savings)
 
 
+def _inspection_counts(s: Scenario) -> list[str]:
+    capable = s.constant("drone_capable_inspections")
+    total = s.constant("heavy_inspections_per_year")
+    if capable > total:
+        raise ScenarioError(
+            f"constant 'drone_capable_inspections' ({capable}) exceeds "
+            f"'heavy_inspections_per_year' ({total})"
+        )
+    return []
+
+
 def _farming(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     incremental = bool(s.toggle("bf6_incremental"))
     reading = (
@@ -308,12 +337,35 @@ def _medical_response(s: Scenario, v: Values, year: int, rec: Recorder) -> float
         count = int(count)
         rec(f"net value, {count} stations ($)", value, item=f"stations_{count}")
     case = s.toggle("bf7_case")
-    if not 0 <= case < len(values):
-        raise ValueError(
-            f"network case {case} out of range; {len(values)} cases defined"
-        )
     rec("selected network size (stations)", stations[case])
     return values[case]
+
+
+def _medical_ladder(s: Scenario) -> list[str]:
+    dsn = s.constant("DSN")
+    surv = s.constant("survival_rates")
+    cas = s.constant("CAS")
+    if not (len(dsn) == len(surv) == len(cas)):
+        raise ScenarioError(
+            f"DSN/survival_rates/CAS lengths differ: "
+            f"{len(dsn)}/{len(surv)}/{len(cas)}"
+        )
+    if len(dsn) < 2:
+        raise ScenarioError("DSN/survival_rates/CAS need at least 2 entries")
+    if dsn[0] != 0:
+        raise ScenarioError(f"DSN must start at 0 (no-drone case), got {dsn[0]}")
+    case = s.toggle("bf7_case")
+    # type(), not isinstance(): true and false are ints to isinstance
+    if type(case) is not int or not 1 <= case <= len(dsn) - 1:
+        raise ScenarioError(
+            f"bf7_case must be an integer in 1..{len(dsn) - 1}, got {case!r}"
+        )
+    warnings = []
+    if any(b < a for a, b in zip(surv, surv[1:])):
+        warnings.append("survival_rates are not non-decreasing across DSN cases")
+    if any(b < a for a, b in zip(dsn, dsn[1:])):
+        warnings.append("DSN station counts are not non-decreasing")
+    return warnings
 
 
 def _tax_revenue(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
@@ -395,6 +447,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         exogenous=("passenger_trips", "us_population"),
         historical=("vmt_us", "population", "vsl"),
         toggle_constants=(("bf2_use_trip_miles", "seats_per_evtol"),),
+        check=_fatality_rates,
     ),
     Factor(
         "BF3", "package delivery savings", "package_delivery",
@@ -432,6 +485,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
             "traffic_per_lane_hour", "delay_min_per_vehicle",
         ),
         historical=("mhi",),
+        check=_inspection_counts,
     ),
     Factor(
         "BF6", "farming productivity", "farming",
@@ -457,6 +511,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         constants=("ohca_per_100k", "DSN", "survival_rates", "CAS"),
         historical=("population", "vsl"),
         plot_items=True,
+        check=_medical_ladder,
     ),
     Factor(
         "BF8", "tax revenue", "tax_revenue", "plot_tax_ghg.csv", _tax_revenue,

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from .errors import ScenarioError
 from .factors.table import FACTOR_IDS, FACTORS
 from .forecast import ArimaOrder, ForecastError
-
-
-class ScenarioError(ValueError):
-    """A series or scenario document failed validation."""
+from .forecast.common import MIN_OBS
 
 
 class InvalidYAML(ValueError):
@@ -229,6 +227,25 @@ _BOOLEAN_TOGGLES = tuple(
 #: on a 31-point series stepping 0.1 from 30000.1, the regression broke down
 #: at spreads up to 1.8e-12 of the magnitude and not from 2.2e-12 on.
 LINEAR_RTOL = 1e-11
+
+#: The exogenous series the cost ledger reads, whatever the factors.
+_COST_SERIES = ("capex", "opex")
+
+#: Domains lo < value <= hi of the inputs the factor arithmetic divides by
+#: or compounds with, keyed by constant name, or by exogenous series name
+#: for a series checked over the horizon. Checked for the inputs the
+#: enabled factors read, so the arithmetic itself carries no guards.
+_DOMAINS: dict[str, tuple[float, float]] = {
+    **dict.fromkeys((
+        "MHI_2015", "seats_per_evtol", "mpg_fleet", "farms_total",
+        "herd_size_case_study", "market_value_2019", "us_market_2019",
+        "round_trip_min", "operational_days", "packages_per_driver_day",
+        "warehouse_area_per_worker_sf", "truck_payload_lb", "evtol_payload_lb",
+        "annual_parcels", "parcel_fraction", "us_annual_trips", "us_population",
+    ), (0.0, math.inf)),
+    "co2_share_of_ghg": (0.0, 1.0),
+    "market_cagr": (-1.0, math.inf),
+}
 
 #: Sanity brackets for warnings only; values outside are suspicious, not fatal.
 _MAGNITUDE_BRACKETS: dict[str, tuple[float, float]] = {
@@ -563,6 +580,15 @@ def scenario_from_dict(
     )
 
 
+def _outside_domain(key: str, value: float) -> str | None:
+    """How ``value`` misses ``key``'s domain; None if it lies inside."""
+    lo, hi = _DOMAINS[key]
+    if lo < value <= hi:
+        return None
+    bounds = f"greater than {lo:g}" if hi == math.inf else f"in ({lo:g}, {hi:g}]"
+    return f"must be {bounds}, got {value!r}"
+
+
 def validate_scenario(
     s: Scenario, factors: Iterable[str] | None = None
 ) -> list[str]:
@@ -582,9 +608,13 @@ def validate_scenario(
                 raise ScenarioError(
                     f"scenario constant '{key}' is required by {factor.id} but missing"
                 )
+            if key in _DOMAINS and (problem := _outside_domain(key, s.constants[key])):
+                raise ScenarioError(f"constant '{key}' {problem}")
+        if factor.check:
+            warnings += factor.check(s)
     # the cost ledger always runs
     needed_exo = [(f.id, name) for f in used for name in f.exogenous]
-    needed_exo += [("costs", "capex"), ("costs", "opex")]
+    needed_exo += [("costs", name) for name in _COST_SERIES]
     for f, name in needed_exo:
         if name not in s.input_series:
             raise ScenarioError(
@@ -597,6 +627,10 @@ def validate_scenario(
                 f"exogenous series '{name}' does not cover year {missing[0]} "
                 f"(covers {ts.first_year}-{ts.last_year})"
             )
+        if name in _DOMAINS:
+            for y in horizon:
+                if problem := _outside_domain(name, ts.value_at(y)):
+                    raise ScenarioError(f"exogenous series '{name}' in {y} {problem}")
     needed_hist: dict[str, str] = {}
     for factor in used:
         for name in factor.historical:
@@ -612,10 +646,10 @@ def validate_scenario(
                 f"historical series '{name}' extends to {ts.last_year}, "
                 f"into the forecast horizon starting {s.horizon_start}"
             )
-        if len(ts.values) < 8:
+        if len(ts.values) < MIN_OBS:
             raise ScenarioError(
                 f"historical series '{name}' has {len(ts.values)} points; "
-                f"at least 8 are needed for forecasting"
+                f"at least {MIN_OBS} are needed for forecasting"
             )
         steps = [b - a for a, b in zip(ts.values, ts.values[1:])]
         spread = max(steps) - min(steps)
@@ -627,30 +661,6 @@ def validate_scenario(
             raise ScenarioError(
                 f"historical series '{name}' is {shape}; it cannot be forecast"
             )
-
-    if "BF7" in enabled:
-        dsn = s.constant("DSN")
-        surv = s.constant("survival_rates")
-        cas = s.constant("CAS")
-        if not (len(dsn) == len(surv) == len(cas)):
-            raise ScenarioError(
-                f"DSN/survival_rates/CAS lengths differ: "
-                f"{len(dsn)}/{len(surv)}/{len(cas)}"
-            )
-        if len(dsn) < 2:
-            raise ScenarioError("DSN/survival_rates/CAS need at least 2 entries")
-        if dsn[0] != 0:
-            raise ScenarioError(f"DSN must start at 0 (no-drone case), got {dsn[0]}")
-        case = s.toggle("bf7_case")
-        # type(), not isinstance(): true and false are ints to isinstance
-        if type(case) is not int or not 1 <= case <= len(dsn) - 1:
-            raise ScenarioError(
-                f"bf7_case must be an integer in 1..{len(dsn) - 1}, got {case!r}"
-            )
-        if any(b < a for a, b in zip(surv, surv[1:])):
-            warnings.append("survival_rates are not non-decreasing across DSN cases")
-        if any(b < a for a, b in zip(dsn, dsn[1:])):
-            warnings.append("DSN station counts are not non-decreasing")
 
     for key in _BOOLEAN_TOGGLES:
         if not isinstance(s.toggle(key), bool):
@@ -669,15 +679,7 @@ def validate_scenario(
             f"got {amortize!r}"
         )
 
-    if "BF2" in enabled:
-        a_g = s.constant("ground_fatality_per_100m_miles")
-        a_a = s.constant("air_fatality_per_100m_miles")
-        if a_a >= a_g:
-            warnings.append(
-                f"air fatality rate ({a_a}) is not below ground rate ({a_g}); "
-                "safety benefit will be non-positive"
-            )
-    for name in ("capex", "opex"):
+    for name in _COST_SERIES:
         ts = s.input_series.get(name)
         if ts and any(v < 0 for v in ts.values):
             warnings.append(f"'{name}' has negative entries")
@@ -713,7 +715,7 @@ def required_inputs(
     """Constant, exogenous, and historical names the given factors need
     under any toggles (``validate_scenario`` adds toggle-bound constants)."""
     constants: set[str] = set()
-    exogenous: set[str] = {"capex", "opex"}
+    exogenous: set[str] = set(_COST_SERIES)
     historical: set[str] = set()
     for f in normalize_factors(factors):
         constants.update(FACTORS[f].constants)

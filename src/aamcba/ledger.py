@@ -82,10 +82,6 @@ class AnnualResult:
     opex: float
 
     @property
-    def total_benefits(self) -> BandValue:
-        return band_sum(self.benefits.values())
-
-    @property
     def cost(self) -> float:
         return self.capex + self.opex
 

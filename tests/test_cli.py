@@ -283,6 +283,25 @@ def _set(*path_and_value):
     return edit
 
 
+#: A constant set outside its domain. Validation must reject each one,
+#: because the factor arithmetic does not guard it.
+DOMAIN_CASES = [
+    ("mpg_fleet", 0, "greater than 0, got 0.0"),
+    ("farms_total", 0, "greater than 0, got 0.0"),
+    ("seats_per_evtol", 0, "greater than 0, got 0.0"),
+    ("co2_share_of_ghg", 0, "in (0, 1], got 0.0"),
+    ("co2_share_of_ghg", 1.2, "in (0, 1], got 1.2"),
+    ("market_cagr", -1.0, "greater than -1, got -1.0"),
+    *((key, 0, "greater than 0, got 0.0") for key in (
+        "MHI_2015", "herd_size_case_study", "market_value_2019",
+        "us_market_2019", "round_trip_min", "operational_days",
+        "packages_per_driver_day", "warehouse_area_per_worker_sf",
+        "truck_payload_lb", "evtol_payload_lb", "annual_parcels",
+        "parcel_fraction", "us_annual_trips",
+    )),
+]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set("constants", [1, 2]), "'constants' must be a mapping"),
     (_set("constants", "DSN", 3), "constant 'DSN' must be a list of numbers"),
@@ -296,9 +315,18 @@ def _set(*path_and_value):
      "series 'mhi' has a non-numeric value 'x'"),
     (_set("series", "exogenous", [1]), "'exogenous' must be a mapping"),
     (_set("toggles", "all"), "'toggles' must be a mapping"),
+    *((_set("constants", key, value), f"constant '{key}' must be {rule}")
+      for key, value, rule in DOMAIN_CASES),
+    (_set("series", "exogenous", "us_population", "values", 3, 0),
+     "exogenous series 'us_population' in 2025 must be greater than 0, got 0.0"),
+    (_set("constants", "drone_capable_inspections", 500.0),
+     "constant 'drone_capable_inspections' (500.0) exceeds "
+     "'heavy_inspections_per_year' (400.0)"),
 ], ids=["constants-list", "DSN-scalar", "constant-string", "horizon-string",
         "horizon-fraction", "horizon-infinite", "values-scalar", "value-string",
-        "exogenous-list", "toggles-string"])
+        "exogenous-list", "toggles-string",
+        *(f"{key}={value}" for key, value, _ in DOMAIN_CASES),
+        "us_population-2025=0", "drone_capable_inspections-above-total"])
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message):
     doc = _bundled_doc()
     edit(doc)
@@ -308,6 +336,19 @@ def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message)
         err = capsys.readouterr().err
         assert message in err
         assert "numerical failure" not in err
+
+
+def test_forecast_subpackage_imports_in_a_fresh_interpreter():
+    # The package namespace once re-exported the function ``forecast``,
+    # which shadowed the subpackage of that name.
+    env = {**os.environ, "PYTHONPATH": str(Path(aamcba.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import aamcba.forecast.arima as m; print(m.__name__)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "aamcba.forecast.arima\n"
 
 
 def test_validate_rejects_out_of_range_pin_and_constant_series(tmp_path, capsys):

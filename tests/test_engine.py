@@ -170,7 +170,6 @@ def test_write_outputs_full_set(default_evaluation, tmp_path):
         "plot_delivery_savings.csv",
         "plot_farming_components.csv",
         "plot_medical_cases.csv",
-        "plot_npi_band.csv",
         "plot_tax_ghg.csv",
         "plot_time_safety_inspection.csv",
     ]

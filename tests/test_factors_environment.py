@@ -34,18 +34,12 @@ def test_blended_non_co2_cost():
 def test_non_co2_tons_per_gallon():
     got = non_co2_tons_per_gallon(8.89e-3, 0.993)
     assert got == pytest.approx(6.266868076535731e-05, rel=1e-9)
-    with pytest.raises(ValueError, match="CO2 share of GHG"):
-        non_co2_tons_per_gallon(8.89e-3, 0.0)
-    with pytest.raises(ValueError, match="CO2 share of GHG"):
-        non_co2_tons_per_gallon(8.89e-3, 1.2)
 
 
 def test_emission_split_reproduces_the_share():
     co2, other = ground_emissions(fleet_gallons(1e9, 22.5), 8.89e-3, 0.993)
     assert co2 / (co2 + other) == pytest.approx(0.993, abs=1e-9)
     assert fleet_gallons(1e9, 22.5) == pytest.approx(1e9 / 22.5, rel=1e-15)
-    with pytest.raises(ValueError, match="fleet mpg"):
-        fleet_gallons(1e9, 0.0)
 
 
 def test_trip_attribution_and_demand():
@@ -53,8 +47,6 @@ def test_trip_attribution_and_demand():
     assert trips == pytest.approx(3.9e6 / 3.33e8 * 4.11e11, rel=1e-15)
     share = demand_factor(2500.0, 8.0e6, 15000.0, trips)
     assert share == pytest.approx((2500.0 + 8.0e6 + 15000.0) / trips, rel=1e-15)
-    with pytest.raises(ValueError, match="national population"):
-        local_ground_trips(4.11e11, 0.0, 3.9e6)
     with pytest.raises(ValueError, match="ground trip count"):
         demand_factor(2500.0, 8.0e6, 15000.0, 0.0)
 

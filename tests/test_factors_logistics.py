@@ -42,8 +42,6 @@ def test_us_market_share():
     assert us_market_share(211.553, 343.303) == pytest.approx(
         0.6162282298727363, rel=1e-12
     )
-    with pytest.raises(ValueError, match="global base value"):
-        us_market_share(211.553, 0.0)
 
 
 def test_normalized_market_modes():
@@ -51,21 +49,15 @@ def test_normalized_market_modes():
     assert normalized_market(100.0, 0.6, 50.0, single_ratio=True) == pytest.approx(
         2.0, rel=1e-15
     )
-    with pytest.raises(ValueError, match="2022 US market value"):
-        normalized_market(100.0, 0.6, 0.0)
 
 
 def test_local_package_trips():
     got = smco_package_trips(1.5, 6.5e9, 0.86, 3.9e6, 3.33e8)
     assert got == pytest.approx(98202702.7027027, rel=1e-12)
-    with pytest.raises(ValueError, match="US population"):
-        smco_package_trips(1.5, 6.5e9, 0.86, 3.9e6, 0.0)
 
 
 def test_drone_trip_ceiling_is_exact():
     assert max_trips_per_drone(24.0, 284.0) == 17040.0
-    with pytest.raises(ValueError, match="round trip"):
-        max_trips_per_drone(0.0, 284.0)
 
 
 def test_fleet_size_reserve_structure():
@@ -73,8 +65,6 @@ def test_fleet_size_reserve_structure():
     assert fleet.active == pytest.approx(10.0, rel=1e-15)
     assert fleet.total == pytest.approx(2.25 * fleet.active, rel=1e-12)
     assert FleetSize(active=8.0, reserve=2.0).total == 18.0
-    with pytest.raises(ValueError, match="trips per drone"):
-        fleet_size(100.0, 0.0, 0.25)
 
 
 def test_logistics_cost_savings_anchor():
@@ -89,8 +79,6 @@ def test_logistics_capex_amortization():
     assert spread == pytest.approx(163980.0, rel=1e-9)
     with pytest.raises(ValueError, match="package trips must be positive"):
         logistics_cost_savings(0.0, 22.5, 10.0, 30.0, 250.0, 4000.0, 800.0)
-    with pytest.raises(ValueError, match="packages per driver-day"):
-        logistics_cost_savings(1.0, 22.5, 10.0, 30.0, 0.0, 4000.0, 800.0)
 
 
 def test_package_lead_time_value():
@@ -103,8 +91,6 @@ def test_cargo_months_and_warehouse():
     monthly = warehouse_monthly_cost(0.79, 0.25, 39631.0, 27867.0, 138.0)
     assert monthly == pytest.approx(708122.6874637682, rel=1e-12)
     assert cargo_cost_savings(2.0, monthly) == pytest.approx(2.0 * monthly, rel=1e-15)
-    with pytest.raises(ValueError, match="area per worker"):
-        warehouse_monthly_cost(0.79, 0.25, 39631.0, 27867.0, 0.0)
 
 
 def test_inventory_bracket_sign_modes():
@@ -118,8 +104,6 @@ def test_inventory_bracket_sign_modes():
     assert flipped == pytest.approx(-as_printed, rel=1e-15)
     with pytest.raises(ValueError, match="unknown sign mode"):
         cargo_inventory_cost(bracket, 525.0, 50.0, 1000.0, sign="upside_down")
-    with pytest.raises(ValueError, match="payloads must be positive"):
-        inventory_cost_bracket(1.417, 0.0, 34.0, 525.0)
 
 
 def test_cargo_headline_netting():

@@ -62,17 +62,3 @@ def test_baseline_case_is_worth_nothing(factor_value):
 def test_single_case_selection(factor_value):
     got = _case_value(factor_value, 5)
     assert got == pytest.approx(ALL_CASES_REFERENCE[5], rel=1e-12)
-
-
-def test_case_out_of_range(factor_value):
-    with pytest.raises(ValueError, match="network case 6 out of range"):
-        _case_value(factor_value, 6)
-    with pytest.raises(ValueError, match="out of range"):
-        _case_value(factor_value, -1)
-
-
-def test_mismatched_vectors_raise():
-    with pytest.raises(ValueError, match="must align"):
-        life_saving_value_all_cases(
-            2145.0, 1.17e7, SURVIVAL_RATES, COST_PER_SURVIVOR[:-1]
-        )

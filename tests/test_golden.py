@@ -70,8 +70,6 @@ DEFAULT_RUN = {
         "532c8f43a226886bb57e37aa60819898c5a0f9faf66d3a81218a2b4db5497703",
     "plot_medical_cases.csv":
         "6b6071ee83ad324a17772748a6982b5d3cfd2e016b234dfa9c4b34fd1db0ed96",
-    "plot_npi_band.csv":
-        "0d8d20531a58046201cfffed4237ee459d285b37472f69b0f350f493fad1970e",
     "plot_tax_ghg.csv":
         "48053df9a6c43bd50f34b1b2a46c2dff3030d3d0ae49e875314f1e4bd8fad012",
     "plot_time_safety_inspection.csv":
@@ -98,8 +96,6 @@ TOGGLED_RUN = {
         "30b92d56c93b9a2e9b9d0ac135d64d2db272610c292dfd7c6e4f0a81bddc9ef9",
     "plot_farming_components.csv":
         "3232f22e17c7d2a587215b108263f0216458f1e30bafc5e6aa3e7282bddde7af",
-    "plot_npi_band.csv":
-        "30b92d56c93b9a2e9b9d0ac135d64d2db272610c292dfd7c6e4f0a81bddc9ef9",
     "results.csv":
         "b6d9d54e0f4a43cdc78f77f6ab8efd02e56bea40074bb51a0ec908195ce4c0d7",
     "summary.json":
@@ -159,8 +155,6 @@ SUBSET_RUN = {
         "614fff8dce49d9bdd310c3f963c608af6f54e4fd14c88f3ad7128d0a4cbf835e",
     "plot_medical_cases.csv":
         "36c155cf0cb572db4bddd87bba391f498ce752a3cea48d6de92c5e5803d97e0e",
-    "plot_npi_band.csv":
-        "c9eb723fcf07167f70c98ff40bd422dcd96804175534d07ccad9f40fab2a22da",
     "plot_time_safety_inspection.csv":
         "f69eaa5955afcf0235ac8da4b1c402b98a6823a2f222c6a80c74570a6d21a466",
     "results.csv":

@@ -73,7 +73,6 @@ def test_annual_result_validation_and_views():
         opex=0.5,
     )
     assert result.cost == 2.0
-    assert result.total_benefits.mean == 6.0
     assert result.npi.mean == 4.0
 
 
