@@ -1,7 +1,7 @@
 """Golden ``explain`` traces: the sha256 of ``explain(result, factor, year)``
 for every factor in the first and last horizon years of the bundled
-scenario, with default toggles and with the golden run's two toggles
-flipped.
+scenario, with default toggles, with the golden run's two toggles
+flipped, and with the two toggles no golden run flips.
 
 ``tests/test_golden.py`` pins the files ``aamcba run`` writes; this pins
 the derivation text, which no output file carries. A change to any label,
@@ -66,12 +66,32 @@ TOGGLED_TRACES = {
         "c65e6b098fb85f37ead26310d615abc0c0461e3dc89a69b96aa8e9f4f14fba47",
 }
 
+# bf3_single_ratio changes the package count that BF3 and BF9 read;
+# bf6_matching_area moves the corn cost line onto the corn acreage.
+RATIO_AREA_TRACES = {
+    **DEFAULT_TRACES,
+    ("BF3", 2022):
+        "b879043d15998d06808d675519fb51ea7ce9ae082c16f2ba6d2bc1cc7866b641",
+    ("BF3", 2032):
+        "81b5a586ae3f2795338ee01b8675a7a2df39505b43e236817353a2dd6c090c05",
+    ("BF6", 2022):
+        "5d81431c774de454ec69cfb2aba088bbcc93ef4c332d4bda487fe4191d5587b3",
+    ("BF6", 2032):
+        "05ec5904349b788b6d2cbccf0388589c507070d46cc14c3978f0a092ada6558f",
+    ("BF9", 2022):
+        "3333dafe16080d05de23a44747d2d5a85adf5489898dff6028ee406eddf69bc1",
+    ("BF9", 2032):
+        "2c3a0e1dd920be286e04355bb881ecf1102a2c5cbe885dcc2dad123aa23290c9",
+}
+
 
 # bf6_incremental changes the farming trace, bf7_case the medical one.
 @pytest.mark.parametrize("toggles, expected", [
     ({}, DEFAULT_TRACES),
     ({"bf6_incremental": True, "bf7_case": 3}, TOGGLED_TRACES),
-], ids=["default", "bf6_incremental-bf7_case3"])
+    ({"bf3_single_ratio": True, "bf6_matching_area": False}, RATIO_AREA_TRACES),
+], ids=["default", "bf6_incremental-bf7_case3",
+        "bf3_single_ratio-bf6_matching_area_off"])
 def test_explain_traces_match_golden_hashes(default_scenario, toggles, expected):
     scenario = default_scenario.with_overrides(toggles=toggles)
     result = evaluate(scenario)
