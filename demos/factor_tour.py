@@ -1,69 +1,33 @@
 """Tour a few benefit factors with their intermediate quantities visible.
 
-Each section calls the underlying factor functions directly with round
-published-style inputs so the arithmetic can be followed by hand. The
-last section runs the bundled scenario and prints the engine's own
-derivation trace for the inspection factor, which shows the same style
-of arithmetic wired into a full yearly evaluation.
+Runs the bundled scenario on package delivery (BF3), bridge inspection
+(BF5) and greenhouse-gas reduction (BF9), and prints each factor's
+derivation trace, as ``aamcba explain`` does, for the first and last
+horizon years. Every step is computed once, by the same code that
+produces the factor's value, so the arithmetic can be followed by hand.
 
 Run with: python3 demos/factor_tour.py
 """
 from __future__ import annotations
 
 from aamcba.engine import evaluate, explain
-from aamcba.factors.environment import non_co2_tons_per_gallon, social_cost_forward
-from aamcba.factors.inspection import inspection_cost_savings
-from aamcba.factors.logistics import fleet_size, market_value, max_trips_per_drone, us_market_share
 from aamcba.ingest import default_scenario_path, load_scenario
+
+TOUR = (
+    ("BF3", "sizing the drone logistics market, its fleet and its savings"),
+    ("BF5", "infrastructure inspection, truck vs drone"),
+    ("BF9", "carbon pricing the replaced ground trips"),
+)
 
 
 def main() -> None:
-    print("== sizing the drone logistics market ==")
-    base_year, base_value, growth = 2019, 343.303, 0.538
-    for year in (2025, 2030):
-        value = market_value(year, base_value, base_year, growth)
-        print(
-            f"global market, {year}: ${value:,.0f}M "
-            f"(${base_value}M in {base_year} compounding at {growth:.1%})"
-        )
-    share = us_market_share(211.553, 343.303)
-    print(f"US share of the global market: {share:.2%}")
-
-    print()
-    print("== fleet sizing from a duty cycle ==")
-    per_drone = max_trips_per_drone(24.0, 284.0)
-    print(
-        f"24-minute round trips over 284 operational days: "
-        f"{per_drone:,.0f} deliveries/yr per drone"
-    )
-    fleet = fleet_size(5_112_000.0, per_drone, 0.25)
-    print(
-        f"5,112,000 deliveries/yr keeps {fleet.active:,.0f} drones in the air; "
-        f"doubling for charging and adding a 25% reserve makes "
-        f"{fleet.total:,.0f} airframes"
-    )
-
-    print()
-    print("== infrastructure inspection, truck vs drone ==")
-    costs = inspection_cost_savings(400.0, 200.0, 0.8)
-    print(f"all 400 inspections by snooper truck:   ${costs.all_snooper:,.0f}")
-    print(f"drone-capable share flown by drone:     ${costs.drone_share:,.0f}")
-    print(f"remainder still done by truck:          ${costs.snooper_share:,.0f}")
-    print(f"annual savings from the mixed program:  ${costs.savings:,.0f}")
-
-    print()
-    print("== carbon pricing a replaced trip ==")
-    for year in (2022, 2027, 2032):
-        scc = social_cost_forward(51.0, year, 2020, 0.03)
-        print(f"social cost of CO2 in {year}: ${scc:,.2f}/t ($51/t in 2020 at 3%/yr)")
-    g_mn = non_co2_tons_per_gallon(8.89e-3, 0.993)
-    print(f"non-CO2 greenhouse gases per gallon burned: {g_mn:.3e} t CO2-equivalent")
-
-    print()
-    print("== the same arithmetic inside a scenario run ==")
     scenario = load_scenario(default_scenario_path())
-    result = evaluate(scenario, factors=("BF5",))
-    print(explain(result, "BF5", scenario.horizon_start))
+    result = evaluate(scenario, factors=tuple(factor for factor, _ in TOUR))
+    for factor, title in TOUR:
+        print(f"== {title} ==")
+        for year in (scenario.horizon_start, scenario.horizon_end):
+            print(explain(result, factor, year))
+        print()
 
 
 if __name__ == "__main__":

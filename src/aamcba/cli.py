@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except ForecastError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (FloatingPointError, ZeroDivisionError, ValueError) as err:
+    except (ArithmeticError, ValueError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

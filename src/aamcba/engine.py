@@ -2,7 +2,7 @@
 
 The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
-forecast channels (lower, mean, upper), each as ``factors.table`` defines
+forecast channels (lower, mean, upper), each as ``factors`` defines
 it. Factor arithmetic is monotone in the banded inputs, so running the
 channels through the same formulas keeps a valid 95% band; the band
 constructor re-orders the endpoints in the rare case a formula inverts
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .factors.table import FACTORS, Recorder, no_record
+from .factors import FACTORS, Recorder, no_record
 from .forecast import ArimaOrder, ForecastError, PipelineResult, auto_pipeline
 from .ingest import (
     FACTOR_IDS,

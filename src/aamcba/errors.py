@@ -1,5 +1,5 @@
 """The error a malformed scenario raises; a leaf module, so that both
-``ingest`` and ``factors.table`` can raise it."""
+``ingest`` and ``factors`` can raise it."""
 
 
 class ScenarioError(ValueError):

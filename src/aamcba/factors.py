@@ -10,22 +10,38 @@ one that keeps the entries tagged with an ``item`` name; ``explain``
 passes one that keeps the whole trace. A record may also hold a
 ``check(s)`` across its inputs, which validation runs before any
 evaluation.
+
+The arithmetic is scalar; forecast bands come from evaluating each channel
+in turn (every factor is monotone in its banded inputs). The scenario
+inputs are validated upstream, by ``ingest.validate_scenario`` and each
+factor's ``check``, so the arithmetic guards only three values derived
+from forecasts: local VMT, ground trips and package trips.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from ..errors import ScenarioError
-from . import agriculture, environment, inspection, logistics, medical, mobility
+from .errors import ScenarioError
 
 if TYPE_CHECKING:
-    from ..ingest import Scenario
+    from .ingest import Scenario
 
 Recorder = Callable[..., float]
 Values = Mapping[str, float]
 
 _CROPS = ("soybean", "corn", "wheat")
+
+_MINUTES_PER_DAY = 24.0 * 60.0
+_MINUTES_PER_MONTH = 30.0 * _MINUTES_PER_DAY
+
+# Per-inspection cost rates (core hours, off hours). The core rates are the
+# source table's printed payroll plus equipment subtotals. Its per-line
+# labor figures do not reproduce those subtotals (the table is internally
+# inconsistent), so the printed subtotals are canonical here; the tests pin
+# the discrepancy.
+_SNOOPER_RATES = (2018.0 + 1125.0, 4152.0)
+_DRONE_RATES = (427.0 + 95.0, 735.0)
 
 
 def no_record(label: str, value: float, item: str | None = None) -> float:
@@ -63,42 +79,61 @@ class Factor:
         )
 
 
+def _vtts(s: Scenario, v: Values) -> float:
+    """Travel-time value re-scaled by median household income growth."""
+    return v["mhi"] / s.constant("MHI_2015") * s.constant("VTTS_2015")
+
+
+def _vmt_local(v: Values) -> float:
+    """Local vehicle miles, scaled from the national figure by population."""
+    return v["vmt_us"] / v["us_population"] * v["population"]
+
+
+def _grown(value: float, rate: float, years: float) -> float:
+    """``value`` compounded at ``rate`` a year for ``years`` years."""
+    return value * (1.0 + rate) ** years
+
+
+def _blended(count: float, core_share: float, rates: tuple[float, float]) -> float:
+    """Annual cost of ``count`` inspections split across core and off hours."""
+    rate_core, rate_offhours = rates
+    core_count = count * core_share
+    return core_count * rate_core + (count - core_count) * rate_offhours
+
+
 def _passenger_time(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     rec("median household income ($/yr)", v["mhi"])
-    vtts = rec(
-        "value of travel time, income-scaled ($/h)",
-        mobility.vtts_scaled(v["mhi"], s.constant("MHI_2015"), s.constant("VTTS_2015")),
-    )
+    vtts = rec("value of travel time, income-scaled ($/h)", _vtts(s, v))
     trips = rec("passenger trips", v["passenger_trips"])
     minutes = rec("minutes saved per trip", s.constant("trip_time_saved_min"))
-    hours = rec("passenger hours saved", mobility.hours_saved(trips, minutes))
+    hours = rec("passenger hours saved", trips * minutes / 60.0)
     return hours * vtts
 
 
 def _traffic_safety(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
-    vmt = rec(
-        "local road miles, population-scaled (mi)",
-        mobility.vmt_local(v["vmt_us"], v["us_population"], v["population"]),
-    )
+    # The local VMT cancels algebraically (the share of it flown times the
+    # fatalities avoided over all of it); it is still computed stepwise so
+    # that each link can be reported.
+    vmt = rec("local road miles, population-scaled (mi)", _vmt_local(v))
     fatalities = rec(
         "fatalities avoided at full substitution",
-        mobility.avoided_fatalities(
-            vmt,
-            s.constant("ground_fatality_per_100m_miles"),
-            s.constant("air_fatality_per_100m_miles"),
+        vmt / 1e8 * (
+            s.constant("ground_fatality_per_100m_miles")
+            - s.constant("air_fatality_per_100m_miles")
         ),
     )
     trips = v["passenger_trips"]
     if s.toggle("bf2_use_trip_miles"):
-        trips = mobility.evtol_trips(trips, s.constant("seats_per_evtol"))
+        # vehicle trips at full occupancy, not passenger trips
+        trips = trips / s.constant("seats_per_evtol")
     rec("trips moved to the air", trips)
+    if vmt <= 0:
+        raise ValueError(f"local VMT must be positive, got {vmt}")
     share = rec(
         "share of road miles replaced",
-        mobility.air_miles_share(trips, s.constant("trip_distance_miles"), vmt),
+        trips * s.constant("trip_distance_miles") / vmt,
     )
-    reduction = rec(
-        "expected fatality reduction", mobility.fatality_reduction(share, fatalities)
-    )
+    reduction = rec("expected fatality reduction", share * fatalities)
     return reduction * rec("value of a statistical life ($)", v["vsl"])
 
 
@@ -114,33 +149,31 @@ def _fatality_rates(s: Scenario) -> list[str]:
 
 
 def _package_trips(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
-    base_year = int(s.constants.get("market_base_year", 2019))
+    """Annual drone package deliveries in the study region: the global
+    market projection, cut to the US share, normalized by its level in the
+    first horizon year, applied to the region's share of US parcels."""
+    base_year = s.constant("market_base_year")
     base_value = s.constant("market_value_2019")
     cagr = s.constant("market_cagr")
-    share = logistics.us_market_share(s.constant("us_market_2019"), base_value)
+    share = s.constant("us_market_2019") / base_value
     value_year = rec(
         "global drone logistics market ($M)",
-        logistics.market_value(year, base_value, base_year, cagr),
+        _grown(base_value, cagr, year - base_year),
     )
     rec("US market share", share)
-    us_year = rec("US market value ($M)", logistics.us_market_value(value_year, share))
-    value_first = logistics.market_value(s.horizon_start, base_value, base_year, cagr)
-    us_first = logistics.us_market_value(value_first, share)
-    norm = rec(
-        "market level vs first horizon year",
-        logistics.normalized_market(
-            us_year, share, us_first, single_ratio=bool(s.toggle("bf3_single_ratio"))
-        ),
-    )
+    us_year = rec("US market value ($M)", value_year * share)
+    us_first = _grown(base_value, cagr, s.horizon_start - base_year) * share
+    # The printed form scales by the US share a second time;
+    # bf3_single_ratio drops that extra factor.
+    if s.toggle("bf3_single_ratio"):
+        norm = us_year / us_first
+    else:
+        norm = us_year * share / us_first
+    norm = rec("market level vs first horizon year", norm)
     return rec(
         "drone package deliveries",
-        logistics.smco_package_trips(
-            norm,
-            s.constant("annual_parcels"),
-            s.constant("parcel_fraction"),
-            v["population"],
-            v["us_population"],
-        ),
+        norm * (s.constant("annual_parcels") * s.constant("parcel_fraction"))
+        * (v["population"] / v["us_population"]),
     )
 
 
@@ -148,31 +181,36 @@ def _package_delivery(s: Scenario, v: Values, year: int, rec: Recorder) -> float
     trips = _package_trips(s, v, year, rec)
     per_drone = rec(
         "deliveries one drone can fly per year",
-        logistics.max_trips_per_drone(
-            s.constant("round_trip_min"), s.constant("operational_days")
-        ),
+        60.0 / s.constant("round_trip_min") * 24.0 * s.constant("operational_days"),
     )
-    fleet = logistics.fleet_size(trips, per_drone, s.constant("reserve_fraction"))
-    rec("active drone fleet", fleet.active)
-    rec("fleet incl. rotation and reserve", fleet.total)
+    active = rec("active drone fleet", trips / per_drone)
+    # one flying shift, one charging shift, plus the reserve pool
+    fleet = rec(
+        "fleet incl. rotation and reserve",
+        2.0 * active + s.constant("reserve_fraction") * active,
+    )
+    if trips <= 0:
+        raise ValueError(f"package trips must be positive, got {trips}")
+    truck_per_package = (
+        s.constant("driver_hours_per_day") * s.constant("truck_cost_per_hour")
+        / s.constant("packages_per_driver_day")
+    )
+    # As printed the full drone capital cost is charged against every
+    # year's deliveries; amortize_capex_years spreads it over that many.
+    capital = s.constant("drone_capital_cost")
+    years = s.toggle("amortize_capex_years")
+    if years is not None:
+        capital /= years
+    drone_per_package = (
+        (capital + s.constant("drone_operating_cost")) * fleet / trips
+    )
     cost = rec(
         "cost savings vs truck delivery ($)",
-        logistics.logistics_cost_savings(
-            trips,
-            fleet.total,
-            s.constant("driver_hours_per_day"),
-            s.constant("truck_cost_per_hour"),
-            s.constant("packages_per_driver_day"),
-            s.constant("drone_capital_cost"),
-            s.constant("drone_operating_cost"),
-            amortize_capex_years=s.toggle("amortize_capex_years"),
-        ),
+        (truck_per_package - drone_per_package) * trips,
     )
     lead = rec(
         "delivery lead-time value ($)",
-        logistics.package_lead_time_value(
-            trips, s.constant("ATS_min"), s.constant("VDTS")
-        ),
+        trips * (s.constant("ATS_min") / _MINUTES_PER_DAY) * s.constant("VDTS"),
     )
     return cost + lead
 
@@ -181,49 +219,36 @@ def _air_cargo(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     trips = rec("cargo trips", v["cargo_trips"])
     months = rec(
         "delivery months saved",
-        logistics.cargo_months_saved(trips, s.constant("trip_time_saved_min")),
+        trips * s.constant("trip_time_saved_min") / _MINUTES_PER_MONTH,
     )
+    size = s.constant("warehouse_size_sf")
     warehouse = rec(
         "monthly warehouse cost ($)",
-        logistics.warehouse_monthly_cost(
-            s.constant("warehouse_rent_psf_month"),
-            s.constant("warehouse_nnn_psf_month"),
-            s.constant("warehouse_size_sf"),
-            s.constant("warehouse_wage_year"),
-            s.constant("warehouse_area_per_worker_sf"),
-        ),
+        (s.constant("warehouse_rent_psf_month") + s.constant("warehouse_nnn_psf_month"))
+        * size
+        + size / s.constant("warehouse_area_per_worker_sf")
+        * (s.constant("warehouse_wage_year") / 12.0),
     )
-    cost_savings = rec(
-        "warehouse cost avoided ($)", logistics.cargo_cost_savings(months, warehouse)
-    )
+    cost_savings = rec("warehouse cost avoided ($)", months * warehouse)
+    payload = s.constant("evtol_payload_lb")
     bracket = rec(
         "cost gap per lb-mile, truck minus eVTOL ($)",
-        logistics.inventory_cost_bracket(
-            s.constant("truck_cost_per_mile"),
-            s.constant("truck_payload_lb"),
-            s.constant("evtol_cost_per_mile"),
-            s.constant("evtol_payload_lb"),
-        ),
+        s.constant("truck_cost_per_mile") / s.constant("truck_payload_lb")
+        - s.constant("evtol_cost_per_mile") / payload,
     )
-    inventory = rec(
-        "inventory carry cost of flying ($)",
-        logistics.cargo_inventory_cost(
-            bracket,
-            s.constant("evtol_payload_lb"),
-            s.constant("trip_distance_miles"),
-            trips,
-            sign=s.toggle("bf4_ci_sign"),
-        ),
-    )
+    inventory = bracket * payload * s.constant("trip_distance_miles") * trips
+    # As printed the bracket is negative, so this cost is negative and
+    # adds to the savings below; positive_extra_cost reads it as a positive
+    # extra cost instead.
+    if s.toggle("bf4_ci_sign") == "positive_extra_cost":
+        inventory = abs(inventory)
+    inventory = rec("inventory carry cost of flying ($)", inventory)
     realizable = rec("realizable share", s.constant("evtol_cost_share"))
     core = rec(
         "net cost and inventory savings ($)",
-        logistics.cargo_time_inventory_savings(cost_savings, inventory, realizable),
+        realizable * (cost_savings - inventory),
     )
-    lead = rec(
-        "cargo lead-time value ($)",
-        logistics.cargo_lead_time_value(months, s.constant("VDTS")),
-    )
+    lead = rec("cargo lead-time value ($)", months * 30.0 * s.constant("VDTS"))
     return core + lead
 
 
@@ -232,36 +257,35 @@ def _bridge_inspection(s: Scenario, v: Values, year: int, rec: Recorder) -> floa
     traffic = s.constant("traffic_per_lane_hour")
     slow = rec(
         "vehicles delayed, traditional closures",
-        inspection.vehicles_delayed(
-            inspections, s.constant("lane_closure_hours_traditional"), traffic
-        ),
+        inspections * s.constant("lane_closure_hours_traditional") * traffic,
     )
     fast = rec(
         "vehicles delayed, drone-assisted closures",
-        inspection.vehicles_delayed(
-            inspections, s.constant("lane_closure_hours_drone"), traffic
-        ),
+        inspections * s.constant("lane_closure_hours_drone") * traffic,
     )
     hours = rec(
         "vehicle delay hours avoided",
-        inspection.delay_hours_saved(slow, fast, s.constant("delay_min_per_vehicle")),
+        (slow - fast) * s.constant("delay_min_per_vehicle") / 60.0,
     )
-    vtts = rec(
-        "value of travel time ($/h)",
-        mobility.vtts_scaled(v["mhi"], s.constant("MHI_2015"), s.constant("VTTS_2015")),
+    vtts = rec("value of travel time ($/h)", _vtts(s, v))
+    delay_value = rec("delay cost avoided ($)", hours * vtts)
+    capable = s.constant("drone_capable_inspections")
+    core_share = s.constant("core_hours_share")
+    all_snooper = rec(
+        "cost, all inspections by snooper truck ($)",
+        _blended(inspections, core_share, _SNOOPER_RATES),
     )
-    delay_value = rec(
-        "delay cost avoided ($)", inspection.delay_time_value(hours, vtts)
+    by_drone = rec(
+        "cost, drone-capable share by drone ($)",
+        _blended(capable, core_share, _DRONE_RATES),
     )
-    lines = inspection.inspection_cost_savings(
-        inspections,
-        s.constant("drone_capable_inspections"),
-        s.constant("core_hours_share"),
+    remaining = rec(
+        "cost, remainder by snooper truck ($)",
+        _blended(inspections - capable, core_share, _SNOOPER_RATES),
     )
-    rec("cost, all inspections by snooper truck ($)", lines.all_snooper)
-    rec("cost, drone-capable share by drone ($)", lines.drone_share)
-    rec("cost, remainder by snooper truck ($)", lines.snooper_share)
-    return delay_value + rec("inspection cost savings ($)", lines.savings)
+    return delay_value + rec(
+        "inspection cost savings ($)", all_snooper - (by_drone + remaining)
+    )
 
 
 def _inspection_counts(s: Scenario) -> list[str]:
@@ -276,6 +300,9 @@ def _inspection_counts(s: Scenario) -> list[str]:
 
 
 def _farming(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
+    # The printed production equation values the whole uplifted harvest,
+    # (yield + yield * uplift) * area; bf6_incremental values only the
+    # extra bushels, roughly forty times less.
     incremental = bool(s.toggle("bf6_incremental"))
     reading = (
         "increment only" if incremental
@@ -283,9 +310,7 @@ def _farming(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     )
     share = rec(
         "adopting-farm share",
-        agriculture.adoption_share(
-            s.constant("farms_adopting"), s.constant("farms_total")
-        ),
+        s.constant("farms_adopting") / s.constant("farms_total"),
     )
     # Without bf6_matching_area the corn cost line runs on the soybean
     # acreage, as published.
@@ -294,31 +319,30 @@ def _farming(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     cost = 0.0
     for crop in _CROPS:
         area = v[f"{crop}_area"]
+        per_acre = v[f"{crop}_yield"]
+        uplift = s.constant(f"{crop}_yield_uplift")
+        if incremental:
+            bushels = per_acre * uplift * area
+        else:
+            bushels = (per_acre + per_acre * uplift) * area
         production += rec(
             f"{crop} production value ($, {reading})",
-            agriculture.crop_production_value(
-                v[f"{crop}_yield"], s.constant(f"{crop}_yield_uplift"), area,
-                v[f"{crop}_price"], share, incremental_only=incremental,
-            ),
+            bushels * v[f"{crop}_price"] * share,
         )
         if crop == "corn" and not matching_area:
             area = v["soybean_area"]
-        cost += agriculture.crop_cost_savings(
-            area, s.constant(f"cost_savings_per_acre_{crop}"), share
-        )
+        cost += area * s.constant(f"cost_savings_per_acre_{crop}") * share
     rec(f"crop production value ($, {reading})", production, item="crop_production")
     rec("crop input-cost savings ($)", cost, item="crop_cost_savings")
-    per_head = agriculture.livestock_savings_per_head(
-        s.constant("livestock_hours_saved_hill"),
-        s.constant("livestock_hours_saved_grassland"),
-        s.constant("farm_labor_rate"),
-        s.constant("herd_size_case_study"),
+    # labor saved per animal in the published monitoring case study
+    per_head = (
+        (s.constant("livestock_hours_saved_hill")
+         + s.constant("livestock_hours_saved_grassland"))
+        * s.constant("farm_labor_rate") / s.constant("herd_size_case_study")
     )
     livestock = rec(
         "livestock labor savings ($)",
-        agriculture.livestock_savings(
-            per_head, rec("livestock count", v["livestock"]), share
-        ),
+        per_head * rec("livestock count", v["livestock"]) * share,
         item="livestock_savings",
     )
     return production + cost + livestock
@@ -328,11 +352,17 @@ def _medical_response(s: Scenario, v: Values, year: int, rec: Recorder) -> float
     stations = s.constant("DSN")
     ohca = rec(
         "cardiac arrests expected",
-        medical.ohca_count(v["population"], s.constant("ohca_per_100k")),
+        s.constant("ohca_per_100k") / 1e5 * v["population"],
     )
-    values = medical.life_saving_value_all_cases(
-        ohca, v["vsl"], s.constant("survival_rates"), s.constant("CAS")
-    )
+    # Each network case adds survivors over case 0, the no-drone baseline,
+    # whose value is therefore zero by construction; each added survivor
+    # is worth the statistical life net of the network's cost per survivor.
+    rates = s.constant("survival_rates")
+    baseline = ohca * float(rates[0])
+    values = [
+        (v["vsl"] - float(cost)) * (ohca * float(rate) - baseline)
+        for rate, cost in zip(rates, s.constant("CAS"))
+    ]
     for count, value in zip(stations[1:], values[1:]):
         count = int(count)
         rec(f"net value, {count} stations ($)", value, item=f"stations_{count}")
@@ -373,50 +403,44 @@ def _tax_revenue(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
 
 
 def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
-    base_year = s.constant("scghg_base_year")
+    # Social costs per ton are published for a base year and compounded
+    # forward; the share of the ground fleet's emissions avoided is the
+    # fraction of ground trips the air services replace, scaled by how much
+    # cleaner the electric aircraft are.
+    years = year - s.constant("scghg_base_year")
     rate = s.constant("scghg_discount")
-    vmt = rec(
-        "local road miles (mi)",
-        mobility.vmt_local(v["vmt_us"], v["us_population"], v["population"]),
-    )
+    vmt = rec("local road miles (mi)", _vmt_local(v))
     gallons = rec(
-        "gallons burned by the ground fleet",
-        environment.fleet_gallons(vmt, s.constant("mpg_fleet")),
+        "gallons burned by the ground fleet", vmt / s.constant("mpg_fleet")
     )
-    co2, other = environment.ground_emissions(
-        gallons, s.constant("co2_tons_per_gallon"), s.constant("co2_share_of_ghg")
+    per_gallon = s.constant("co2_tons_per_gallon")
+    co2 = rec("CO2 emitted (tons)", per_gallon * gallons)
+    other = rec(
+        "methane and nitrous oxide emitted (tons)",
+        per_gallon * (1.0 / s.constant("co2_share_of_ghg") - 1.0) * gallons,
     )
-    rec("CO2 emitted (tons)", co2)
-    rec("methane and nitrous oxide emitted (tons)", other)
     scc = rec(
-        "social cost of CO2 ($/ton)",
-        environment.social_cost_forward(s.constant("scc_2020"), year, base_year, rate),
+        "social cost of CO2 ($/ton)", _grown(s.constant("scc_2020"), rate, years)
     )
     sc_other = rec(
         "blended methane/nitrous social cost ($/ton)",
-        environment.blended_non_co2_cost(
-            s.constant("scm_2020"), s.constant("scn_2020"), year, base_year, rate
-        ),
+        (_grown(s.constant("scm_2020"), rate, years)
+         + _grown(s.constant("scn_2020"), rate, years)) / 2.0,
     )
-    share = rec(
-        "share of ground trips replaced",
-        environment.demand_factor(
-            rec(
-                "eVTOL vehicle trips",
-                mobility.evtol_trips(
-                    v["passenger_trips"], s.constant("seats_per_evtol")
-                ),
-            ),
-            rec("drone package deliveries", _package_trips(s, v, year, no_record)),
-            rec("cargo trips", v["cargo_trips"]),
-            rec(
-                "local ground vehicle trips",
-                environment.local_ground_trips(
-                    s.constant("us_annual_trips"), v["us_population"], v["population"]
-                ),
-            ),
-        ),
+    evtol = rec(
+        "eVTOL vehicle trips", v["passenger_trips"] / s.constant("seats_per_evtol")
     )
+    packages = rec(
+        "drone package deliveries", _package_trips(s, v, year, no_record)
+    )
+    cargo = rec("cargo trips", v["cargo_trips"])
+    ground = rec(
+        "local ground vehicle trips",
+        v["population"] / v["us_population"] * s.constant("us_annual_trips"),
+    )
+    if ground <= 0:
+        raise ValueError(f"ground trip count must be positive, got {ground}")
+    share = rec("share of ground trips replaced", (evtol + packages + cargo) / ground)
     ratio = rec("emission advantage factor", s.constant("evtol_emission_ratio"))
     return share * ratio * (scc * co2 + sc_other * other)
 
@@ -424,8 +448,8 @@ def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
 #: The replaced-trip count of BF9 folds in package deliveries, so it reads
 #: the package-market constants as well.
 _PACKAGE_MARKET = (
-    "market_value_2019", "market_cagr", "us_market_2019", "annual_parcels",
-    "parcel_fraction",
+    "market_value_2019", "market_base_year", "market_cagr", "us_market_2019",
+    "annual_parcels", "parcel_fraction",
 )
 
 FACTORS: dict[str, Factor] = {f.id: f for f in (
@@ -532,5 +556,3 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
 )}
 
 FACTOR_IDS = tuple(FACTORS)
-FACTOR_LABELS = {f.id: f.label for f in FACTORS.values()}
-FACTOR_FILE_NAMES = {f.id: f.file_stem for f in FACTORS.values()}

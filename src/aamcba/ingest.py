@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import ScenarioError
-from .factors.table import FACTOR_IDS, FACTORS
+from .factors import FACTOR_IDS, FACTORS
 from .forecast import ArimaOrder, ForecastError
 from .forecast.common import MIN_OBS
 

@@ -11,10 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from aamcba.factors.agriculture import adoption_share
-from aamcba.factors.environment import non_co2_tons_per_gallon, social_cost_forward
-from aamcba.factors.inspection import inspection_cost_savings
-from aamcba.factors.logistics import fleet_size, market_value, max_trips_per_drone, us_market_share
 from aamcba.forecast.arima import ArimaOrder, fit_arima, forecast
 from aamcba.forecast.stattests import adf_test, ljung_box
 from aamcba.ingest import FACTOR_IDS
@@ -26,6 +22,10 @@ from oracles import (
     random_walk_path,
     white_noise_path,
 )
+from test_factors_agriculture import farming_items
+from test_factors_environment import ghg_trace
+from test_factors_inspection import inspection_trace
+from test_factors_logistics import package_trace
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -33,26 +33,29 @@ def _report(criterion: int, passed: bool, detail: str) -> None:
     assert passed, f"criterion {criterion}: {detail}"
 
 
-def test_01_market_projection_value_and_speed():
+def test_01_market_projection_value_and_speed(factor_value):
     calls = 1000
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()
         for _ in range(calls):
-            value = market_value(2030, 343.303, 2019, 0.538)
+            trace = package_trace(factor_value, year=2030)
         best = min(best, (time.perf_counter() - start) / calls)
+    value = trace["global drone logistics market ($M)"]
     relative_error = abs(value / 39013.0 - 1.0)
     passed = relative_error <= 0.01 and best < 1e-3
     _report(
         1, passed,
         f"2030 global market {value:,.2f} vs 39,013 "
-        f"(off by {relative_error:.2%}), {best * 1e6:.1f}us per call",
+        f"(off by {relative_error:.2%}), {best * 1e6:.1f}us per BF3 evaluation",
     )
 
 
-def test_02_market_share_and_adoption_share():
-    share = us_market_share(211.553, 343.303)
-    farms = adoption_share(13893.0, 77805.0)
+def test_02_market_share_and_adoption_share(factor_value):
+    share = package_trace(factor_value)["US market share"]
+    trace = {}
+    farming_items(factor_value, {}, 0.0, farms=(13893.0, 77805.0), trace=trace)
+    farms = trace["adopting-farm share"]
     passed = abs(share - 0.6162) <= 1e-4 and abs(farms - 0.1786) <= 5e-4
     _report(
         2, passed,
@@ -61,10 +64,12 @@ def test_02_market_share_and_adoption_share():
     )
 
 
-def test_03_drone_trip_ceiling_and_fleet_ratio():
-    ceiling = max_trips_per_drone(24.0, 284.0)
-    fleet = fleet_size(ceiling * 7.0, ceiling, 0.25)
-    ratio_error = abs(fleet.total / (2.25 * fleet.active) - 1.0)
+def test_03_drone_trip_ceiling_and_fleet_ratio(factor_value):
+    trace = package_trace(factor_value)
+    ceiling = trace["deliveries one drone can fly per year"]
+    active = trace["active drone fleet"]
+    fleet = trace["fleet incl. rotation and reserve"]
+    ratio_error = abs(fleet / (2.25 * active) - 1.0)
     passed = ceiling == 17040.0 and ratio_error <= 1e-12
     _report(
         3, passed,
@@ -73,10 +78,15 @@ def test_03_drone_trip_ceiling_and_fleet_ratio():
     )
 
 
-def test_04_inspection_costs_match_exact_oracle():
+def test_04_inspection_costs_match_exact_oracle(factor_value):
     want = inspection_costs_exact()
-    got = inspection_cost_savings(400.0, 200.0, 0.8)
-    values = (got.all_snooper, got.drone_share, got.snooper_share, got.savings)
+    trace = inspection_trace(factor_value)
+    values = tuple(trace[label] for label in (
+        "cost, all inspections by snooper truck ($)",
+        "cost, drone-capable share by drone ($)",
+        "cost, remainder by snooper truck ($)",
+        "inspection cost savings ($)",
+    ))
     passed = (
         want == (1337920, 112920, 668960, 556040)
         and all(v == float(w) for v, w in zip(values, want))
@@ -89,10 +99,12 @@ def test_04_inspection_costs_match_exact_oracle():
     )
 
 
-def test_05_social_cost_and_emission_split():
-    scc_2022 = social_cost_forward(51.0, 2022, 2020, 0.03)
-    g_mn = non_co2_tons_per_gallon(8.89e-3, 0.993)
-    g_c = 8.89e-3
+def test_05_social_cost_and_emission_split(factor_value):
+    trace = ghg_trace(factor_value)
+    scc_2022 = trace["social cost of CO2 ($/ton)"]
+    gallons = trace["gallons burned by the ground fleet"]
+    g_c = trace["CO2 emitted (tons)"] / gallons
+    g_mn = trace["methane and nitrous oxide emitted (tons)"] / gallons
     share = g_c / (g_c + g_mn)
     passed = (
         abs(scc_2022 - 54.1059) <= 1e-4

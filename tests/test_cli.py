@@ -338,6 +338,25 @@ def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message)
         assert "numerical failure" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("market_cagr", 1.0e200),
+    ("scghg_discount", 1.0e200),
+    ("scghg_base_year", -1.0e300),
+    ("market_base_year", -1.0e300),
+])
+def test_overflowing_growth_exits_3_without_a_traceback(tmp_path, capsys, key, value):
+    # Each value passes validation; compounding it overflows a float.
+    doc = _bundled_doc()
+    doc["constants"][key] = value
+    big = _write_json(tmp_path / "big.json", doc)
+    assert main(["validate", "--scenario", str(big)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(big), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+
 def test_forecast_subpackage_imports_in_a_fresh_interpreter():
     # The package namespace once re-exported the function ``forecast``,
     # which shadowed the subpackage of that name.

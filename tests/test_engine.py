@@ -15,7 +15,7 @@ from aamcba.engine import (
     run,
     write_outputs,
 )
-from aamcba.factors.table import FACTOR_FILE_NAMES
+from aamcba.factors import FACTORS
 from aamcba.forecast import ForecastError
 from aamcba.ingest import FACTOR_IDS, ScenarioError, default_scenario_path
 
@@ -162,7 +162,7 @@ def test_write_outputs_full_set(default_evaluation, tmp_path):
     out = tmp_path / "out"
     written = write_outputs(default_evaluation, out)
     names = sorted(p.name for p in written)
-    factor_files = sorted(f"{stem}.csv" for stem in FACTOR_FILE_NAMES.values())
+    factor_files = sorted(f"{f.file_stem}.csv" for f in FACTORS.values())
     forecast_files = sorted(
         f"forecast_{name}.csv" for name in default_evaluation.forecasts
     )

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from aamcba.engine import evaluate
-from aamcba.factors.table import FACTORS, no_record
+from aamcba.factors import FACTORS, no_record
 
 #: A non-default value for every toggle a factor may read.
 FLIPPED = {
@@ -31,7 +31,6 @@ class _ReadLog:
 
     def __init__(self, scenario):
         self.scenario = scenario
-        self.constants = scenario.constants
         self.horizon_start = scenario.horizon_start
         self.constants_read: set[str] = set()
         self.toggles_read: set[str] = set()

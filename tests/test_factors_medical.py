@@ -4,13 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aamcba.factors.medical import (
-    additional_survivors,
-    life_saving_value_all_cases,
-    ohca_count,
-    survivors,
-)
-
 SURVIVAL_RATES = (0.123, 0.129, 0.133, 0.138, 0.140, 0.144)
 COST_PER_SURVIVOR = (0.0, 14752.0, 31905.0, 55792.0, 73160.0, 76495.0)
 
@@ -24,35 +17,41 @@ ALL_CASES_REFERENCE = [
 ]
 
 
-def test_ohca_count():
-    assert ohca_count(3.9e6, 55.0) == pytest.approx(2145.0, rel=1e-15)
-
-
-def test_survivor_ladder():
-    counts = survivors(2145.0, SURVIVAL_RATES)
-    assert counts[0] == pytest.approx(2145.0 * 0.123, rel=1e-15)
-    added = additional_survivors(2145.0, SURVIVAL_RATES)
-    assert added[0] == 0.0
-    assert added[1] == pytest.approx(2145.0 * 0.006, rel=1e-9)
-    assert np.all(np.diff(added) > 0)
-
-
-def test_all_cases_reference_values():
-    got = life_saving_value_all_cases(
-        ohca_count(3.9e6, 55.0), 1.17e7, SURVIVAL_RATES, COST_PER_SURVIVOR
-    )
-    assert np.allclose(got, ALL_CASES_REFERENCE, rtol=1e-12, atol=0)
-
-
-def _case_value(factor_value, case):
+def _case_value(factor_value, case, vsl=1.17e7, cost=COST_PER_SURVIVOR,
+                trace=None, items=None):
     constants = {
         "ohca_per_100k": 55.0,
         "DSN": [0, 10, 20, 30, 40, 50],
         "survival_rates": list(SURVIVAL_RATES),
-        "CAS": list(COST_PER_SURVIVOR),
+        "CAS": list(cost),
     }
-    values = {"population": 3.9e6, "vsl": 1.17e7}
-    return factor_value("BF7", constants, values, toggles={"bf7_case": case})
+    values = {"population": 3.9e6, "vsl": vsl}
+    return factor_value("BF7", constants, values, {"bf7_case": case},
+                        items, trace)
+
+
+def test_ohca_count(factor_value):
+    trace = {}
+    _case_value(factor_value, 5, trace=trace)
+    assert trace["cardiac arrests expected"] == pytest.approx(2145.0, rel=1e-15)
+
+
+def test_survivor_ladder(factor_value):
+    # at a net value of $1 per survivor, each case's value is its survivors
+    # beyond the no-drone baseline
+    items = {}
+    baseline = _case_value(factor_value, 0, vsl=1.0, cost=[0.0] * 6, items=items)
+    assert baseline == 0.0
+    added = [items[f"stations_{count}"] for count in (10, 20, 30, 40, 50)]
+    assert added[0] == pytest.approx(2145.0 * 0.006, rel=1e-9)
+    assert np.all(np.diff([baseline, *added]) > 0)
+
+
+def test_all_cases_reference_values(factor_value):
+    items = {}
+    got = [_case_value(factor_value, 0, items=items)]
+    got += [items[f"stations_{count}"] for count in (10, 20, 30, 40, 50)]
+    assert np.allclose(got, ALL_CASES_REFERENCE, rtol=1e-12, atol=0)
 
 
 def test_baseline_case_is_worth_nothing(factor_value):

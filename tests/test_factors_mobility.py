@@ -3,32 +3,34 @@ from __future__ import annotations
 
 import pytest
 
-from aamcba.factors.mobility import (
-    air_miles_share,
-    avoided_fatalities,
-    hours_saved,
-    vmt_local,
-    vtts_scaled,
-)
+PASSENGER_CONSTANTS = {
+    "MHI_2015": 30000.0, "VTTS_2015": 17.25, "trip_time_saved_min": 50.0,
+}
 
 
-def test_vtts_scales_with_income():
-    assert vtts_scaled(60000.0, 30000.0, 17.25) == pytest.approx(34.5, rel=1e-15)
-    assert vtts_scaled(30000.0, 30000.0, 17.25) == 17.25
+def test_vtts_scales_with_income(factor_value):
+    vtts = "value of travel time, income-scaled ($/h)"
+    richer = {}
+    factor_value("BF1", PASSENGER_CONSTANTS,
+                 {"mhi": 60000.0, "passenger_trips": 1.0}, trace=richer)
+    assert richer[vtts] == pytest.approx(34.5, rel=1e-15)
+    same = {}
+    factor_value("BF1", PASSENGER_CONSTANTS,
+                 {"mhi": 30000.0, "passenger_trips": 1.0}, trace=same)
+    assert same[vtts] == 17.25
 
 
 def test_passenger_time_value(factor_value):
-    assert hours_saved(120.0, 50.0) == pytest.approx(100.0, rel=1e-15)
+    trace = {}
+    factor_value("BF1", PASSENGER_CONSTANTS,
+                 {"mhi": 30000.0, "passenger_trips": 120.0}, trace=trace)
+    assert trace["passenger hours saved"] == pytest.approx(100.0, rel=1e-15)
     # one million trips, 50 minutes each, $20/h
     constants = {"MHI_2015": 30000.0, "VTTS_2015": 20.0, "trip_time_saved_min": 50.0}
     values = {"mhi": 30000.0, "passenger_trips": 1e6}
     assert factor_value("BF1", constants, values) == pytest.approx(
         1e6 * 50.0 / 60.0 * 20.0, rel=1e-15
     )
-
-
-def test_vmt_attribution():
-    assert vmt_local(3.2e12, 3.2e8, 4.0e6) == pytest.approx(4.0e10, rel=1e-15)
 
 
 SAFETY_CONSTANTS = {
@@ -45,6 +47,15 @@ def _safety_values(**overrides):
     )
     values.update(overrides)
     return values
+
+
+def test_vmt_attribution(factor_value):
+    trace = {}
+    factor_value("BF2", SAFETY_CONSTANTS,
+                 _safety_values(us_population=3.2e8, population=4.0e6), trace=trace)
+    assert trace["local road miles, population-scaled (mi)"] == pytest.approx(
+        4.0e10, rel=1e-15
+    )
 
 
 def test_safety_value_closed_form(factor_value):
@@ -70,7 +81,13 @@ def test_safety_value_trip_count_mode_divides_by_seats(factor_value):
     assert vehicles == pytest.approx(passengers / 4.0, rel=1e-12)
 
 
-def test_component_errors():
-    assert avoided_fatalities(1e8, 0.6, 0.3) == pytest.approx(0.3, rel=1e-15)
+def test_component_errors(factor_value):
+    trace = {}
+    factor_value("BF2", SAFETY_CONSTANTS,
+                 _safety_values(vmt_us=1e8, us_population=1.0, population=1.0),
+                 trace=trace)
+    assert trace["fatalities avoided at full substitution"] == pytest.approx(
+        0.3, rel=1e-15
+    )
     with pytest.raises(ValueError, match="local VMT must be positive"):
-        air_miles_share(1e6, 50.0, 0.0)
+        factor_value("BF2", SAFETY_CONSTANTS, _safety_values(vmt_us=0.0))

@@ -8,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aamcba.factors.table import FACTOR_LABELS
 from aamcba.ingest import FACTOR_IDS
 from aamcba.ledger import (
     AnnualResult,
@@ -22,10 +21,6 @@ from aamcba.ledger import (
     write_npi_csv,
     write_results_csv,
 )
-
-
-def test_labels_cover_every_factor():
-    assert set(FACTOR_LABELS) == set(FACTOR_IDS)
 
 
 def test_band_ordering_and_normalization():
