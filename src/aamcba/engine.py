@@ -13,7 +13,6 @@ matters; at this size it does not.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -56,41 +55,64 @@ def normalize_emit(kinds) -> frozenset[str]:
     return kinds
 
 
-@dataclass(frozen=True)
 class RunManifest:
     """Everything one CLI run needs; two identical manifests give
     byte-identical outputs."""
 
-    scenario_path: Path
-    output_dir: Path
-    enabled_factors: tuple[str, ...] = FACTOR_IDS
-    seed: int = 0
-    emit: frozenset[str] = ALL_EMIT
-    pin_orders: bool = False
-    best_effort: bool = False
-    toggles: dict = field(default_factory=dict)
+    __slots__ = (
+        "scenario_path", "output_dir", "enabled_factors", "seed", "emit",
+        "pin_orders", "best_effort", "toggles",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "enabled_factors", normalize_factors(self.enabled_factors)
-        )
-        object.__setattr__(self, "emit", normalize_emit(self.emit))
+    def __init__(
+        self,
+        scenario_path: Path,
+        output_dir: Path,
+        enabled_factors: tuple[str, ...] = FACTOR_IDS,
+        seed: int = 0,
+        emit: frozenset[str] = ALL_EMIT,
+        pin_orders: bool = False,
+        best_effort: bool = False,
+        toggles: dict | None = None,
+    ) -> None:
+        self.scenario_path = scenario_path
+        self.output_dir = output_dir
+        self.enabled_factors = normalize_factors(enabled_factors)
+        self.seed = seed
+        self.emit = normalize_emit(emit)
+        self.pin_orders = pin_orders
+        self.best_effort = best_effort
+        self.toggles = {} if toggles is None else toggles
 
 
-@dataclass
 class EvaluationResult:
     """Forecasts, yearly ledger rows, and accumulated warnings for one run."""
 
-    scenario: Scenario
-    factors: tuple[str, ...]
-    annual: list[AnnualResult]
-    forecasts: dict[str, PipelineResult]
-    warnings: list[str]
-    #: The inputs every factor saw: year -> channel -> series name -> value.
-    channel_values: dict[int, dict[str, dict[str, float]]]
-    #: (factor id, year) -> the (item, band) pairs its evaluation tags, for
-    #: the factors whose plot table lists items.
-    item_bands: dict[tuple[str, int], list[tuple[str, BandValue]]]
+    __slots__ = (
+        "scenario", "factors", "annual", "forecasts", "warnings",
+        "channel_values", "item_bands",
+    )
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        factors: tuple[str, ...],
+        annual: list[AnnualResult],
+        forecasts: dict[str, PipelineResult],
+        warnings: list[str],
+        channel_values: dict[int, dict[str, dict[str, float]]],
+        item_bands: dict[tuple[str, int], list[tuple[str, BandValue]]],
+    ) -> None:
+        self.scenario = scenario
+        self.factors = factors
+        self.annual = annual
+        self.forecasts = forecasts
+        self.warnings = warnings
+        #: The inputs every factor saw: year -> channel -> series name -> value.
+        self.channel_values = channel_values
+        #: (factor id, year) -> the (item, band) pairs its evaluation tags, for
+        #: the factors whose plot table lists items.
+        self.item_bands = item_bands
 
 
 def _values_for_year(

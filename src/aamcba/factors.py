@@ -19,7 +19,7 @@ from forecasts: local VMT, ground trips and package trips.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ScenarioError
@@ -49,28 +49,46 @@ def no_record(label: str, value: float, item: str | None = None) -> float:
     return value
 
 
-@dataclass(frozen=True)
 class Factor:
     """One benefit factor: names, declared inputs and its evaluation."""
 
-    id: str
-    label: str
-    #: Stem of the factor's own ``<stem>.csv`` output.
-    file_stem: str
-    #: Plot table the factor goes in: its value, or with ``plot_items``
-    #: the intermediates its ``evaluate`` tags with an item name.
-    plot_file: str
-    evaluate: Callable[[Scenario, Values, int, Recorder], float]
-    constants: tuple[str, ...] = ()
-    exogenous: tuple[str, ...] = ()
-    historical: tuple[str, ...] = ()
-    #: (toggle, constant) pairs: the constant is read while the toggle is on.
-    toggle_constants: tuple[tuple[str, str], ...] = ()
-    plot_items: bool = False
-    #: Checks across the factor's inputs, run by validation once its
-    #: constants are known present: a failure is a ScenarioError, and the
-    #: warnings are returned.
-    check: Callable[[Scenario], list[str]] | None = None
+    __slots__ = (
+        "id", "label", "file_stem", "plot_file", "evaluate", "constants",
+        "exogenous", "historical", "toggle_constants", "plot_items", "check",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        label: str,
+        file_stem: str,
+        plot_file: str,
+        evaluate: Callable[[Scenario, Values, int, Recorder], float],
+        constants: tuple[str, ...] = (),
+        exogenous: tuple[str, ...] = (),
+        historical: tuple[str, ...] = (),
+        toggle_constants: tuple[tuple[str, str], ...] = (),
+        plot_items: bool = False,
+        check: Callable[[Scenario], list[str]] | None = None,
+    ) -> None:
+        self.id = id
+        self.label = label
+        #: Stem of the factor's own ``<stem>.csv`` output.
+        self.file_stem = file_stem
+        #: Plot table the factor goes in: its value, or with ``plot_items``
+        #: the intermediates its ``evaluate`` tags with an item name.
+        self.plot_file = plot_file
+        self.evaluate = evaluate
+        self.constants = constants
+        self.exogenous = exogenous
+        self.historical = historical
+        #: (toggle, constant) pairs: the constant is read while the toggle is on.
+        self.toggle_constants = toggle_constants
+        self.plot_items = plot_items
+        #: Checks across the factor's inputs, run by validation once its
+        #: constants are known present: a failure is a ScenarioError, and the
+        #: warnings are returned.
+        self.check = check
 
     def required_constants(self, s: Scenario) -> tuple[str, ...]:
         """The constants an evaluation under ``s``'s toggles reads."""
@@ -92,6 +110,25 @@ def _vmt_local(v: Values) -> float:
 def _grown(value: float, rate: float, years: float) -> float:
     """``value`` compounded at ``rate`` a year for ``years`` years."""
     return value * (1.0 + rate) ** years
+
+
+def _check_growth(s: Scenario, rate_key: str, base_key: str) -> None:
+    """Compound ``rate_key`` from ``base_key`` to each end of the horizon,
+    as ``_grown`` does. The factor grows monotonically in the year, so every
+    horizon year's is finite when both ends' are."""
+    rate = s.constant(rate_key)
+    base = s.constant(base_key)
+    for year in (s.horizon_start, s.horizon_end):
+        try:
+            growth = (1.0 + rate) ** (year - base)
+        except (OverflowError, ZeroDivisionError):
+            growth = math.inf
+        # a negative base to a fractional power is complex
+        if type(growth) is not float or not math.isfinite(growth):
+            raise ScenarioError(
+                f"constant '{rate_key}' ({rate!r}) compounded from "
+                f"'{base_key}' ({base!r}) to {year} is not a finite number"
+            )
 
 
 def _blended(count: float, core_share: float, rates: tuple[float, float]) -> float:
@@ -175,6 +212,11 @@ def _package_trips(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
         norm * (s.constant("annual_parcels") * s.constant("parcel_fraction"))
         * (v["population"] / v["us_population"]),
     )
+
+
+def _market_growth(s: Scenario) -> list[str]:
+    _check_growth(s, "market_cagr", "market_base_year")
+    return []
 
 
 def _package_delivery(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
@@ -445,6 +487,11 @@ def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     return share * ratio * (scc * co2 + sc_other * other)
 
 
+def _ghg_growth(s: Scenario) -> list[str]:
+    _check_growth(s, "scghg_discount", "scghg_base_year")
+    return _market_growth(s)
+
+
 #: The replaced-trip count of BF9 folds in package deliveries, so it reads
 #: the package-market constants as well.
 _PACKAGE_MARKET = (
@@ -485,6 +532,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         ),
         exogenous=("us_population",),
         historical=("population",),
+        check=_market_growth,
     ),
     Factor(
         "BF4", "air cargo savings", "air_cargo",
@@ -552,6 +600,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         ),
         exogenous=("passenger_trips", "cargo_trips", "us_population"),
         historical=("vmt_us", "population"),
+        check=_ghg_growth,
     ),
 )}
 

@@ -24,7 +24,6 @@ whose fits are all closed-form never loads it. No path uses scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .common import CI_Z, CONFIDENCE, MIN_OBS, ForecastError, dot
@@ -54,26 +53,35 @@ _BLOCK = 32
 _BLOCK_LAGS = None
 
 
-@dataclass(frozen=True)
 class ArimaOrder:
-    p: int
-    d: int
-    q: int
+    """A (p, d, q) order; orders compare and hash by value."""
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.p <= MAX_P):
-            raise ForecastError(f"p must be in 0..{MAX_P}, got {self.p}")
-        if not (0 <= self.d <= MAX_D):
-            raise ForecastError(f"d must be in 0..{MAX_D}, got {self.d}")
-        if not (0 <= self.q <= MAX_Q):
-            raise ForecastError(f"q must be in 0..{MAX_Q}, got {self.q}")
+    __slots__ = ("p", "d", "q")
+
+    def __init__(self, p: int, d: int, q: int) -> None:
+        if not (0 <= p <= MAX_P):
+            raise ForecastError(f"p must be in 0..{MAX_P}, got {p}")
+        if not (0 <= d <= MAX_D):
+            raise ForecastError(f"d must be in 0..{MAX_D}, got {d}")
+        if not (0 <= q <= MAX_Q):
+            raise ForecastError(f"q must be in 0..{MAX_Q}, got {q}")
+        self.p = p
+        self.d = d
+        self.q = q
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ArimaOrder:
+            return NotImplemented
+        return (self.p, self.d, self.q) == (other.p, other.d, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.d, self.q))
 
     @property
     def n_coeffs(self) -> int:
         return self.p + self.q
 
 
-@dataclass(frozen=True)
 class FittedArima:
     """A fitted model: coefficients, innovation variance, CSS residuals.
 
@@ -84,45 +92,61 @@ class FittedArima:
     the unit circle.
     """
 
-    order: ArimaOrder
-    ar_coeffs: tuple[float, ...]
-    ma_coeffs: tuple[float, ...]
-    intercept: float
-    sigma2: float
-    residuals: tuple[float, ...]
-    loglik_proxy: float
-    n_obs: int
+    __slots__ = (
+        "order", "ar_coeffs", "ma_coeffs", "intercept", "sigma2", "residuals",
+        "loglik_proxy", "n_obs",
+    )
 
-    def __post_init__(self) -> None:
-        if len(self.ar_coeffs) != self.order.p or len(self.ma_coeffs) != self.order.q:
+    def __init__(
+        self,
+        order: ArimaOrder,
+        ar_coeffs: tuple[float, ...],
+        ma_coeffs: tuple[float, ...],
+        intercept: float,
+        sigma2: float,
+        residuals: tuple[float, ...],
+        loglik_proxy: float,
+        n_obs: int,
+    ) -> None:
+        if len(ar_coeffs) != order.p or len(ma_coeffs) != order.q:
             raise ForecastError("coefficient counts do not match the order")
-        if not self.sigma2 > 0.0:
-            raise ForecastError(f"sigma2 must be positive, got {self.sigma2}")
-        ar_poly = [-c for c in self.ar_coeffs]
-        for label, poly in (("AR", ar_poly), ("MA", self.ma_coeffs)):
+        if not sigma2 > 0.0:
+            raise ForecastError(f"sigma2 must be positive, got {sigma2}")
+        ar_poly = [-c for c in ar_coeffs]
+        for label, poly in (("AR", ar_poly), ("MA", ma_coeffs)):
             bad = _unstable_lag(poly)
             if bad is not None:
                 raise ForecastError(
                     f"{label} polynomial root inside the unit circle "
                     f"(reflection coefficient {bad[1]:.6g} at lag {bad[0]})"
                 )
+        self.order = order
+        self.ar_coeffs = ar_coeffs
+        self.ma_coeffs = ma_coeffs
+        self.intercept = intercept
+        self.sigma2 = sigma2
+        self.residuals = residuals
+        self.loglik_proxy = loglik_proxy
+        self.n_obs = n_obs
 
 
-@dataclass(frozen=True)
 class ForecastBand:
     """Point forecasts with symmetric 95% limits, on the original scale."""
 
-    years: tuple[int, ...]
-    lower: tuple[float, ...]
-    mean: tuple[float, ...]
-    upper: tuple[float, ...]
-    confidence: float = CONFIDENCE
+    __slots__ = ("years", "lower", "mean", "upper", "confidence")
 
-    def __post_init__(self) -> None:
-        k = len(self.years)
-        if not (len(self.lower) == len(self.mean) == len(self.upper) == k):
+    def __init__(
+        self,
+        years: tuple[int, ...],
+        lower: tuple[float, ...],
+        mean: tuple[float, ...],
+        upper: tuple[float, ...],
+        confidence: float = CONFIDENCE,
+    ) -> None:
+        k = len(years)
+        if not (len(lower) == len(mean) == len(upper) == k):
             raise ForecastError("band channels must share one length")
-        for y, lo, mid, hi in zip(self.years, self.lower, self.mean, self.upper):
+        for y, lo, mid, hi in zip(years, lower, mean, upper):
             if not (math.isfinite(lo) and math.isfinite(mid) and math.isfinite(hi)):
                 raise ForecastError(
                     f"band channels must be finite, got {lo}, {mid}, {hi} at {y}"
@@ -131,6 +155,11 @@ class ForecastBand:
                 raise ForecastError(
                     f"band ordering violated at {y}: {lo} <= {mid} <= {hi}"
                 )
+        self.years = years
+        self.lower = lower
+        self.mean = mean
+        self.upper = upper
+        self.confidence = confidence
 
 
 def difference(values, d: int) -> list[float]:

@@ -8,8 +8,6 @@ and if nothing passes the best fit is returned flagged inadequate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arima import ArimaOrder, FittedArima, ForecastBand, fit_arima, forecast
 from .arima import MAX_P, MAX_Q
 from .common import MIN_OBS, ForecastError
@@ -20,12 +18,20 @@ _MAX_AUTO_D = 2
 _SELECTION_LAGS = 10
 
 
-@dataclass(frozen=True)
 class PipelineResult:
-    fit: FittedArima
-    band: ForecastBand
-    diagnostics: tuple[TestReport, ...]
-    adequate: bool
+    __slots__ = ("fit", "band", "diagnostics", "adequate")
+
+    def __init__(
+        self,
+        fit: FittedArima,
+        band: ForecastBand,
+        diagnostics: tuple[TestReport, ...],
+        adequate: bool,
+    ) -> None:
+        self.fit = fit
+        self.band = band
+        self.diagnostics = diagnostics
+        self.adequate = adequate
 
 
 def _last_spike(values: list[float], bound: float) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .common import ForecastError, dot
 from .correlation import acf
@@ -31,22 +30,40 @@ ALPHA = 0.05
 _SINGULAR = "degenerate ADF regression (singular design matrix)"
 
 
-@dataclass(frozen=True)
 class TestReport:
     """Outcome of one hypothesis test at the 5% level."""
 
-    name: str
-    statistic: float
-    p_value: float
-    lags_used: int
-    reject_null: bool
+    __slots__ = ("name", "statistic", "p_value", "lags_used", "reject_null")
 
-    def __post_init__(self) -> None:
-        if not (self.reject_null == (self.p_value <= ALPHA)):
+    def __init__(
+        self,
+        name: str,
+        statistic: float,
+        p_value: float,
+        lags_used: int,
+        reject_null: bool,
+    ) -> None:
+        if not (reject_null == (p_value <= ALPHA)):
             raise ValueError(
-                f"{self.name}: reject_null={self.reject_null} inconsistent "
-                f"with p={self.p_value}"
+                f"{name}: reject_null={reject_null} inconsistent "
+                f"with p={p_value}"
             )
+        self.name = name
+        self.statistic = statistic
+        self.p_value = p_value
+        self.lags_used = lags_used
+        self.reject_null = reject_null
+
+    def _fields(self) -> tuple:
+        return (
+            self.name, self.statistic, self.p_value, self.lags_used,
+            self.reject_null,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TestReport:
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
 def chi2_sf(x: float, dof: int) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -260,42 +259,45 @@ _MAGNITUDE_BRACKETS: dict[str, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
 class TimeSeries:
     """A named annual series: consecutive integer years, finite values."""
 
-    name: str
-    years: tuple[int, ...]
-    values: tuple[float, ...]
-    unit: str = ""
+    __slots__ = ("name", "years", "values", "unit")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "years", tuple(map(int, self.years)))
+    def __init__(
+        self,
+        name: str,
+        years: tuple[int, ...],
+        values: tuple[float, ...],
+        unit: str = "",
+    ) -> None:
+        self.name = name
+        self.years = years = tuple(map(int, years))
         try:
-            values = tuple(map(float, self.values))
+            self.values = values = tuple(map(float, values))
         except (TypeError, ValueError, OverflowError):
-            bad = next(v for v in self.values if not _is_number(v))
+            bad = next(v for v in values if not _is_number(v))
             raise ScenarioError(
-                f"series '{self.name}' has a non-numeric value {bad!r}"
+                f"series '{name}' has a non-numeric value {bad!r}"
             ) from None
-        object.__setattr__(self, "values", values)
-        if not self.years:
-            raise ScenarioError(f"series '{self.name}' is empty")
-        if len(self.years) != len(self.values):
+        self.unit = unit
+        if not years:
+            raise ScenarioError(f"series '{name}' is empty")
+        if len(years) != len(values):
             raise ScenarioError(
-                f"series '{self.name}' has {len(self.years)} years "
-                f"but {len(self.values)} values"
+                f"series '{name}' has {len(years)} years "
+                f"but {len(values)} values"
             )
-        for a, b in zip(self.years, self.years[1:]):
+        for a, b in zip(years, years[1:]):
             if b != a + 1:
                 raise ScenarioError(
-                    f"series '{self.name}' years must step by 1, "
+                    f"series '{name}' years must step by 1, "
                     f"got {a} followed by {b}"
                 )
         if not all(map(math.isfinite, values)):
-            y = next(y for y, v in zip(self.years, values) if not math.isfinite(v))
+            y = next(y for y, v in zip(years, values) if not math.isfinite(v))
             raise ScenarioError(
-                f"series '{self.name}' has non-finite value at year {y}"
+                f"series '{name}' has non-finite value at year {y}"
             )
 
     @property
@@ -316,23 +318,39 @@ class TimeSeries:
             ) from None
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """A complete analysis setup: constants, series, pinned orders, toggles."""
+    """A complete analysis setup: constants, series, pinned orders, toggles.
 
-    name: str
-    horizon_start: int
-    horizon_end: int
-    constants: dict[str, Any] = field(default_factory=dict)
-    input_series: dict[str, TimeSeries] = field(default_factory=dict)
-    historical_series: dict[str, TimeSeries] = field(default_factory=dict)
-    orders: dict[str, tuple[int, int, int]] = field(default_factory=dict)
-    toggles: dict[str, Any] = field(default_factory=dict)
+    Each mapping left out starts empty.
+    """
 
-    def __post_init__(self) -> None:
-        if self.horizon_end < self.horizon_start:
+    __slots__ = (
+        "name", "horizon_start", "horizon_end", "constants", "input_series",
+        "historical_series", "orders", "toggles",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        horizon_start: int,
+        horizon_end: int,
+        constants: dict[str, Any] | None = None,
+        input_series: dict[str, TimeSeries] | None = None,
+        historical_series: dict[str, TimeSeries] | None = None,
+        orders: dict[str, tuple[int, int, int]] | None = None,
+        toggles: dict[str, Any] | None = None,
+    ) -> None:
+        self.name = name
+        self.horizon_start = horizon_start
+        self.horizon_end = horizon_end
+        self.constants = {} if constants is None else constants
+        self.input_series = {} if input_series is None else input_series
+        self.historical_series = {} if historical_series is None else historical_series
+        self.orders = {} if orders is None else orders
+        self.toggles = {} if toggles is None else toggles
+        if horizon_end < horizon_start:
             raise ScenarioError(
-                f"horizon end {self.horizon_end} precedes start {self.horizon_start}"
+                f"horizon end {horizon_end} precedes start {horizon_start}"
             )
         unknown = set(self.toggles) - set(TOGGLE_DEFAULTS)
         if unknown:
@@ -372,7 +390,10 @@ class Scenario:
         new_constants.update(constants or {})
         new_toggles = dict(self.toggles)
         new_toggles.update(toggles or {})
-        return replace(self, constants=new_constants, toggles=new_toggles)
+        return Scenario(
+            self.name, self.horizon_start, self.horizon_end, new_constants,
+            self.input_series, self.historical_series, self.orders, new_toggles,
+        )
 
 
 def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
@@ -440,7 +461,7 @@ def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
     if "file" in spec:
         ts = load_series(base_dir / str(spec["file"]), name=name)
         if spec.get("unit"):
-            ts = replace(ts, unit=str(spec["unit"]))
+            ts = TimeSeries(ts.name, ts.years, ts.values, unit=str(spec["unit"]))
         return ts
     if "values" in spec:
         if "start" not in spec:

@@ -8,7 +8,6 @@ shifted down by that year's capital and operating spend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -20,26 +19,24 @@ from .ingest import FACTOR_IDS
 _ORDER_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
 class BandValue:
     """A value with its 95% band: lower bound, mean, upper bound."""
 
-    lower: float
-    mean: float
-    upper: float
+    __slots__ = ("lower", "mean", "upper")
 
-    def __post_init__(self) -> None:
-        for channel in (self.lower, self.mean, self.upper):
+    def __init__(self, lower: float, mean: float, upper: float) -> None:
+        for channel in (lower, mean, upper):
             if not math.isfinite(channel):
                 raise ValueError(f"band channels must be finite, got {channel}")
-        slack = _ORDER_SLACK * max(1.0, abs(self.mean))
-        if self.mean < self.lower - slack or self.upper < self.mean - slack:
+        slack = _ORDER_SLACK * max(1.0, abs(mean))
+        if mean < lower - slack or upper < mean - slack:
             raise ValueError(
                 "band channels out of order: "
-                f"lower={self.lower}, mean={self.mean}, upper={self.upper}"
+                f"lower={lower}, mean={mean}, upper={upper}"
             )
-        object.__setattr__(self, "lower", min(self.lower, self.mean))
-        object.__setattr__(self, "upper", max(self.upper, self.mean))
+        self.lower = min(lower, mean)
+        self.mean = mean
+        self.upper = max(upper, mean)
 
     @classmethod
     def point(cls, value: float) -> "BandValue":
@@ -72,14 +69,19 @@ def compute_npi(
     return band_sum(benefits.values()).shift(-(capex + opex))
 
 
-@dataclass(frozen=True)
 class AnnualResult:
-    """One horizon year: per-factor benefit bands and the cost lines."""
+    """One horizon year: per-factor benefit bands and the cost lines.
 
-    year: int
-    benefits: dict[str, BandValue]
-    capex: float
-    opex: float
+    It has no ``__slots__``: the cached ``npi`` lives in the instance dict.
+    """
+
+    def __init__(
+        self, year: int, benefits: dict[str, BandValue], capex: float, opex: float
+    ) -> None:
+        self.year = year
+        self.benefits = benefits
+        self.capex = capex
+        self.opex = opex
 
     @property
     def cost(self) -> float:

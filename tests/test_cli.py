@@ -192,19 +192,21 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
     # closed-form (0,d,0) model, so neither the import, nor validate, nor
     # the run needs it. No fit needs scipy, an iterative one included.
     # PyYAML reads only YAML outside the line reader's subset, and the
-    # bundled scenario is inside it.
+    # bundled scenario is inside it. The records are plain classes, so
+    # dataclasses, and the inspect module it imports, stay unloaded too.
     script = (
         "import json, sys\n"
         "def loaded(*names):\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if m.lstrip('_').partition('.')[0] in names)\n"
+        "SHUNNED = ('numpy', 'scipy', 'yaml', 'dataclasses', 'inspect')\n"
         "import aamcba\n"
-        "after_import = loaded('numpy', 'scipy', 'yaml')\n"
+        "after_import = loaded(*SHUNNED)\n"
         "from aamcba.cli import main\n"
         "validated = main(['validate'])\n"
-        "after_validate = loaded('numpy', 'scipy', 'yaml')\n"
+        "after_validate = loaded(*SHUNNED)\n"
         "code = main(['run', '--out', sys.argv[1], '--emit', 'json'])\n"
-        "after_run = loaded('numpy', 'scipy', 'yaml')\n"
+        "after_run = loaded(*SHUNNED)\n"
         "from aamcba.forecast import ArimaOrder, fit_arima\n"
         "fit_arima([(i * 7919 % 101) / 10.0 for i in range(60)], ArimaOrder(1, 0, 1))\n"
         "print(json.dumps([after_import, validated, after_validate, code, after_run,\n"
@@ -344,17 +346,31 @@ def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message)
     ("scghg_base_year", -1.0e300),
     ("market_base_year", -1.0e300),
 ])
-def test_overflowing_growth_exits_3_without_a_traceback(tmp_path, capsys, key, value):
-    # Each value passes validation; compounding it overflows a float.
+def test_overflowing_growth_exits_2_naming_the_constant(tmp_path, capsys, key, value):
+    # Each value lies inside its constant's domain, but compounding it over
+    # the horizon overflows a float; validation compounds it once.
     doc = _bundled_doc()
     doc["constants"][key] = value
     big = _write_json(tmp_path / "big.json", doc)
-    assert main(["validate", "--scenario", str(big)]) == 0
-    capsys.readouterr()
-    assert main(["run", "--scenario", str(big), "--out", str(tmp_path / "x")]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure" in err
-    assert "Traceback" not in err
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(big)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' ({value!r})" in err
+        assert "is not a finite number" in err
+        assert "numerical failure" not in err
+
+
+def test_complex_growth_exits_2_naming_the_constant(tmp_path, capsys):
+    # A rate below -1 compounded over a fractional number of years is
+    # complex; the run used to end in a TypeError traceback.
+    doc = _bundled_doc()
+    doc["constants"].update(scghg_discount=-2.0, scghg_base_year=2020.5)
+    bad = _write_json(tmp_path / "bad.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "'scghg_discount' (-2.0)" in err
+        assert "'scghg_base_year' (2020.5)" in err
 
 
 def test_forecast_subpackage_imports_in_a_fresh_interpreter():

@@ -7,12 +7,11 @@ evaluation of the factor must read every declared input.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from aamcba.engine import evaluate
 from aamcba.factors import FACTORS, no_record
+from aamcba.ingest import Scenario
 
 #: A non-default value for every toggle a factor may read.
 FLIPPED = {
@@ -24,6 +23,12 @@ FLIPPED = {
     "bf7_case": 3,
     "amortize_capex_years": 5,
 }
+
+
+def _replace(s: Scenario, **changes) -> Scenario:
+    """A copy of scenario ``s`` built by its constructor, with ``changes``."""
+    fields = {name: getattr(s, name) for name in Scenario.__slots__}
+    return Scenario(**{**fields, **changes})
 
 
 class _ReadLog:
@@ -60,7 +65,7 @@ def _reads(default_scenario, factor, toggles):
     full = default_scenario.with_overrides(toggles=toggles)
     constants = factor.required_constants(full)
     exogenous = (*factor.exogenous, "capex", "opex")
-    cut = replace(
+    cut = _replace(
         full,
         constants={k: full.constants[k] for k in constants},
         input_series={k: full.input_series[k] for k in exogenous},

@@ -1,8 +1,6 @@
 """Scenario documents, series parsing, and validation."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 import yaml
 
@@ -19,6 +17,12 @@ from aamcba.ingest import (
     scenario_from_dict,
     validate_scenario,
 )
+
+
+def _replace(s: Scenario, **changes) -> Scenario:
+    """A copy of scenario ``s`` built by its constructor, with ``changes``."""
+    fields = {name: getattr(s, name) for name in Scenario.__slots__}
+    return Scenario(**{**fields, **changes})
 
 
 def test_bundled_scenario_loads_clean(default_scenario):
@@ -204,7 +208,7 @@ def test_non_finite_constant_is_rejected(key, value):
 
 def test_validate_missing_constant(default_scenario):
     s = default_scenario
-    trimmed = replace(
+    trimmed = _replace(
         s, constants={k: v for k, v in s.constants.items() if k != "VTTS_2015"}
     )
     with pytest.raises(
@@ -214,7 +218,7 @@ def test_validate_missing_constant(default_scenario):
 
 
 def test_validate_exogenous_coverage(default_scenario):
-    stretched = replace(default_scenario, horizon_end=2040)
+    stretched = _replace(default_scenario, horizon_end=2040)
     with pytest.raises(ScenarioError, match="does not cover year 2033"):
         validate_scenario(stretched, ("BF1",))
 
@@ -224,7 +228,7 @@ def test_validate_historical_reaches_into_horizon(default_scenario):
     overlong = TimeSeries(
         "mhi", tuple(range(2010, 2023)), tuple(float(v) for v in range(13))
     )
-    crossed = replace(
+    crossed = _replace(
         s, historical_series={**s.historical_series, "mhi": overlong}
     )
     with pytest.raises(
@@ -236,7 +240,7 @@ def test_validate_historical_reaches_into_horizon(default_scenario):
 def test_validate_historical_too_short(default_scenario):
     s = default_scenario
     stub = TimeSeries("mhi", tuple(range(2015, 2022)), tuple(range(7)))
-    shortened = replace(
+    shortened = _replace(
         s, historical_series={**s.historical_series, "mhi": stub}
     )
     with pytest.raises(ScenarioError, match="has 7 points; at least 8"):
@@ -300,7 +304,7 @@ def test_validate_warnings(default_scenario):
     warnings = validate_scenario(dubious, ("BF9",))
     assert any("outside the expected range" in w for w in warnings)
 
-    negative = replace(
+    negative = _replace(
         s,
         input_series={
             **s.input_series,
