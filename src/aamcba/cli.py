@@ -13,7 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import ALL_EMIT, RunManifest, evaluate, explain, normalize_emit, run
+# Called as module attributes, not bound by name, so that a tracer which
+# replaces engine.load_scenario, evaluate or write_outputs sees these calls.
+from . import engine
 from .forecast import ForecastError
 from .ingest import (
     FACTOR_IDS,
@@ -78,8 +80,8 @@ def _parse_toggles(pairs: list[str] | None) -> dict:
 
 def _parse_emit(text: str | None) -> frozenset[str]:
     if text is None:
-        return ALL_EMIT
-    return normalize_emit(kind.lower() for kind in _split_list(text, "emit"))
+        return engine.ALL_EMIT
+    return engine.normalize_emit(kind.lower() for kind in _split_list(text, "emit"))
 
 
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
@@ -156,51 +158,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    manifest = RunManifest(
-        scenario_path=find_scenario(args.scenario),
-        output_dir=Path(args.out),
-        enabled_factors=_parse_factors(args.factors),
-        seed=args.seed,
-        emit=_parse_emit(args.emit),
-        pin_orders=args.pin_orders,
-        best_effort=args.best_effort,
-        toggles=_parse_toggles(args.toggle),
+def _evaluate(args: argparse.Namespace, path: Path, options):
+    """Load the scenario at ``path``; then apply the toggle overrides and
+    evaluate the factors that ``options()`` returns. ``run`` checks its
+    options before the load and ``explain`` after it, inside ``options``."""
+    scenario = engine.load_scenario(path)
+    toggles, factors = options()
+    if toggles:
+        scenario = scenario.with_overrides(toggles=toggles)
+    return engine.evaluate(
+        scenario, factors, pin_orders=args.pin_orders, best_effort=args.best_effort
     )
-    result = run(manifest)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    path = find_scenario(args.scenario)
+    factors = _parse_factors(args.factors)
+    emit = _parse_emit(args.emit)
+    toggles = _parse_toggles(args.toggle)
+    result = _evaluate(args, path, lambda: (toggles, factors))
+    engine.write_outputs(result, args.out, emit, seed=args.seed)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    first, last = result.annual[0], result.annual[-1]
     print(f"scenario: {result.scenario.name}")
     print(f"factors: {', '.join(result.factors)}")
-    print(
-        f"net positive gain, {first.year}: {first.npi.mean:,.0f} "
-        f"[{first.npi.lower:,.0f} .. {first.npi.upper:,.0f}]"
-    )
-    print(
-        f"net positive gain, {last.year}: {last.npi.mean:,.0f} "
-        f"[{last.npi.lower:,.0f} .. {last.npi.upper:,.0f}]"
-    )
-    print(f"outputs written to {manifest.output_dir}")
+    for row in (result.annual[0], result.annual[-1]):
+        print(
+            f"net positive gain, {row.year}: {row.npi.mean:,.0f} "
+            f"[{row.npi.lower:,.0f} .. {row.npi.upper:,.0f}]"
+        )
+    print(f"outputs written to {Path(args.out)}")
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    scenario = load_scenario(find_scenario(args.scenario))
-    toggles = _parse_toggles(args.toggle)
-    if toggles:
-        scenario = scenario.with_overrides(toggles=toggles)
     factor = args.factor.strip().upper()
-    factors = _parse_factors(args.factors) if args.factors else None
-    if factors is not None and factor not in factors:
-        raise ScenarioError(f"factor {factor} not in --factors selection")
-    result = evaluate(
-        scenario,
-        factors if factors is not None else (factor,),
-        pin_orders=args.pin_orders,
-        best_effort=args.best_effort,
-    )
-    print(explain(result, factor, args.year))
+
+    def options():
+        toggles = _parse_toggles(args.toggle)
+        factors = _parse_factors(args.factors) if args.factors else (factor,)
+        if factor not in factors:
+            raise ScenarioError(f"factor {factor} not in --factors selection")
+        return toggles, factors
+
+    result = _evaluate(args, find_scenario(args.scenario), options)
+    print(engine.explain(result, factor, args.year))
     return 0
 
 
@@ -222,10 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ForecastError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except (ArithmeticError, ValueError) as err:
+    except (ForecastError, ArithmeticError, ValueError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

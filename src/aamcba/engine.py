@@ -3,10 +3,11 @@
 The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
 forecast channels (lower, mean, upper), each as ``factors`` defines
-it. Factor arithmetic is monotone in the banded inputs, so running the
-channels through the same formulas keeps a valid 95% band; the band
-constructor re-orders the endpoints in the rare case a formula inverts
-them. Evaluators are pure functions of the scenario
+it. Every step a factor records is kept in the result's ``traces``, which
+``explain`` and the plot tables read. Factor arithmetic is monotone in the
+banded inputs, so running the channels through the same formulas keeps a
+valid 95% band; the band constructor re-orders the endpoints in the rare
+case a formula inverts them. Evaluators are pure functions of the scenario
 and one year's values, so they are safe to parallelize if that ever
 matters; at this size it does not.
 """
@@ -16,13 +17,12 @@ import json
 from pathlib import Path
 from typing import Mapping
 
-from .factors import FACTORS, Recorder, no_record
+from .factors import FACTORS, Recorder
 from .forecast import ArimaOrder, ForecastError, PipelineResult, auto_pipeline
 from .ingest import (
-    FACTOR_IDS,
     Scenario,
     ScenarioError,
-    load_scenario,
+    load_scenario,  # the CLI loads through this module (see cli.py)
     normalize_factors,
     required_inputs,
     validate_scenario,
@@ -40,6 +40,9 @@ from .ledger import (
 
 _CHANNELS = ("lower", "mean", "upper")
 
+#: One recorded step of a factor's evaluation: (label, value, item or None).
+Entry = tuple[str, float, str | None]
+
 ALL_EMIT = frozenset(("csv", "json", "plotdata"))
 
 
@@ -55,43 +58,10 @@ def normalize_emit(kinds) -> frozenset[str]:
     return kinds
 
 
-class RunManifest:
-    """Everything one CLI run needs; two identical manifests give
-    byte-identical outputs."""
-
-    __slots__ = (
-        "scenario_path", "output_dir", "enabled_factors", "seed", "emit",
-        "pin_orders", "best_effort", "toggles",
-    )
-
-    def __init__(
-        self,
-        scenario_path: Path,
-        output_dir: Path,
-        enabled_factors: tuple[str, ...] = FACTOR_IDS,
-        seed: int = 0,
-        emit: frozenset[str] = ALL_EMIT,
-        pin_orders: bool = False,
-        best_effort: bool = False,
-        toggles: dict | None = None,
-    ) -> None:
-        self.scenario_path = scenario_path
-        self.output_dir = output_dir
-        self.enabled_factors = normalize_factors(enabled_factors)
-        self.seed = seed
-        self.emit = normalize_emit(emit)
-        self.pin_orders = pin_orders
-        self.best_effort = best_effort
-        self.toggles = {} if toggles is None else toggles
-
-
 class EvaluationResult:
     """Forecasts, yearly ledger rows, and accumulated warnings for one run."""
 
-    __slots__ = (
-        "scenario", "factors", "annual", "forecasts", "warnings",
-        "channel_values", "item_bands",
-    )
+    __slots__ = ("scenario", "factors", "annual", "forecasts", "warnings", "traces")
 
     def __init__(
         self,
@@ -100,19 +70,16 @@ class EvaluationResult:
         annual: list[AnnualResult],
         forecasts: dict[str, PipelineResult],
         warnings: list[str],
-        channel_values: dict[int, dict[str, dict[str, float]]],
-        item_bands: dict[tuple[str, int], list[tuple[str, BandValue]]],
+        traces: dict[tuple[str, int], tuple[list[Entry], ...]],
     ) -> None:
         self.scenario = scenario
         self.factors = factors
         self.annual = annual
         self.forecasts = forecasts
         self.warnings = warnings
-        #: The inputs every factor saw: year -> channel -> series name -> value.
-        self.channel_values = channel_values
-        #: (factor id, year) -> the (item, band) pairs its evaluation tags, for
-        #: the factors whose plot table lists items.
-        self.item_bands = item_bands
+        #: (factor id, year) -> the lower, mean and upper channels' lists of
+        #: every (label, value, item) the factor's evaluation recorded.
+        self.traces = traces
 
 
 def _values_for_year(
@@ -145,12 +112,11 @@ def _band_from_channels(lower: float, mean: float, upper: float) -> BandValue:
     return BandValue(min(lower, mean, upper), mean, max(lower, mean, upper))
 
 
-def _item_recorder(items: list[tuple[str, float]]) -> Recorder:
-    """A recorder that keeps the (item, value) of every item-tagged entry."""
+def _recorder(entries: list[Entry]) -> Recorder:
+    """A recorder that keeps every (label, value, item) entry."""
 
     def rec(label: str, value: float, item: str | None = None) -> float:
-        if item is not None:
-            items.append((item, value))
+        entries.append((label, value, item))
         return value
 
     return rec
@@ -208,63 +174,21 @@ def evaluate(
         )
 
     annual: list[AnnualResult] = []
-    values_by_year: dict[int, dict[str, dict[str, float]]] = {}
-    item_bands: dict[tuple[str, int], list[tuple[str, BandValue]]] = {}
+    traces: dict[tuple[str, int], tuple[list[Entry], ...]] = {}
     for year in scenario.horizon_years:
-        channel_values = values_by_year[year] = _values_for_year(
-            scenario, forecasts, exogenous_names, year
-        )
+        inputs = _values_for_year(scenario, forecasts, exogenous_names, year)
         benefits: dict[str, BandValue] = {}
         for factor_id in enabled:
             factor = FACTORS[factor_id]
-            if factor.plot_items:
-                kept: list[list[tuple[str, float]]] = [[] for _ in _CHANNELS]
-                recorders = [_item_recorder(items) for items in kept]
-            else:
-                recorders = [no_record] * len(_CHANNELS)
+            trace = traces[factor_id, year] = ([], [], [])
             lower, mean, upper = (
-                factor.evaluate(scenario, channel_values[channel], year, rec)
-                for channel, rec in zip(_CHANNELS, recorders)
+                factor.evaluate(scenario, inputs[channel], year, _recorder(entries))
+                for channel, entries in zip(_CHANNELS, trace)
             )
             benefits[factor_id] = _band_from_channels(lower, mean, upper)
-            if factor.plot_items:
-                item_bands[factor_id, year] = [
-                    (item, _band_from_channels(lo, mid, up))
-                    for (item, lo), (_, mid), (_, up) in zip(*kept)
-                ]
-        annual.append(
-            AnnualResult(
-                year=year,
-                benefits=benefits,
-                capex=channel_values["mean"]["capex"],
-                opex=channel_values["mean"]["opex"],
-            )
-        )
-    return EvaluationResult(
-        scenario=scenario,
-        factors=enabled,
-        annual=annual,
-        forecasts=forecasts,
-        warnings=warnings,
-        channel_values=values_by_year,
-        item_bands=item_bands,
-    )
-
-
-def _trace(
-    result: EvaluationResult, factor_id: str, year: int, channel: str
-) -> list[tuple[str, float, str | None]]:
-    """Every (label, value, item) a factor records in one year and channel."""
-    entries: list[tuple[str, float, str | None]] = []
-
-    def rec(label: str, value: float, item: str | None = None) -> float:
-        entries.append((label, value, item))
-        return value
-
-    FACTORS[factor_id].evaluate(
-        result.scenario, result.channel_values[year][channel], year, rec
-    )
-    return entries
+        costs = inputs["mean"]
+        annual.append(AnnualResult(year, benefits, costs["capex"], costs["opex"]))
+    return EvaluationResult(scenario, enabled, annual, forecasts, warnings, traces)
 
 
 def explain(result: EvaluationResult, factor_id: str, year: int) -> str:
@@ -283,7 +207,8 @@ def explain(result: EvaluationResult, factor_id: str, year: int) -> str:
     factor = FACTORS[factor_id]
     band = next(r for r in result.annual if r.year == year).benefits[factor_id]
     lines = [f"{factor_id} ({factor.label}), year {year}"]
-    for label, value, _ in _trace(result, factor_id, year, "mean"):
+    _, mean, _ = result.traces[factor_id, year]
+    for label, value, _ in mean:
         lines.append(f"  {label}: {float(value):,.6g}")
     lines.append(
         f"  value ($): {band.mean:,.2f}   "
@@ -325,8 +250,8 @@ def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
 
 
 def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
-    """One table per factor plot file: each factor's value, or the items its
-    evaluation tags, by year."""
+    """One table per factor plot file, by year: the items a factor's trace
+    tags, banded across the channels, or else the factor's value."""
     groups: dict[str, list[str]] = {}
     for factor_id in result.factors:
         groups.setdefault(FACTORS[factor_id].plot_file, []).append(factor_id)
@@ -335,11 +260,15 @@ def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
         rows = []
         for r in result.annual:
             for factor_id in members:
-                factor = FACTORS[factor_id]
-                if factor.plot_items:
-                    bands = result.item_bands[factor_id, r.year]
-                else:
-                    bands = [(factor.file_stem, r.benefits[factor_id])]
+                # the three channels record the same steps in the same order
+                trace = result.traces[factor_id, r.year]
+                bands = [
+                    (item, _band_from_channels(lo, mid, up))
+                    for (_, lo, _), (_, mid, item), (_, up, _) in zip(*trace)
+                    if item is not None
+                ]
+                if not bands:
+                    bands = [(FACTORS[factor_id].file_stem, r.benefits[factor_id])]
                 rows += [
                     (r.year, item, band.lower, band.mean, band.upper)
                     for item, band in bands
@@ -389,17 +318,3 @@ def write_outputs(
         written.extend(_write_plot_data(result, out_dir))
     return written
 
-
-def run(manifest: RunManifest) -> EvaluationResult:
-    """Load, evaluate, and write one manifest end to end."""
-    scenario = load_scenario(manifest.scenario_path)
-    if manifest.toggles:
-        scenario = scenario.with_overrides(toggles=manifest.toggles)
-    result = evaluate(
-        scenario,
-        manifest.enabled_factors,
-        pin_orders=manifest.pin_orders,
-        best_effort=manifest.best_effort,
-    )
-    write_outputs(result, manifest.output_dir, manifest.emit, seed=manifest.seed)
-    return result

@@ -5,9 +5,9 @@ the scenario inputs it reads, and one ``evaluate(s, v, year, rec)``: ``s``
 is the scenario, ``v`` one channel's series values for ``year``. It
 computes each intermediate once and hands it to ``rec(label, value,
 item=None)``, which returns the value unchanged. The engine passes a
-recorder that does nothing, or, for a factor whose plot table lists items,
-one that keeps the entries tagged with an ``item`` name; ``explain``
-passes one that keeps the whole trace. A record may also hold a
+recorder that keeps every entry: that trace is what ``explain`` prints,
+and the entries tagged with an ``item`` name are what the factor's plot
+table lists. A record may also hold a
 ``check(s)`` across its inputs, which validation runs before any
 evaluation.
 
@@ -20,6 +20,7 @@ from forecasts: local VMT, ground trips and package trips.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ScenarioError
@@ -54,7 +55,7 @@ class Factor:
 
     __slots__ = (
         "id", "label", "file_stem", "plot_file", "evaluate", "constants",
-        "exogenous", "historical", "toggle_constants", "plot_items", "check",
+        "exogenous", "historical", "toggle_constants", "check",
     )
 
     def __init__(
@@ -68,15 +69,14 @@ class Factor:
         exogenous: tuple[str, ...] = (),
         historical: tuple[str, ...] = (),
         toggle_constants: tuple[tuple[str, str], ...] = (),
-        plot_items: bool = False,
         check: Callable[[Scenario], list[str]] | None = None,
     ) -> None:
         self.id = id
         self.label = label
         #: Stem of the factor's own ``<stem>.csv`` output.
         self.file_stem = file_stem
-        #: Plot table the factor goes in: its value, or with ``plot_items``
-        #: the intermediates its ``evaluate`` tags with an item name.
+        #: Plot table the factor goes in: the intermediates its ``evaluate``
+        #: tags with an item name, or else its value.
         self.plot_file = plot_file
         self.evaluate = evaluate
         self.constants = constants
@@ -84,7 +84,6 @@ class Factor:
         self.historical = historical
         #: (toggle, constant) pairs: the constant is read while the toggle is on.
         self.toggle_constants = toggle_constants
-        self.plot_items = plot_items
         #: Checks across the factor's inputs, run by validation once its
         #: constants are known present: a failure is a ScenarioError, and the
         #: warnings are returned.
@@ -107,27 +106,27 @@ def _vmt_local(v: Values) -> float:
     return v["vmt_us"] / v["us_population"] * v["population"]
 
 
-def _grown(value: float, rate: float, years: float) -> float:
-    """``value`` compounded at ``rate`` a year for ``years`` years."""
-    return value * (1.0 + rate) ** years
+#: Two floats below this in magnitude have a finite product.
+_HEADROOM = math.sqrt(sys.float_info.max)
 
 
-def _check_growth(s: Scenario, rate_key: str, base_key: str) -> None:
-    """Compound ``rate_key`` from ``base_key`` to each end of the horizon,
-    as ``_grown`` does. The factor grows monotonically in the year, so every
-    horizon year's is finite when both ends' are."""
-    rate = s.constant(rate_key)
-    base = s.constant(base_key)
+def _check_bounded(s: Scenario, what: str, keys: tuple[str, ...], compute) -> None:
+    """Evaluate ``compute(s, year)``, a part of a factor's arithmetic that
+    reads only the constants ``keys``, at both ends of the horizon. Each
+    value is monotone in the year, so its extremes lie there. Each must be a
+    float below ``_HEADROOM`` in magnitude, so that its product with a
+    quantity derived from the forecasts stays finite as well."""
     for year in (s.horizon_start, s.horizon_end):
         try:
-            growth = (1.0 + rate) ** (year - base)
+            values = compute(s, year)
         except (OverflowError, ZeroDivisionError):
-            growth = math.inf
+            values = (math.inf,)
         # a negative base to a fractional power is complex
-        if type(growth) is not float or not math.isfinite(growth):
+        if not all(type(x) is float and abs(x) < _HEADROOM for x in values):
+            named = ", ".join(f"'{key}' ({s.constant(key)!r})" for key in keys)
             raise ScenarioError(
-                f"constant '{rate_key}' ({rate!r}) compounded from "
-                f"'{base_key}' ({base!r}) to {year} is not a finite number"
+                f"{what} in {year} from constants {named} is not a finite "
+                f"number below {_HEADROOM:.3g}"
             )
 
 
@@ -185,37 +184,41 @@ def _fatality_rates(s: Scenario) -> list[str]:
     ]
 
 
+def _package_market(s: Scenario, year: int) -> tuple[float, float, float, float]:
+    """The global drone logistics market in ``year``, the US share, the US
+    market value, and its level against the first horizon year."""
+    base_year = s.constant("market_base_year")
+    base_value = s.constant("market_value_2019")
+    growth = 1.0 + s.constant("market_cagr")
+    share = s.constant("us_market_2019") / base_value
+    value_year = base_value * growth ** (year - base_year)
+    us_year = value_year * share
+    us_first = base_value * growth ** (s.horizon_start - base_year) * share
+    # The printed form scales by the US share a second time;
+    # bf3_single_ratio drops that extra factor.
+    if s.toggle("bf3_single_ratio"):
+        return value_year, share, us_year, us_year / us_first
+    return value_year, share, us_year, us_year * share / us_first
+
+
 def _package_trips(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     """Annual drone package deliveries in the study region: the global
     market projection, cut to the US share, normalized by its level in the
     first horizon year, applied to the region's share of US parcels."""
-    base_year = s.constant("market_base_year")
-    base_value = s.constant("market_value_2019")
-    cagr = s.constant("market_cagr")
-    share = s.constant("us_market_2019") / base_value
-    value_year = rec(
-        "global drone logistics market ($M)",
-        _grown(base_value, cagr, year - base_year),
-    )
+    value_year, share, us_year, level = _package_market(s, year)
+    rec("global drone logistics market ($M)", value_year)
     rec("US market share", share)
-    us_year = rec("US market value ($M)", value_year * share)
-    us_first = _grown(base_value, cagr, s.horizon_start - base_year) * share
-    # The printed form scales by the US share a second time;
-    # bf3_single_ratio drops that extra factor.
-    if s.toggle("bf3_single_ratio"):
-        norm = us_year / us_first
-    else:
-        norm = us_year * share / us_first
-    norm = rec("market level vs first horizon year", norm)
+    rec("US market value ($M)", us_year)
+    rec("market level vs first horizon year", level)
     return rec(
         "drone package deliveries",
-        norm * (s.constant("annual_parcels") * s.constant("parcel_fraction"))
+        level * (s.constant("annual_parcels") * s.constant("parcel_fraction"))
         * (v["population"] / v["us_population"]),
     )
 
 
-def _market_growth(s: Scenario) -> list[str]:
-    _check_growth(s, "market_cagr", "market_base_year")
+def _market_bounds(s: Scenario) -> list[str]:
+    _check_bounded(s, "the package market", _MARKET_LEVEL, _package_market)
     return []
 
 
@@ -444,13 +447,20 @@ def _tax_revenue(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     return rec("tax income passed through ($)", v["tax_income"])
 
 
+def _social_costs(s: Scenario, year: int) -> tuple[float, float]:
+    """The social costs per ton of CO2 and of methane and nitrous oxide
+    (blended) in ``year``, compounded from their base year."""
+    years = year - s.constant("scghg_base_year")
+    growth = (1.0 + s.constant("scghg_discount")) ** years
+    blended = (s.constant("scm_2020") * growth + s.constant("scn_2020") * growth) / 2.0
+    return s.constant("scc_2020") * growth, blended
+
+
 def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     # Social costs per ton are published for a base year and compounded
     # forward; the share of the ground fleet's emissions avoided is the
     # fraction of ground trips the air services replace, scaled by how much
     # cleaner the electric aircraft are.
-    years = year - s.constant("scghg_base_year")
-    rate = s.constant("scghg_discount")
     vmt = rec("local road miles (mi)", _vmt_local(v))
     gallons = rec(
         "gallons burned by the ground fleet", vmt / s.constant("mpg_fleet")
@@ -461,14 +471,9 @@ def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
         "methane and nitrous oxide emitted (tons)",
         per_gallon * (1.0 / s.constant("co2_share_of_ghg") - 1.0) * gallons,
     )
-    scc = rec(
-        "social cost of CO2 ($/ton)", _grown(s.constant("scc_2020"), rate, years)
-    )
-    sc_other = rec(
-        "blended methane/nitrous social cost ($/ton)",
-        (_grown(s.constant("scm_2020"), rate, years)
-         + _grown(s.constant("scn_2020"), rate, years)) / 2.0,
-    )
+    scc, sc_other = _social_costs(s, year)
+    rec("social cost of CO2 ($/ton)", scc)
+    rec("blended methane/nitrous social cost ($/ton)", sc_other)
     evtol = rec(
         "eVTOL vehicle trips", v["passenger_trips"] / s.constant("seats_per_evtol")
     )
@@ -487,17 +492,23 @@ def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     return share * ratio * (scc * co2 + sc_other * other)
 
 
-def _ghg_growth(s: Scenario) -> list[str]:
-    _check_growth(s, "scghg_discount", "scghg_base_year")
-    return _market_growth(s)
+def _ghg_bounds(s: Scenario) -> list[str]:
+    _check_bounded(s, "the social costs of emissions", _SOCIAL_COSTS, _social_costs)
+    # the replaced trips include package deliveries
+    return _market_bounds(s)
 
+
+#: The constants of the package-market level, and of the social costs.
+_MARKET_LEVEL = (
+    "market_value_2019", "market_base_year", "market_cagr", "us_market_2019",
+)
+_SOCIAL_COSTS = (
+    "scc_2020", "scm_2020", "scn_2020", "scghg_discount", "scghg_base_year",
+)
 
 #: The replaced-trip count of BF9 folds in package deliveries, so it reads
 #: the package-market constants as well.
-_PACKAGE_MARKET = (
-    "market_value_2019", "market_base_year", "market_cagr", "us_market_2019",
-    "annual_parcels", "parcel_fraction",
-)
+_PACKAGE_MARKET = (*_MARKET_LEVEL, "annual_parcels", "parcel_fraction")
 
 FACTORS: dict[str, Factor] = {f.id: f for f in (
     Factor(
@@ -532,7 +543,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         ),
         exogenous=("us_population",),
         historical=("population",),
-        check=_market_growth,
+        check=_market_bounds,
     ),
     Factor(
         "BF4", "air cargo savings", "air_cargo",
@@ -575,14 +586,12 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
             *(f"{crop}_price" for crop in _CROPS),
             "livestock",
         ),
-        plot_items=True,
     ),
     Factor(
         "BF7", "emergency medical response", "medical_response",
         "plot_medical_cases.csv", _medical_response,
         constants=("ohca_per_100k", "DSN", "survival_rates", "CAS"),
         historical=("population", "vsl"),
-        plot_items=True,
         check=_medical_ladder,
     ),
     Factor(
@@ -600,7 +609,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         ),
         exogenous=("passenger_trips", "cargo_trips", "us_population"),
         historical=("vmt_us", "population"),
-        check=_ghg_growth,
+        check=_ghg_bounds,
     ),
 )}
 

@@ -10,7 +10,7 @@ from .arima import (
     integrate,
     psi_weights,
 )
-from .common import CI_Z, CONFIDENCE, MIN_OBS, ForecastError
+from .common import CI_Z, MIN_OBS, ForecastError
 from .correlation import acf, bartlett_bound, pacf
 from .pipeline import PipelineResult, auto_pipeline
 from .stattests import TestReport, adf_test, default_adf_lag, ljung_box
@@ -23,7 +23,6 @@ __all__ = [
     "TestReport",
     "ForecastError",
     "CI_Z",
-    "CONFIDENCE",
     "MIN_OBS",
     "acf",
     "adf_test",

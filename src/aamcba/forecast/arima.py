@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .common import CI_Z, CONFIDENCE, MIN_OBS, ForecastError, dot
+from .common import CI_Z, MIN_OBS, ForecastError, dot
 from .correlation import pacf
 
 MAX_P = 5
@@ -133,7 +133,7 @@ class FittedArima:
 class ForecastBand:
     """Point forecasts with symmetric 95% limits, on the original scale."""
 
-    __slots__ = ("years", "lower", "mean", "upper", "confidence")
+    __slots__ = ("years", "lower", "mean", "upper")
 
     def __init__(
         self,
@@ -141,7 +141,6 @@ class ForecastBand:
         lower: tuple[float, ...],
         mean: tuple[float, ...],
         upper: tuple[float, ...],
-        confidence: float = CONFIDENCE,
     ) -> None:
         k = len(years)
         if not (len(lower) == len(mean) == len(upper) == k):
@@ -159,7 +158,6 @@ class ForecastBand:
         self.lower = lower
         self.mean = mean
         self.upper = upper
-        self.confidence = confidence
 
 
 def difference(values, d: int) -> list[float]:

@@ -12,9 +12,6 @@ class ForecastError(RuntimeError):
 #: Normal quantile used for 95% interval half-widths.
 CI_Z = 1.96
 
-#: Confidence level reported on every forecast band.
-CONFIDENCE = 0.95
-
 #: Minimum observations before a series may be forecast.
 MIN_OBS = 8
 

@@ -193,6 +193,15 @@ def write_npi_csv(path: Path, results: Sequence[AnnualResult]) -> None:
     write_band_csv(path, [r.year for r in results], [r.npi for r in results])
 
 
+def _total(values: Iterable[float]) -> float:
+    """``values`` added left to right. ``sum()`` compensates its float
+    additions from Python 3.12 on, so its last bits depend on the version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def summary_dict(results: Sequence[AnnualResult]) -> dict:
     """Horizon roll-up: totals per factor, cost totals, NPI trajectory."""
     if not results:
@@ -208,10 +217,10 @@ def summary_dict(results: Sequence[AnnualResult]) -> dict:
         "first_year": years[0],
         "last_year": years[-1],
         "benefit_totals_mean": factor_totals,
-        "capex_total": sum(r.capex for r in results),
-        "opex_total": sum(r.opex for r in results),
+        "capex_total": _total(r.capex for r in results),
+        "opex_total": _total(r.opex for r in results),
         "npi_mean_by_year": dict(zip(map(str, years), npi_means)),
-        "npi_total_mean": sum(npi_means),
+        "npi_total_mean": _total(npi_means),
     }
     if len(years) > 1 and npi_means[0] > 0 and npi_means[-1] > 0:
         summary["npi_mean_cagr"] = cagr(

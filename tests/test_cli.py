@@ -373,6 +373,28 @@ def test_complex_growth_exits_2_naming_the_constant(tmp_path, capsys):
         assert "'scghg_base_year' (2020.5)" in err
 
 
+@pytest.mark.parametrize("values", [
+    {"market_value_2019": 1.0e307, "us_market_2019": 1.0e307},
+    {"us_market_2019": 1.0e307},
+    {"scc_2020": 1.0e307},
+    {"scm_2020": 1.0e308},
+])
+def test_huge_base_values_exit_2_naming_the_constants(tmp_path, capsys, values):
+    # Each growth factor is finite, but the package-market level or a social
+    # cost, or its product with the tons emitted, overflows: validate used to
+    # pass and run then ended in a non-finite band.
+    doc = _bundled_doc()
+    doc["constants"].update(values)
+    big = _write_json(tmp_path / "big.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(big)]) == 2
+        err = capsys.readouterr().err
+        for key, value in values.items():
+            assert f"'{key}' ({value!r})" in err
+        assert "is not a finite number" in err
+        assert "numerical failure" not in err
+
+
 def test_forecast_subpackage_imports_in_a_fresh_interpreter():
     # The package namespace once re-exported the function ``forecast``,
     # which shadowed the subpackage of that name.

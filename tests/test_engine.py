@@ -5,19 +5,18 @@ import json
 
 import pytest
 
+from aamcba.cli import main
 from aamcba.engine import (
     ALL_EMIT,
-    RunManifest,
     _values_for_year,
     evaluate,
     explain,
     normalize_factors,
-    run,
     write_outputs,
 )
 from aamcba.factors import FACTORS
 from aamcba.forecast import ForecastError
-from aamcba.ingest import FACTOR_IDS, ScenarioError, default_scenario_path
+from aamcba.ingest import FACTOR_IDS, ScenarioError
 
 
 def test_default_run_shape(default_scenario, default_evaluation):
@@ -125,6 +124,26 @@ def test_explain_medical_network(default_evaluation):
     assert "selected network size (stations): 1,015" in text
 
 
+def test_explain_and_plot_tables_read_the_recorded_trace(
+    default_evaluation, tmp_path, monkeypatch
+):
+    years = (2022, 2027, 2032)
+    texts = [explain(default_evaluation, f, y) for f in FACTOR_IDS for y in years]
+    write_outputs(default_evaluation, tmp_path / "before", emit={"plotdata"})
+
+    def fail(*args):
+        raise AssertionError("a factor was evaluated again")
+
+    for factor in FACTORS.values():
+        monkeypatch.setattr(factor, "evaluate", fail)
+    again = [explain(default_evaluation, f, y) for f in FACTOR_IDS for y in years]
+    assert again == texts
+    written = write_outputs(default_evaluation, tmp_path / "after", emit={"plotdata"})
+    assert written
+    for path in written:
+        assert path.read_bytes() == (tmp_path / "before" / path.name).read_bytes()
+
+
 def test_explain_errors(default_scenario, default_evaluation):
     with pytest.raises(ScenarioError, match="was not part of this run"):
         explain(evaluate(default_scenario, ("BF8",)), "BF1", 2022)
@@ -138,19 +157,6 @@ def test_normalize_factors():
         normalize_factors(["BF1", "BFX"])
     with pytest.raises(ScenarioError, match="no benefit factors enabled"):
         normalize_factors([])
-
-
-def test_manifest_validation(tmp_path):
-    with pytest.raises(ScenarioError, match="no benefit factors enabled"):
-        RunManifest(
-            scenario_path=default_scenario_path(), output_dir=tmp_path,
-            enabled_factors=(),
-        )
-    with pytest.raises(ScenarioError, match="unknown emit kinds"):
-        RunManifest(
-            scenario_path=default_scenario_path(), output_dir=tmp_path,
-            emit=frozenset({"csv", "pdf"}),
-        )
 
 
 def test_forecast_coverage_guard(default_scenario, default_evaluation):
@@ -219,28 +225,21 @@ def test_summary_json_content(default_evaluation, tmp_path):
     assert set(ledger["benefit_totals_mean"]) == set(FACTOR_IDS)
 
 
-def test_run_manifest_end_to_end(tmp_path):
-    manifest = RunManifest(
-        scenario_path=default_scenario_path(),
-        output_dir=tmp_path / "out",
-        enabled_factors=("BF8",),
-        emit=frozenset({"json"}),
-    )
-    result = run(manifest)
-    assert result.factors == ("BF8",)
-    assert (tmp_path / "out" / "summary.json").is_file()
+def test_cli_run_end_to_end(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--factors", "BF8", "--emit", "json"]) == 0
+    assert "factors: BF8\n" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    assert json.loads((out / "summary.json").read_text())["factors"] == ["BF8"]
 
 
-def test_run_manifest_applies_toggles(tmp_path):
-    manifest = RunManifest(
-        scenario_path=default_scenario_path(),
-        output_dir=tmp_path / "out",
-        enabled_factors=("BF6",),
-        emit=frozenset({"json"}),
-        toggles={"bf6_incremental": True},
-    )
-    result = run(manifest)
-    assert not any("uplifted harvest" in w for w in result.warnings)
+def test_cli_run_applies_toggles(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--out", str(out), "--factors", "BF6", "--emit", "json"]
+    assert main(argv + ["--toggle", "bf6_incremental=true"]) == 0
+    assert "uplifted harvest" not in capsys.readouterr().err
+    warnings = json.loads((out / "summary.json").read_text())["warnings"]
+    assert not any("uplifted harvest" in w for w in warnings)
 
 
 def test_emit_constant_is_closed():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from aamcba.engine import evaluate
+from aamcba.engine import _values_for_year, evaluate
 from aamcba.factors import FACTORS, no_record
 from aamcba.ingest import Scenario
 
@@ -75,7 +75,9 @@ def _reads(default_scenario, factor, toggles):
     result = evaluate(cut, (factor.id,))
     year = cut.horizon_start
     log = _ReadLog(cut)
-    values = _ValueLog(result.channel_values[year]["mean"])
+    values = _ValueLog(
+        _values_for_year(cut, result.forecasts, exogenous, year)["mean"]
+    )
     factor.evaluate(log, values, year, no_record)
     assert log.constants_read == set(constants)
     assert values.read == set(factor.exogenous) | set(factor.historical)

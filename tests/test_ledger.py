@@ -164,6 +164,23 @@ def test_summary_cagr_omitted_when_undefined():
         summary_dict([])
 
 
+def test_summary_totals_add_left_to_right():
+    # npi means -1e16, -1.0, 1e16: left to right the 1.0 is absorbed and the
+    # totals are 0.0; the compensated sum() of Python 3.12 on gives -1.0
+    # (npi) and 1.0 (capex, opex)
+    results = [
+        AnnualResult(
+            year=2022 + i, benefits={"BF1": BandValue.point(v)}, capex=v, opex=v
+        )
+        for i, v in enumerate([1e16, 1.0, -1e16])
+    ]
+    assert [r.npi.mean for r in results] == [-1e16, -1.0, 1e16]
+    summary = summary_dict(results)
+    assert summary["npi_total_mean"] == 0.0
+    assert summary["capex_total"] == 0.0
+    assert summary["opex_total"] == 0.0
+
+
 def _random_ledger(rng: np.random.Generator) -> list[AnnualResult]:
     factors = rng.choice(FACTOR_IDS, size=rng.integers(1, 10), replace=False)
     years = range(2022, 2022 + int(rng.integers(2, 6)))
