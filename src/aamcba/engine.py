@@ -4,12 +4,14 @@ The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
 forecast channels (lower, mean, upper), each as ``factors`` defines
 it. Every step a factor records is kept in the result's ``traces``, which
-``explain`` and the plot tables read. Factor arithmetic is monotone in the
-banded inputs, so running the channels through the same formulas keeps a
-valid 95% band; the band constructor re-orders the endpoints in the rare
-case a formula inverts them. Evaluators are pure functions of the scenario
-and one year's values, so they are safe to parallelize if that ever
-matters; at this size it does not.
+``explain`` and the plot tables read. Running the three channels through
+the same formulas gives a comonotone envelope: each factor with every
+forecast input at its lower, its mean or its upper limit together. That
+assumes every forecast error moves together, so it is not a 95% interval.
+A factor can fall as one input rises, so the band constructor sorts the
+endpoints when a formula inverts them. Evaluators are pure functions of
+the scenario and one year's values, so they are safe to parallelize if
+that ever matters; at this size it does not.
 """
 from __future__ import annotations
 

@@ -12,7 +12,8 @@ table lists. A record may also hold a
 evaluation.
 
 The arithmetic is scalar; forecast bands come from evaluating each channel
-in turn (every factor is monotone in its banded inputs). The scenario
+in turn, a comonotone envelope with every banded input at the same limit
+(a factor need not be monotone in each input alone). The scenario
 inputs are validated upstream, by ``ingest.validate_scenario`` and each
 factor's ``check``, so the arithmetic guards only three values derived
 from forecasts: local VMT, ground trips and package trips.

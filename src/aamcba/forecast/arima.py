@@ -217,6 +217,29 @@ def _unstable_lag(coeffs) -> tuple[int, float] | None:
     return None
 
 
+def _ma_impulse_response(theta: list[float]) -> list[float]:
+    """h_0..h_{_BLOCK-1}, the impulse response of 1/theta(B) for the floats
+    theta_1..theta_q, q <= MAX_Q: h_0 = 1, h_t = -(theta_1 h_{t-1} + ... +
+    theta_q h_{t-q}) with h at 0.0 before t=0.
+
+    One recursion over MAX_Q lags serves every q: theta is padded with 0.0.
+    Each sum runs left to right (sum() rounds differently from 3.12 on)
+    from +0.0, so it is never -0.0, and the padded terms, each +-0.0, leave
+    every bit of h as the q-term sum has it.
+    """
+    t1, t2, t3, t4, t5 = theta + [0.0] * (MAX_Q - len(theta))
+    h1 = 1.0
+    h2 = h3 = h4 = h5 = 0.0
+    h = [1.0]
+    for _ in range(_BLOCK - 1):
+        h1, h2, h3, h4, h5 = (
+            -(0.0 + t1 * h1 + t2 * h2 + t3 * h3 + t4 * h4 + t5 * h5),
+            h1, h2, h3, h4,
+        )
+        h.append(h1)
+    return h
+
+
 def _inverse_ma(theta):
     """The filter 1/theta(B), theta(B) = 1 + theta_1 B + ... + theta_q B^q,
     from a zero state: y_t = x_t - theta_1 y_{t-1} - ... - theta_q y_{t-q}.
@@ -232,17 +255,11 @@ def _inverse_ma(theta):
     global _BLOCK_LAGS
     theta = [float(c) for c in theta]
     q, size = len(theta), _BLOCK
-    h = [1.0]
-    for t in range(1, size):
-        acc = 0.0  # left to right: sum() rounds differently from 3.12 on
-        for j in range(1, min(t, q) + 1):
-            acc += theta[j - 1] * h[t - j]
-        h.append(-acc)
     if _BLOCK_LAGS is None:
         # the lag t - s at or below the diagonal, else the 0.0 after h
         lag = np.subtract.outer(np.arange(size), np.arange(size))
         _BLOCK_LAGS = np.where(lag >= 0, lag, size)
-    conv = np.array(h + [0.0])[_BLOCK_LAGS]
+    conv = np.array(_ma_impulse_response(theta) + [0.0])[_BLOCK_LAGS]
     # The carried output y_{s-1-i} enters y_{s+t} of the block starting at s
     # through the term -theta_j y_{s+t-j} with j = t+1+i <= q.
     carry_in = np.zeros((size, q))

@@ -1,9 +1,10 @@
 """Yearly benefit/cost ledger and net-positive-gain arithmetic.
 
-Benefit factors arrive as three-channel bands (lower, mean, upper) carried
-through from the forecast confidence intervals. Costs are point values.
-The net positive gain for a year is the band sum of all benefit factors
-shifted down by that year's capital and operating spend.
+Benefit factors arrive as three-channel bands (lower, mean, upper): the
+comonotone envelope of the forecast bands, with every forecast at its
+lower, mean or upper limit together, not a joint 95% interval. Costs are
+point values. The net positive gain for a year is the band sum of all
+benefit factors shifted down by that year's capital and operating spend.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ _ORDER_SLACK = 1e-9
 
 
 class BandValue:
-    """A value with its 95% band: lower bound, mean, upper bound."""
+    """A value with its band: lower bound, mean, upper bound."""
 
     __slots__ = ("lower", "mean", "upper")
 

@@ -7,6 +7,7 @@ seeded simulations keep the optimizer honest without asserting exact values.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import os
 import subprocess
@@ -20,12 +21,15 @@ from aamcba.forecast import ForecastError
 import aamcba
 from aamcba.forecast.arima import (
     _BLOCK,
+    _PARTIAL_CAP,
+    MAX_Q,
     ArimaOrder,
     FittedArima,
     ForecastBand,
     _css_residuals,
     _inverse_ma,
     _levinson,
+    _ma_impulse_response,
     _residuals_and_jacobian,
     _unstable_lag,
     difference,
@@ -236,7 +240,7 @@ def test_step_down_check_rejects_unit_and_invalid_roots(coeffs, stage):
 def test_ar_only_model_checks_and_forecasts_without_numpy():
     script = (
         "import sys\n"
-        "from aamcba.forecast import ArimaOrder, FittedArima, forecast\n"
+        "from aamcba.forecast.arima import ArimaOrder, FittedArima, forecast\n"
         "model = FittedArima(order=ArimaOrder(2, 1, 0), ar_coeffs=(0.5, -0.2),\n"
         "                    ma_coeffs=(), intercept=0.0, sigma2=1.0,\n"
         "                    residuals=(), loglik_proxy=0.0, n_obs=40)\n"
@@ -273,6 +277,22 @@ def test_ma_filter_block_is_the_left_to_right_impulse_response():
             theta = rng.uniform(-1.0, 1.0, q).tolist()
             got = _inverse_ma(theta)(impulse)[:, 0].tolist()
             assert got == _impulse_response(theta, _BLOCK), theta
+
+
+def test_ma_impulse_response_is_sign_exact_at_every_order():
+    # The recursion is unrolled to five lags and raises on a longer theta,
+    # so a MAX_Q past that width fails here. h is read where it is built:
+    # the filter's matmul on a unit impulse returns +0.0 where h has -0.0.
+    for q in range(1, MAX_Q + 1):
+        # the LM start at offset 0, and the partials at the cap
+        thetas = [[-0.0] * q]
+        for signs in itertools.product((1.0, -1.0), repeat=q):
+            a, _ = _levinson([s * _PARTIAL_CAP for s in signs])
+            thetas.append([-v for v in a])
+        for theta in thetas:
+            got = [v.hex() for v in _ma_impulse_response(theta)]
+            want = [v.hex() for v in _impulse_response(theta, _BLOCK)]
+            assert got == want, theta
 
 
 @pytest.mark.parametrize("m", [1, 31, 32, 33, 64, 65, 200])

@@ -207,7 +207,7 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
         "after_validate = loaded(*SHUNNED)\n"
         "code = main(['run', '--out', sys.argv[1], '--emit', 'json'])\n"
         "after_run = loaded(*SHUNNED)\n"
-        "from aamcba.forecast import ArimaOrder, fit_arima\n"
+        "from aamcba.forecast.arima import ArimaOrder, fit_arima\n"
         "fit_arima([(i * 7919 % 101) / 10.0 for i in range(60)], ArimaOrder(1, 0, 1))\n"
         "print(json.dumps([after_import, validated, after_validate, code, after_run,\n"
         "                  loaded('scipy')]))\n"
@@ -393,6 +393,23 @@ def test_huge_base_values_exit_2_naming_the_constants(tmp_path, capsys, values):
             assert f"'{key}' ({value!r})" in err
         assert "is not a finite number" in err
         assert "numerical failure" not in err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.parametrize("key", ["annual_parcels", "parcel_fraction", "co2_tons_per_gallon"])
+def test_validated_huge_constant_runs_or_exits_2_naming_it(tmp_path, capsys, key):
+    # validate passes each of these, and run then ends in a non-finite band
+    # (exit 3): if validate exits 0, run must too, and a rejection by
+    # either command exits 2 naming the constant.
+    doc = _bundled_doc()
+    doc["constants"][key] = 1.0e307
+    big = _write_json(tmp_path / "big.json", doc)
+    codes = []
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        codes.append(main(argv + ["--scenario", str(big)]))
+        err = capsys.readouterr().err
+        assert codes[-1] == 0 or (codes[-1] == 2 and f"'{key}'" in err), err
+    assert codes[0] != 0 or codes[1] == 0, codes
 
 
 def test_forecast_subpackage_imports_in_a_fresh_interpreter():
