@@ -11,8 +11,10 @@ with an analytic Jacobian (the residual recursion's derivatives, filtered
 by 1/theta(B)) and five restarts. It works in an unconstrained space that
 maps through a scaled tanh to partial autocorrelations and then, via the
 Levinson recursion, to phi and -theta, so stationarity and invertibility
-hold by construction for any order. The MA filter runs in blocks, so its
-cost is linear in the series length.
+hold by construction for any order. A trial point costs its residuals
+only: the Jacobian is built only at points that the optimizer accepts and
+takes its next step from. The MA filter runs in blocks, so its cost is
+linear in the series length.
 
 The closed-form (0,d,0) path runs on Python floats, and its sums are
 ``math.fsum``, so its outputs depend on neither the BLAS build nor the
@@ -131,7 +133,13 @@ class FittedArima:
 
 
 class ForecastBand:
-    """Point forecasts with symmetric 95% limits, on the original scale."""
+    """Point forecasts with symmetric limits, on the original scale.
+
+    The limits are nominal 95%, normal-theory: the mean plus and minus
+    ``CI_Z`` forecast standard errors. They cover less than that (ROADMAP
+    item 3): about 0.90 of simulated paths, and 109 of 140 held-out points
+    of the bundled series.
+    """
 
     __slots__ = ("years", "lower", "mean", "upper")
 
@@ -185,22 +193,33 @@ def integrate(diffed, tails) -> list[float]:
     return out
 
 
-def _levinson(partials: list[float]) -> tuple[list[float], list[list[float]]]:
+def _levinson(partials: list[float]):
     """The Levinson recursion from partial autocorrelations r in (-1, 1) to
     the coefficients a of 1 - a_1 z - ... - a_k z^k, whose roots then lie
-    outside the unit circle, with its Jacobian: ``jac[i][s]`` = da_i/dr_s."""
-    k = len(partials)
-    a: list[float] = []
-    jac: list[list[float]] = []
-    for s, r in enumerate(partials):
-        rev = a[::-1]
-        jac = [
-            [x - r * y for x, y in zip(jac[i], jac[s - 1 - i])] for i in range(s)
-        ] + [[float(c == s) for c in range(k)]]
-        for i in range(s):
-            jac[i][s] -= rev[i]
-        a = [x - r * y for x, y in zip(a, rev)] + [r]
-    return a, jac
+    outside the unit circle, and a function that returns its Jacobian:
+    ``jac[i][s]`` = da_i/dr_s.
+
+    The Jacobian reads the coefficient lists that the recursion records at
+    each step. Its step s builds only columns 0..s, the ones r_0..r_s reach;
+    the later columns would hold +0.0. The new column s is 0.0 - rev[i],
+    the +0.0 it held minus rev[i]: -rev[i] would turn a +0.0 into -0.0.
+    """
+    steps: list[list[float]] = [[]]
+    for r in partials:
+        a = steps[-1]
+        steps.append([x - r * y for x, y in zip(a, a[::-1])] + [r])
+
+    def jacobian() -> list[list[float]]:
+        jac: list[list[float]] = []
+        for s, r in enumerate(partials):
+            rev = steps[s][::-1]
+            jac = [
+                [x - r * y for x, y in zip(jac[i], jac[s - 1 - i])] + [0.0 - rev[i]]
+                for i in range(s)
+            ] + [[0.0] * s + [1.0]]
+        return jac
+
+    return steps[-1], jacobian
 
 
 def _unstable_lag(coeffs) -> tuple[int, float] | None:
@@ -305,19 +324,23 @@ def _unpack(params, p: int, q: int, include_mean: bool):
 
 
 def _coeffs(t_ar, t_ma):
-    """phi and theta, with their Jacobians in the partials: each
-    unconstrained value v maps to the partial _PARTIAL_CAP * tanh(v), the
-    AR partials by the Levinson recursion to phi, and the MA ones to -theta,
-    so 1 - phi(z) and theta(z) = 1 + theta_1 z + ... both have their roots
-    outside the unit circle."""
+    """phi and theta, with functions that return their Jacobians in the
+    partials: each unconstrained value v maps to the partial
+    _PARTIAL_CAP * tanh(v), the AR partials by the Levinson recursion to phi,
+    and the MA ones to -theta, so 1 - phi(z) and theta(z) = 1 + theta_1 z + ...
+    both have their roots outside the unit circle."""
     phi, dphi = _levinson((_PARTIAL_CAP * t_ar).tolist())
     neg_theta, dneg = _levinson((_PARTIAL_CAP * t_ma).tolist())
-    return phi, dphi, [-c for c in neg_theta], [[-v for v in row] for row in dneg]
+    return (
+        phi, dphi,
+        [-c for c in neg_theta], lambda: [[-v for v in row] for row in dneg()],
+    )
 
 
-def _residuals_and_jacobian(z, params, p: int, q: int, include_mean: bool):
-    """CSS residuals of the standardized series ``z`` at ``params`` and
-    their derivatives in ``params`` (Box, Jenkins & Reinsel, section 7.2).
+def _css_point(z, params, p: int, q: int, include_mean: bool):
+    """CSS residuals of the standardized series ``z`` at ``params``, and a
+    function that returns their derivatives in ``params`` (Box, Jenkins &
+    Reinsel, section 7.2).
 
     The mean enters as the constant c = (1 - phi(1)) mu, which stays
     identified when an AR root nears the unit circle. With
@@ -326,6 +349,10 @@ def _residuals_and_jacobian(z, params, p: int, q: int, include_mean: bool):
     de/dtheta_j = -F e_{t-j}, which is -F e shifted by j steps, so one more
     filter gives every MA column. The chain rule then runs through the
     Levinson recursion and tanh.
+
+    The residuals are filtered together with the columns of de/dc and
+    de/dphi; the Jacobian function reuses those columns and the filter,
+    and does the rest of the work only when it is called.
     """
     import numpy as np
 
@@ -343,28 +370,36 @@ def _residuals_and_jacobian(z, params, p: int, q: int, include_mean: bool):
         inverse = _inverse_ma(theta)
         cols = inverse(cols)
     e = cols[:, 0]
-    jac = np.empty((n - p, i0 + p + q))
-    if include_mean:
-        jac[:, 0] = cols[:, 1]
-    if p:
-        jac[:, i0:i0 + p] = cols[:, 1 + i0:] @ (
-            np.array(dphi) * (_PARTIAL_CAP * (1.0 - t_ar * t_ar))
-        )
-    if q:
-        fe = inverse(e[:, None])[:, 0]
-        shifted = np.zeros((n - p, q))
-        for j in range(1, q + 1):
-            shifted[j:, j - 1] = -fe[:n - p - j]
-        jac[:, i0 + p:] = shifted @ (
-            np.array(dtheta) * (_PARTIAL_CAP * (1.0 - t_ma * t_ma))
-        )
-    return e, jac
+
+    def jacobian():
+        jac = np.empty((n - p, i0 + p + q))
+        if include_mean:
+            jac[:, 0] = cols[:, 1]
+        if p:
+            jac[:, i0:i0 + p] = cols[:, 1 + i0:] @ (
+                np.array(dphi()) * (_PARTIAL_CAP * (1.0 - t_ar * t_ar))
+            )
+        if q:
+            fe = inverse(e[:, None])[:, 0]
+            shifted = np.zeros((n - p, q))
+            for j in range(1, q + 1):
+                shifted[j:, j - 1] = -fe[:n - p - j]
+            jac[:, i0 + p:] = shifted @ (
+                np.array(dtheta()) * (_PARTIAL_CAP * (1.0 - t_ma * t_ma))
+            )
+        return jac
+
+    return e, jacobian
 
 
 def _levenberg_marquardt(z, start, p: int, q: int, include_mean: bool):
     """Minimize the CSS of ``z`` from ``start`` by Levenberg-Marquardt with
     Marquardt's diagonal scaling. The damping follows the ratio of the
     actual to the predicted CSS decrease (Nielsen's update).
+
+    A trial point costs its residuals only. The Jacobian is built at the
+    start and at each accepted point that the next step starts from, so
+    never for a rejected trial or for the step that ends the run.
 
     Returns (css, params) once a step lowers the CSS by at most a relative
     ``_FTOL``, or no step lowers it at all; None when neither happens
@@ -373,23 +408,28 @@ def _levenberg_marquardt(z, start, p: int, q: int, include_mean: bool):
     import numpy as np
 
     x = start
-    e, jac = _residuals_and_jacobian(z, x, p, q, include_mean)
+    e, jacobian = _css_point(z, x, p, q, include_mean)
     css = float(e @ e)
     damping, growth = 1e-3, 2.0
     for _ in range(_MAX_ITER):
+        jac = jacobian()
         gram = jac.T @ jac
         grad = jac.T @ e
-        scale = np.diag(gram).copy()
+        diag = gram.diagonal()
         # a partial saturated at the cap leaves a zero column
-        scale = np.maximum(scale, 1e-12 * max(float(scale.max()), 1e-300))
+        scale = np.maximum(diag, 1e-12 * max(float(diag.max()), 1e-300))
         while True:
+            # gram + damping * diag(scale), bit for bit: + 0.0 turns an
+            # off-diagonal -0.0 into +0.0, as adding damping * 0.0 does
+            damped = gram + 0.0
+            damped.flat[::diag.size + 1] = diag + damping * scale
             try:
-                step = np.linalg.solve(gram + damping * np.diag(scale), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None:
                 trial = x + step
-                e1, jac1 = _residuals_and_jacobian(z, trial, p, q, include_mean)
+                e1, jacobian1 = _css_point(z, trial, p, q, include_mean)
                 css1 = float(e1 @ e1)
                 if css1 < css:
                     break
@@ -401,7 +441,7 @@ def _levenberg_marquardt(z, start, p: int, q: int, include_mean: bool):
         predicted = float(step @ gram @ step + 2.0 * damping * step @ (scale * step))
         gain = (css - css1) / predicted if predicted > 0.0 else 1.0
         done = css - css1 <= _FTOL * css
-        x, e, jac, css = trial, e1, jac1, css1
+        x, e, jacobian, css = trial, e1, jacobian1, css1
         if done:
             return css, x
         damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)

@@ -9,7 +9,9 @@ class ForecastError(RuntimeError):
     """A numerical step failed: degenerate input, no convergence, bad order."""
 
 
-#: Normal quantile used for 95% interval half-widths.
+#: Normal quantile of the interval half-widths: nominal 95%, normal-theory.
+#: The bands cover less (ROADMAP item 3): about 0.90 on simulated paths,
+#: and 109 of 140 held-out points of the bundled series.
 CI_Z = 1.96
 
 #: Minimum observations before a series may be forecast.

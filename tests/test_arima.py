@@ -19,18 +19,21 @@ import pytest
 
 from aamcba.forecast import ForecastError
 import aamcba
+from aamcba.forecast import arima
 from aamcba.forecast.arima import (
     _BLOCK,
     _PARTIAL_CAP,
+    _RESTART_OFFSETS,
+    MAX_P,
     MAX_Q,
     ArimaOrder,
     FittedArima,
     ForecastBand,
+    _css_point,
     _css_residuals,
     _inverse_ma,
     _levinson,
     _ma_impulse_response,
-    _residuals_and_jacobian,
     _unstable_lag,
     difference,
     fit_arima,
@@ -336,18 +339,58 @@ def test_analytic_jacobian_matches_central_differences(include_mean):
             if p + q == 0:
                 continue
             params = rng.uniform(-1.0, 1.0, int(include_mean) + p + q)
-            _, jac = _residuals_and_jacobian(z, params, p, q, include_mean)
+            _, jacobian = _css_point(z, params, p, q, include_mean)
+            jac = jacobian()
             numeric = np.empty_like(jac)
             for i in range(params.size):
                 up, down = params.copy(), params.copy()
                 up[i] += step
                 down[i] -= step
                 numeric[:, i] = (
-                    _residuals_and_jacobian(z, up, p, q, include_mean)[0]
-                    - _residuals_and_jacobian(z, down, p, q, include_mean)[0]
+                    _css_point(z, up, p, q, include_mean)[0]
+                    - _css_point(z, down, p, q, include_mean)[0]
                 ) / (2.0 * step)
             gap = np.max(np.abs(jac - numeric)) / np.max(np.abs(jac))
             assert gap <= 1e-6, (p, q, gap)
+
+
+def _levinson_full_square(partials):
+    """The Levinson recursion with its Jacobian built on the full k x k
+    square at every step, each new column by subtracting from its +0.0."""
+    k = len(partials)
+    a, jac = [], []
+    for s, r in enumerate(partials):
+        rev = a[::-1]
+        jac = [
+            [x - r * y for x, y in zip(jac[i], jac[s - 1 - i])] for i in range(s)
+        ] + [[float(c == s) for c in range(k)]]
+        for i in range(s):
+            jac[i][s] -= rev[i]
+        a = [x - r * y for x, y in zip(a, rev)] + [r]
+    return a, jac
+
+
+def test_levinson_matches_the_full_square_recursion_bit_for_bit():
+    # Compared by float.hex, so a zero of the wrong sign fails. Zero
+    # partials, as at a Levenberg-Marquardt start at offset 0, make the
+    # zeros whose sign the new column's 0.0 - rev[i] keeps.
+    rng = np.random.default_rng(37)
+    cases = []
+    for k in range(MAX_P + 1):
+        for _ in range(500):
+            r = rng.uniform(-_PARTIAL_CAP, _PARTIAL_CAP, k)
+            r[rng.random(k) < 0.25] *= 0.0
+            cases.append(r.tolist())
+        cases.extend(
+            list(signs)
+            for signs in itertools.product((_PARTIAL_CAP, -_PARTIAL_CAP), repeat=k)
+        )
+    for partials in cases:
+        a, jacobian = _levinson(partials)
+        want_a, want_jac = _levinson_full_square(partials)
+        assert [v.hex() for v in a] == [v.hex() for v in want_a], partials
+        got = [[v.hex() for v in row] for row in jacobian()]
+        assert got == [[v.hex() for v in row] for row in want_jac], partials
 
 
 def test_band_validation():
@@ -482,6 +525,103 @@ def test_iterative_fit_is_frozen(order, x, ar, ma, intercept, sigma2, loglik):
     )
     if order in NELDER_MEAD_CSS:
         assert -fit.loglik_proxy <= NELDER_MEAD_CSS[order]
+
+
+def _eager_levenberg_marquardt(z, start, p, q, include_mean):
+    """The Levenberg-Marquardt loop that builds the Jacobian of every trial
+    point, with the damped matrix from np.diag; also returns the number of
+    steps it began, each from the Jacobian at the current point."""
+    x = start
+    e, jacobian = _css_point(z, x, p, q, include_mean)
+    jac = jacobian()
+    css = float(e @ e)
+    damping, growth = 1e-3, 2.0
+    begun = 0
+    for _ in range(arima._MAX_ITER):
+        begun += 1
+        gram = jac.T @ jac
+        grad = jac.T @ e
+        scale = np.diag(gram).copy()
+        scale = np.maximum(scale, 1e-12 * max(float(scale.max()), 1e-300))
+        while True:
+            try:
+                step = np.linalg.solve(gram + damping * np.diag(scale), -grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None:
+                trial = x + step
+                e1, jacobian1 = _css_point(z, trial, p, q, include_mean)
+                jac1 = jacobian1()
+                css1 = float(e1 @ e1)
+                if css1 < css:
+                    break
+            damping *= growth
+            growth *= 2.0
+            if damping > 1e16:
+                return (css, x), begun
+        predicted = float(step @ gram @ step + 2.0 * damping * step @ (scale * step))
+        gain = (css - css1) / predicted if predicted > 0.0 else 1.0
+        done = css - css1 <= arima._FTOL * css
+        x, e, jac, css = trial, e1, jac1, css1
+        if done:
+            return (css, x), begun
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        growth = 2.0
+    return None, begun
+
+
+@pytest.mark.parametrize(
+    "order, x, include_mean",
+    [
+        (ArimaOrder(1, 0, 1), _ARMA_SERIES, None),
+        (ArimaOrder(2, 0, 2), _ARMA_SERIES, None),
+        (FROZEN_FITS[2][0], FROZEN_FITS[2][1], None),
+        (ArimaOrder(2, 0, 0), _ARMA_SERIES, None),
+        (ArimaOrder(1, 0, 2), _ARMA_SERIES, False),
+    ],
+    ids=["101", "202", "505", "200", "102-no-mean"],
+)
+def test_lazy_levenberg_marquardt_matches_the_eager_loop(
+    monkeypatch, order, x, include_mean
+):
+    # The series and the offset-0 start that fit_arima hands to the loop.
+    problems = []
+    real_lm = arima._levenberg_marquardt
+    with monkeypatch.context() as m:
+        m.setattr(arima, "_levenberg_marquardt",
+                  lambda z, start, *rest: problems.append((z, start.copy(), rest))
+                  or real_lm(z, start, *rest))
+        fit_arima(x, order, include_mean)
+    z, first, (p, q, mean) = problems[0]
+
+    builds = []
+    real_point = arima._css_point
+
+    def counting_point(*args):
+        e, jacobian = real_point(*args)
+
+        def counted():
+            builds.append(1)
+            return jacobian()
+
+        return e, counted
+
+    for offset in _RESTART_OFFSETS:
+        start = first.copy()
+        start[int(mean):] += offset
+        want, begun = _eager_levenberg_marquardt(z, start.copy(), p, q, mean)
+        builds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(arima, "_css_point", counting_point)
+            got = arima._levenberg_marquardt(z, start.copy(), p, q, mean)
+        if want is None:
+            assert got is None, offset
+        else:
+            assert got[0].hex() == want[0].hex(), offset
+            assert got[1].tobytes() == want[1].tobytes(), offset
+        # one Jacobian at the start, one per accepted step that does not
+        # end the run
+        assert len(builds) == begun, offset
 
 
 def test_ma_forecast_is_frozen():
