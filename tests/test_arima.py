@@ -587,10 +587,13 @@ def test_lazy_levenberg_marquardt_matches_the_eager_loop(
     # The series and the offset-0 start that fit_arima hands to the loop.
     problems = []
     real_lm = arima._levenberg_marquardt
+
+    def recording_lm(z, start, *rest):
+        problems.append((z, start.copy(), rest))
+        return real_lm(z, start, *rest)
+
     with monkeypatch.context() as m:
-        m.setattr(arima, "_levenberg_marquardt",
-                  lambda z, start, *rest: problems.append((z, start.copy(), rest))
-                  or real_lm(z, start, *rest))
+        m.setattr(arima, "_levenberg_marquardt", recording_lm)
         fit_arima(x, order, include_mean)
     z, first, (p, q, mean) = problems[0]
 
