@@ -13,8 +13,12 @@ maps through a scaled tanh to partial autocorrelations and then, via the
 Levinson recursion, to phi and -theta, so stationarity and invertibility
 hold by construction for any order. A trial point costs its residuals
 only: the Jacobian is built only at points that the optimizer accepts and
-takes its next step from. The MA filter runs in blocks, so its cost is
-linear in the series length.
+takes its next step from. Each damped step system goes straight to LAPACK's
+gesv through ``solve1``, the private gufunc under ``np.linalg.solve``,
+because the public wrapper costs more than the solve on 1 to 11 unknowns;
+the bits are the same. A singular system gives an all-NaN step, whose NaN
+CSS the optimizer rejects like any step that does not lower the CSS. The
+MA filter runs in blocks, so its cost is linear in the series length.
 
 The closed-form (0,d,0) path runs on Python floats, and its sums are
 ``math.fsum``, so its outputs depend on neither the BLAS build nor the
@@ -401,51 +405,60 @@ def _levenberg_marquardt(z, start, p: int, q: int, include_mean: bool):
     start and at each accepted point that the next step starts from, so
     never for a rejected trial or for the step that ends the run.
 
+    Each step solves its damped system with ``solve1``, the LAPACK gesv
+    gufunc that ``np.linalg.solve`` dispatches to for a 1-D right-hand
+    side: on systems of 1 to 11 unknowns, the wrapper's per-call errstate
+    and type checks cost three to four times the solve. So one errstate
+    serves the whole run, and the bits are those of ``np.linalg.solve``.
+    A singular system, where ``np.linalg.solve`` raises, gives an all-NaN
+    step; its trial CSS is NaN, which never beats the current CSS, so the
+    step is rejected and the damping grows, as for any rejected trial.
+
     Returns (css, params) once a step lowers the CSS by at most a relative
     ``_FTOL``, or no step lowers it at all; None when neither happens
     within ``_MAX_ITER`` steps.
     """
     import numpy as np
+    from numpy.linalg._umath_linalg import solve1
 
-    x = start
-    e, jacobian = _css_point(z, x, p, q, include_mean)
-    css = float(e @ e)
-    damping, growth = 1e-3, 2.0
-    for _ in range(_MAX_ITER):
-        jac = jacobian()
-        gram = jac.T @ jac
-        grad = jac.T @ e
-        diag = gram.diagonal()
-        # a partial saturated at the cap leaves a zero column
-        scale = np.maximum(diag, 1e-12 * max(float(diag.max()), 1e-300))
-        while True:
-            # gram + damping * diag(scale), bit for bit: + 0.0 turns an
-            # off-diagonal -0.0 into +0.0, as adding damping * 0.0 does
-            damped = gram + 0.0
-            damped.flat[::diag.size + 1] = diag + damping * scale
-            try:
-                step = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
+    with np.errstate(all="ignore"):
+        x = start
+        e, jacobian = _css_point(z, x, p, q, include_mean)
+        css = float(e @ e)
+        damping, growth = 1e-3, 2.0
+        for _ in range(_MAX_ITER):
+            jac = jacobian()
+            gram = jac.T @ jac
+            grad = jac.T @ e
+            diag = gram.diagonal()
+            # a partial saturated at the cap leaves a zero column
+            scale = np.maximum(diag, 1e-12 * max(float(diag.max()), 1e-300))
+            while True:
+                # gram + damping * diag(scale), bit for bit: + 0.0 turns an
+                # off-diagonal -0.0 into +0.0, as adding damping * 0.0 does
+                damped = gram + 0.0
+                damped.flat[::diag.size + 1] = diag + damping * scale
+                step = solve1(damped, -grad)
                 trial = x + step
                 e1, jacobian1 = _css_point(z, trial, p, q, include_mean)
                 css1 = float(e1 @ e1)
                 if css1 < css:
                     break
-            damping *= growth
-            growth *= 2.0
-            if damping > 1e16:
+                damping *= growth
+                growth *= 2.0
+                if damping > 1e16:
+                    return css, x
+            # the decrease |e|^2 - |e + J step|^2 of the linearized model
+            predicted = float(
+                step @ gram @ step + 2.0 * damping * step @ (scale * step)
+            )
+            gain = (css - css1) / predicted if predicted > 0.0 else 1.0
+            done = css - css1 <= _FTOL * css
+            x, e, jacobian, css = trial, e1, jacobian1, css1
+            if done:
                 return css, x
-        # the decrease |e|^2 - |e + J step|^2 of the linearized model
-        predicted = float(step @ gram @ step + 2.0 * damping * step @ (scale * step))
-        gain = (css - css1) / predicted if predicted > 0.0 else 1.0
-        done = css - css1 <= _FTOL * css
-        x, e, jacobian, css = trial, e1, jacobian1, css1
-        if done:
-            return css, x
-        damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-        growth = 2.0
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
     return None
 
 
