@@ -12,10 +12,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
+from numpy.linalg._umath_linalg import solve1
 
 from aamcba.forecast import ForecastError
 import aamcba
@@ -625,6 +628,113 @@ def test_lazy_levenberg_marquardt_matches_the_eager_loop(
         # one Jacobian at the start, one per accepted step that does not
         # end the run
         assert len(builds) == begun, offset
+
+
+def _damped_gram(rng, k):
+    """A damped Gram system of k unknowns, built as _levenberg_marquardt
+    builds it, with a random damping."""
+    jac = rng.normal(size=(int(rng.integers(20, 200)), k))
+    gram = jac.T @ jac
+    diag = gram.diagonal()
+    scale = np.maximum(diag, 1e-12 * max(float(diag.max()), 1e-300))
+    damped = gram + 0.0
+    damped.flat[::k + 1] = diag + 10.0 ** rng.uniform(-8.0, 4.0) * scale
+    return damped, jac.T @ rng.normal(size=jac.shape[0])
+
+
+def test_lapack_gufunc_solves_as_np_linalg_solve_bit_for_bit():
+    # _levenberg_marquardt calls solve1, the gufunc that np.linalg.solve
+    # runs for a 1-D right-hand side. A numpy release that renames it or
+    # routes np.linalg.solve elsewhere fails here.
+    rng = np.random.default_rng(41)
+    for k in range(1, 2 + MAX_P + MAX_Q):
+        for _ in range(200):
+            a, b = _damped_gram(rng, k)
+            with np.errstate(all="ignore"):
+                got = solve1(a, -b)
+            assert got.tobytes() == np.linalg.solve(a, -b).tobytes(), k
+
+
+def test_singular_step_is_all_nan_and_its_trial_css_is_nan():
+    # Where np.linalg.solve raises LinAlgError, solve1 gives an all-NaN
+    # step, silently under the loop's errstate; the trial's CSS is then
+    # NaN, and css1 < css rejects it.
+    rng = np.random.default_rng(43)
+    z = rng.normal(size=60)
+    orders = itertools.product(range(MAX_P + 1), range(MAX_Q + 1), (False, True))
+    for p, q, mean in orders:
+        if p + q == 0:
+            continue
+        k = int(mean) + p + q
+        a, b = _damped_gram(rng, k)
+        # a zero column: the LU factorization meets an exactly zero pivot
+        a[:, rng.integers(k)] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, -b)
+        x = rng.uniform(-1.0, 1.0, k)
+        e, _ = _css_point(z, x, p, q, mean)
+        css = float(e @ e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                step = solve1(a, -b)
+                e1, _ = _css_point(z, x + step, p, q, mean)
+        assert step.shape == (k,) and np.isnan(step).all(), (p, q, mean)
+        css1 = float(e1 @ e1)
+        assert math.isnan(css1) and not css1 < css, (p, q, mean)
+
+
+@pytest.mark.parametrize(
+    "order, x, offset, singular",
+    [
+        (ArimaOrder(1, 0, 1), _ARMA_SERIES, 0.5, {1}),
+        (ArimaOrder(2, 0, 2), _ARMA_SERIES, 0.5, {1, 2, 3, 7}),
+        (FROZEN_FITS[2][0], FROZEN_FITS[2][1], 0.0, {2, 5, 6, 40}),
+    ],
+    ids=["101", "202", "505"],
+)
+def test_singular_solves_take_the_eager_loops_linalg_error_path(
+    monkeypatch, order, x, offset, singular
+):
+    # The solves numbered in ``singular`` get an exactly singular (zero)
+    # matrix: the eager oracle's np.linalg.solve raises LinAlgError, which
+    # it catches, and the loop's solve1 returns NaN, which it rejects as a
+    # trial. Both must take the same damping path to the same bits.
+    z = (x - x.mean()) / np.sqrt(np.mean((x - x.mean()) ** 2))
+    p, q = order.p, order.q
+    start = np.array([0.0] + [offset] * (p + q))
+
+    def zeroing(real, calls):
+        def solve(a, b):
+            calls.append(a.shape[0])
+            return real(np.zeros_like(a) if len(calls) in singular else a, b)
+
+        return solve
+
+    eager_calls, lazy_calls = [], []
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", zeroing(np.linalg.solve, eager_calls))
+        want, _ = _eager_levenberg_marquardt(z, start.copy(), p, q, True)
+    with monkeypatch.context() as m:
+        m.setattr(_umath_linalg, "solve1", zeroing(solve1, lazy_calls))
+        got = arima._levenberg_marquardt(z, start.copy(), p, q, True)
+    assert len(eager_calls) == len(lazy_calls) >= max(singular)
+    assert want is not None
+    assert got[0].hex() == want[0].hex()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "order, x", [row[:2] for row in FROZEN_FITS], ids=["101", "202", "505"]
+)
+def test_iterative_fit_warns_nothing_and_restores_the_errstate(order, x):
+    for settings in ({}, {"divide": "ignore"}):
+        with np.errstate(**settings):
+            before = np.geterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit_arima(x, order)
+            assert np.geterr() == before, settings
 
 
 def test_ma_forecast_is_frozen():
