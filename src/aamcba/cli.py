@@ -23,10 +23,8 @@ from .ingest import (
     InvalidYAML,
     ScenarioError,
     default_scenario_path,
-    load_scenario,
     normalize_factors,
     read_yaml,
-    validate_scenario,
 )
 
 
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_options(explain_parser)
 
     validate_parser = sub.add_parser(
-        "validate", help="check a scenario without running it"
+        "validate", help="evaluate a scenario as run does, without writing anything"
     )
     validate_parser.add_argument("--scenario", default=None)
     validate_parser.add_argument("--factors", default=None)
@@ -207,9 +205,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(find_scenario(args.scenario))
-    warnings = validate_scenario(scenario, _parse_factors(args.factors))
-    for warning in warnings:
+    scenario = engine.load_scenario(find_scenario(args.scenario))
+    result = engine.evaluate(scenario, _parse_factors(args.factors), best_effort=True)
+    engine.check_outputs(result)
+    for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"scenario '{scenario.name}' is valid")
     return 0

@@ -2,20 +2,23 @@
 
 The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
-forecast channels (lower, mean, upper), each as ``factors`` defines
-it. Every step a factor records is kept in the result's ``traces``, which
-``explain`` and the plot tables read. Running the three channels through
-the same formulas gives a comonotone envelope: each factor with every
-forecast input at its lower, its mean or its upper limit together. That
-assumes every forecast error moves together, so it is not a 95% interval.
-A factor can fall as one input rises, so the band constructor sorts the
-endpoints when a formula inverts them. Evaluators are pure functions of
-the scenario and one year's values, so they are safe to parallelize if
-that ever matters; at this size it does not.
+forecast channels (lower, mean, upper), each as ``factors`` defines it.
+Every step a factor records is kept in the result's ``traces``, which
+``explain`` and the plot tables read. A series that cannot be forecast, or
+a factor value that is not a finite float, raises ScenarioError naming the
+input; ``aamcba validate`` runs this evaluation too. Running the three
+channels through the same formulas gives a comonotone envelope: each
+factor with every forecast input at its lower, its mean or its upper limit
+together. That assumes every forecast error moves together, so it is not a
+95% interval. A factor can fall as one input rises, so the band
+constructor sorts the endpoints when a formula inverts them. Evaluators
+are pure functions of the scenario and one year's values, so they are safe
+to parallelize if that ever matters; at this size it does not.
 """
 from __future__ import annotations
 
 import json
+from math import isfinite
 from pathlib import Path
 from typing import Mapping
 
@@ -124,6 +127,49 @@ def _recorder(entries: list[Entry]) -> Recorder:
     return rec
 
 
+class _ReadLog:
+    """A scenario stand-in that logs the constants read, in order."""
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario, self.read = scenario, {}
+
+    def constant(self, key: str):
+        value = self.read[key] = self.scenario.constant(key)
+        return value
+
+    def __getattr__(self, name: str):
+        return getattr(self.scenario, name)
+
+
+class _Stop(Exception):
+    """A recorded step is not a finite float; args are (label,)."""
+
+
+def _stop_at_not_finite(label: str, value, item: str | None = None):
+    if not (isinstance(value, float) and isfinite(value)):
+        raise _Stop(repr(label))
+    return value
+
+
+def _not_finite(factor, scenario: Scenario, values, year: int, channel: str):
+    """The error for a channel of ``factor`` whose value is not a finite
+    float. The channel is evaluated again, logging the constants it reads,
+    up to its first recorded step that is not a finite float either."""
+    log, step = _ReadLog(scenario), "value"
+    try:
+        factor.evaluate(log, values, year, _stop_at_not_finite)
+    except _Stop as stop:
+        step = stop.args[0]
+    except ArithmeticError:
+        pass
+    named = ", ".join(f"'{key}' ({value!r})" for key, value in log.read.items())
+    source = f"constants {named}" if named else "the series alone"
+    return ScenarioError(
+        f"{factor.id} in {year} ({channel} channel): {step} from {source} "
+        "is not a finite number"
+    )
+
+
 def evaluate(
     scenario: Scenario,
     factors=None,
@@ -153,8 +199,10 @@ def evaluate(
                 series, steps, pinned=pinned,
                 include_mean_when_differenced=include_mean,
             )
-        except ForecastError as err:
-            raise ForecastError(f"forecasting '{name}': {err}") from err
+        except (ForecastError, ArithmeticError) as err:
+            raise ScenarioError(
+                f"historical series '{name}' cannot be forecast: {err}"
+            ) from err
         if not result.adequate:
             message = (
                 f"no residual-whiteness-passing model found for '{name}'; "
@@ -183,11 +231,17 @@ def evaluate(
         for factor_id in enabled:
             factor = FACTORS[factor_id]
             trace = traces[factor_id, year] = ([], [], [])
-            lower, mean, upper = (
-                factor.evaluate(scenario, inputs[channel], year, _recorder(entries))
-                for channel, entries in zip(_CHANNELS, trace)
-            )
-            benefits[factor_id] = _band_from_channels(lower, mean, upper)
+            channels = []
+            # inputs holds the channels in _CHANNELS order, as trace does
+            for (channel, values), entries in zip(inputs.items(), trace):
+                try:
+                    value = factor.evaluate(scenario, values, year, _recorder(entries))
+                except ArithmeticError:
+                    value = None
+                if not (isinstance(value, float) and isfinite(value)):
+                    raise _not_finite(factor, scenario, values, year, channel)
+                channels.append(value)
+            benefits[factor_id] = _band_from_channels(*channels)
         costs = inputs["mean"]
         annual.append(AnnualResult(year, benefits, costs["capex"], costs["opex"]))
     return EvaluationResult(scenario, enabled, annual, forecasts, warnings, traces)
@@ -251,13 +305,13 @@ def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
     return payload
 
 
-def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
+def _plot_tables(result: EvaluationResult) -> dict[str, list[tuple]]:
     """One table per factor plot file, by year: the items a factor's trace
     tags, banded across the channels, or else the factor's value."""
     groups: dict[str, list[str]] = {}
     for factor_id in result.factors:
         groups.setdefault(FACTORS[factor_id].plot_file, []).append(factor_id)
-    written: list[Path] = []
+    tables: dict[str, list[tuple]] = {}
     for filename, members in groups.items():
         rows = []
         for r in result.annual:
@@ -275,10 +329,14 @@ def _write_plot_data(result: EvaluationResult, out_dir: Path) -> list[Path]:
                     (r.year, item, band.lower, band.mean, band.upper)
                     for item, band in bands
                 ]
-        path = out_dir / filename
-        write_item_csv(path, rows)
-        written.append(path)
-    return written
+        tables[filename] = rows
+    return tables
+
+
+def check_outputs(result: EvaluationResult) -> None:
+    """Derive, without writing, the sums and items ``write_outputs`` adds."""
+    _summary(result)
+    _plot_tables(result)
 
 
 def write_outputs(
@@ -317,6 +375,9 @@ def write_outputs(
         path.write_text(text + "\n")
         written.append(path)
     if "plotdata" in emit:
-        written.extend(_write_plot_data(result, out_dir))
+        for filename, rows in _plot_tables(result).items():
+            path = out_dir / filename
+            write_item_csv(path, rows)
+            written.append(path)
     return written
 

@@ -7,21 +7,20 @@ computes each intermediate once and hands it to ``rec(label, value,
 item=None)``, which returns the value unchanged. The engine passes a
 recorder that keeps every entry: that trace is what ``explain`` prints,
 and the entries tagged with an ``item`` name are what the factor's plot
-table lists. A record may also hold a
-``check(s)`` across its inputs, which validation runs before any
-evaluation.
+table lists. A record may also hold a ``check(s)`` across its inputs,
+which validation runs before any evaluation.
 
 The arithmetic is scalar; forecast bands come from evaluating each channel
-in turn, a comonotone envelope with every banded input at the same limit
-(a factor need not be monotone in each input alone). The scenario
-inputs are validated upstream, by ``ingest.validate_scenario`` and each
-factor's ``check``, so the arithmetic guards only three values derived
-from forecasts: local VMT, ground trips and package trips.
+in turn, a comonotone envelope with every banded input at the same limit (a
+factor need not be monotone in each input alone). Each input's domain is
+checked upstream, by ``ingest.validate_scenario`` and each factor's
+``check``; the engine names the constants behind a value that overflows.
+The arithmetic guards three values derived from forecasts: local VMT,
+ground trips and package trips.
 """
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ScenarioError
@@ -107,30 +106,6 @@ def _vmt_local(v: Values) -> float:
     return v["vmt_us"] / v["us_population"] * v["population"]
 
 
-#: Two floats below this in magnitude have a finite product.
-_HEADROOM = math.sqrt(sys.float_info.max)
-
-
-def _check_bounded(s: Scenario, what: str, keys: tuple[str, ...], compute) -> None:
-    """Evaluate ``compute(s, year)``, a part of a factor's arithmetic that
-    reads only the constants ``keys``, at both ends of the horizon. Each
-    value is monotone in the year, so its extremes lie there. Each must be a
-    float below ``_HEADROOM`` in magnitude, so that its product with a
-    quantity derived from the forecasts stays finite as well."""
-    for year in (s.horizon_start, s.horizon_end):
-        try:
-            values = compute(s, year)
-        except (OverflowError, ZeroDivisionError):
-            values = (math.inf,)
-        # a negative base to a fractional power is complex
-        if not all(type(x) is float and abs(x) < _HEADROOM for x in values):
-            named = ", ".join(f"'{key}' ({s.constant(key)!r})" for key in keys)
-            raise ScenarioError(
-                f"{what} in {year} from constants {named} is not a finite "
-                f"number below {_HEADROOM:.3g}"
-            )
-
-
 def _blended(count: float, core_share: float, rates: tuple[float, float]) -> float:
     """Annual cost of ``count`` inspections split across core and off hours."""
     rate_core, rate_offhours = rates
@@ -165,7 +140,7 @@ def _traffic_safety(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
         trips = trips / s.constant("seats_per_evtol")
     rec("trips moved to the air", trips)
     if vmt <= 0:
-        raise ValueError(f"local VMT must be positive, got {vmt}")
+        raise ScenarioError(f"local VMT must be positive in {year}, got {vmt}")
     share = rec(
         "share of road miles replaced",
         trips * s.constant("trip_distance_miles") / vmt,
@@ -218,11 +193,6 @@ def _package_trips(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     )
 
 
-def _market_bounds(s: Scenario) -> list[str]:
-    _check_bounded(s, "the package market", _MARKET_LEVEL, _package_market)
-    return []
-
-
 def _package_delivery(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     trips = _package_trips(s, v, year, rec)
     per_drone = rec(
@@ -236,7 +206,7 @@ def _package_delivery(s: Scenario, v: Values, year: int, rec: Recorder) -> float
         2.0 * active + s.constant("reserve_fraction") * active,
     )
     if trips <= 0:
-        raise ValueError(f"package trips must be positive, got {trips}")
+        raise ScenarioError(f"package trips must be positive in {year}, got {trips}")
     truck_per_package = (
         s.constant("driver_hours_per_day") * s.constant("truck_cost_per_hour")
         / s.constant("packages_per_driver_day")
@@ -487,29 +457,17 @@ def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
         v["population"] / v["us_population"] * s.constant("us_annual_trips"),
     )
     if ground <= 0:
-        raise ValueError(f"ground trip count must be positive, got {ground}")
+        raise ScenarioError(f"ground trip count must be positive in {year}, got {ground}")
     share = rec("share of ground trips replaced", (evtol + packages + cargo) / ground)
     ratio = rec("emission advantage factor", s.constant("evtol_emission_ratio"))
     return share * ratio * (scc * co2 + sc_other * other)
 
 
-def _ghg_bounds(s: Scenario) -> list[str]:
-    _check_bounded(s, "the social costs of emissions", _SOCIAL_COSTS, _social_costs)
-    # the replaced trips include package deliveries
-    return _market_bounds(s)
-
-
-#: The constants of the package-market level, and of the social costs.
-_MARKET_LEVEL = (
+#: The package-delivery constants, which BF9's replaced-trip count reads too.
+_PACKAGE_MARKET = (
     "market_value_2019", "market_base_year", "market_cagr", "us_market_2019",
+    "annual_parcels", "parcel_fraction",
 )
-_SOCIAL_COSTS = (
-    "scc_2020", "scm_2020", "scn_2020", "scghg_discount", "scghg_base_year",
-)
-
-#: The replaced-trip count of BF9 folds in package deliveries, so it reads
-#: the package-market constants as well.
-_PACKAGE_MARKET = (*_MARKET_LEVEL, "annual_parcels", "parcel_fraction")
 
 FACTORS: dict[str, Factor] = {f.id: f for f in (
     Factor(
@@ -544,7 +502,6 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         ),
         exogenous=("us_population",),
         historical=("population",),
-        check=_market_bounds,
     ),
     Factor(
         "BF4", "air cargo savings", "air_cargo",
@@ -610,7 +567,6 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         ),
         exogenous=("passenger_trips", "cargo_trips", "us_population"),
         historical=("vmt_us", "population"),
-        check=_ghg_bounds,
     ),
 )}
 

@@ -220,13 +220,6 @@ _BOOLEAN_TOGGLES = tuple(
     key for key, default in TOGGLE_DEFAULTS.items() if isinstance(default, bool)
 )
 
-#: First differences that spread by at most this fraction of the series'
-#: largest magnitude are equal up to rounding: the series is linear (or
-#: constant), and its ADF regression is singular or numerically so. Measured
-#: on a 31-point series stepping 0.1 from 30000.1, the regression broke down
-#: at spreads up to 1.8e-12 of the magnitude and not from 2.2e-12 on.
-LINEAR_RTOL = 1e-11
-
 #: The exogenous series the cost ledger reads, whatever the factors.
 _COST_SERIES = ("capex", "opex")
 
@@ -671,16 +664,6 @@ def validate_scenario(
             raise ScenarioError(
                 f"historical series '{name}' has {len(ts.values)} points; "
                 f"at least {MIN_OBS} are needed for forecasting"
-            )
-        steps = [b - a for a, b in zip(ts.values, ts.values[1:])]
-        spread = max(steps) - min(steps)
-        if spread <= LINEAR_RTOL * max(map(abs, ts.values)):
-            if spread:
-                shape = "linear up to rounding"
-            else:
-                shape = "constant" if steps[0] == 0.0 else "exactly linear"
-            raise ScenarioError(
-                f"historical series '{name}' is {shape}; it cannot be forecast"
             )
 
     for key in _BOOLEAN_TOGGLES:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -395,12 +396,11 @@ def test_huge_base_values_exit_2_naming_the_constants(tmp_path, capsys, values):
         assert "numerical failure" not in err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 @pytest.mark.parametrize("key", ["annual_parcels", "parcel_fraction", "co2_tons_per_gallon"])
 def test_validated_huge_constant_runs_or_exits_2_naming_it(tmp_path, capsys, key):
-    # validate passes each of these, and run then ends in a non-finite band
-    # (exit 3): if validate exits 0, run must too, and a rejection by
-    # either command exits 2 naming the constant.
+    # validate used to pass each of these, and run then ended in a
+    # non-finite band (exit 3): if validate exits 0, run must too, and a
+    # rejection by either command exits 2 naming the constant.
     doc = _bundled_doc()
     doc["constants"][key] = 1.0e307
     big = _write_json(tmp_path / "big.json", doc)
@@ -425,7 +425,7 @@ def test_forecast_subpackage_imports_in_a_fresh_interpreter():
     assert proc.stdout == "aamcba.forecast.arima\n"
 
 
-def test_validate_rejects_out_of_range_pin_and_constant_series(tmp_path, capsys):
+def test_validate_rejects_out_of_range_pin(tmp_path, capsys):
     doc = _bundled_doc()
     doc["orders"]["mhi"] = [9, 0, 0]
     pinned = _write_json(tmp_path / "pinned.json", doc)
@@ -435,28 +435,125 @@ def test_validate_rejects_out_of_range_pin_and_constant_series(tmp_path, capsys)
     assert main(["run", "--scenario", str(pinned), "--pin-orders", "--out", out]) == 2
     capsys.readouterr()
 
-    doc = _bundled_doc()
-    mhi = doc["series"]["historical"]["mhi"]
-    mhi["values"] = [40000.0] * len(mhi["values"])
-    flat = _write_json(tmp_path / "flat.json", doc)
-    assert main(["validate", "--scenario", str(flat)]) == 2
-    assert "historical series 'mhi' is constant" in capsys.readouterr().err
-    assert main(["run", "--scenario", str(flat), "--out", out]) == 2
-    assert "historical series 'mhi' is constant" in capsys.readouterr().err
+
+def _noisy_linear(n: int) -> list[float]:
+    import numpy as np
+
+    noise = np.random.default_rng(1).normal(0.0, 1e-5, n)
+    return [30000.0 + 1000.0 * i + float(e) for i, e in enumerate(noise)]
 
 
-def test_validate_and_run_reject_exactly_linear_series(tmp_path, capsys):
-    # Equal first differences make the ADF regression singular; this used
-    # to pass validate and make run exit 3 with "Singular matrix".
+@pytest.mark.parametrize("values", [
+    lambda n: [40000.0] * n,
+    lambda n: [30000.0 + 100.0 * i for i in range(n)],
+    # steps equal but for the last bit
+    lambda n: [30000.1 + 0.1 * i for i in range(n)],
+    lambda n: [1000.0 + 3.0 * i * i for i in range(n)],
+    _noisy_linear,
+], ids=["constant", "exactly-linear", "linear-up-to-rounding", "quadratic",
+        "noisy-linear"])
+def test_validate_and_run_reject_a_series_they_cannot_forecast(
+    tmp_path, capsys, values
+):
+    # Each makes the ADF regression singular, or numerically so. validate
+    # used to pass the last two, and each used to make run exit 3.
     doc = _bundled_doc()
     mhi = doc["series"]["historical"]["mhi"]
-    mhi["values"] = [30000.0 + 100.0 * i for i in range(len(mhi["values"]))]
-    linear = _write_json(tmp_path / "linear.json", doc)
+    mhi["values"] = values(len(mhi["values"]))
+    bad = _write_json(tmp_path / "bad.json", doc)
     for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
-        assert main(argv + ["--scenario", str(linear)]) == 2
+        assert main(argv + ["--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "historical series 'mhi' is exactly linear" in err
+        assert "historical series 'mhi'" in err
         assert "numerical failure" not in err
+
+
+def _scale(section: str, name: str, factor: float):
+    """An edit that multiplies a constant, or a series' values, by ``factor``.
+    (YAML 1.1 reads a number such as 6.5e9 as a string, which the loader
+    converts.)"""
+
+    def edit(doc):
+        if section == "constants":
+            holder, key = doc["constants"], name
+        else:
+            holder, key = doc["series"][section][name], "values"
+        value = holder[key]
+        if isinstance(value, list):
+            holder[key] = [float(v) * factor for v in value]
+        else:
+            holder[key] = float(value) * factor
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_scale("historical", "population", -1.0), "local VMT must be positive in 2022"),
+    (_scale("historical", "vmt_us", -1.0), "local VMT must be positive in 2022"),
+    (_scale("constants", "us_market_2019", 1e-300),
+     "package trips must be positive in 2022"),
+], ids=["negated-population", "negated-vmt_us", "tiny-us_market_2019"])
+def test_forecast_derived_guards_exit_2(tmp_path, capsys, edit, message):
+    # validate used to pass each, and run exited 3 at a factor's guard.
+    doc = _bundled_doc()
+    edit(doc)
+    bad = _write_json(tmp_path / "bad.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "numerical failure" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    _scale("exogenous", "tax_income", 3e299),
+    _set("constants", "CAS", [0.0, -1.7e308, 0.0, 0.0, 0.0, 0.0]),
+], ids=["tax_income-horizon-total", "CAS-unselected-network"])
+def test_validate_fails_where_the_writers_would(tmp_path, capsys, edit):
+    # Every factor value is finite, but BF8's horizon total overflows, or so
+    # does the value of a BF7 network that bf7_case does not select, which
+    # only the plot table lists: validate used to exit 0, and run exited 3
+    # writing them.
+    doc = _bundled_doc()
+    edit(doc)
+    bad = _write_json(tmp_path / "bad.json", doc)
+    codes = [
+        main(argv + ["--scenario", str(bad)])
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "x")])
+    ]
+    capsys.readouterr()
+    assert codes[0] != 0 and codes[0] == codes[1], codes
+
+
+def test_fuzzed_scenario_that_validates_runs(tmp_path, capsys, monkeypatch):
+    # One input of the bundled scenario scaled by 10^k, set to zero or
+    # negated: whatever validate accepts, run accepts too, but for a model
+    # that fails the whiteness check (run has --best-effort for that).
+    # validate writes no file.
+    base = _bundled_doc()
+    inputs = [("constants", key) for key in base["constants"]]
+    inputs += [(section, name) for section in ("exogenous", "historical")
+               for name in base["series"][section]]
+    base = json.dumps(base)
+    rng = random.Random(3)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out = str(tmp_path / "out")
+    for _ in range(60):
+        section, name = rng.choice(inputs)
+        factor = rng.choice((0.0, -1.0, 10.0 ** rng.randint(-308, 308)))
+        doc = json.loads(base)
+        _scale(section, name, factor)(doc)
+        path = str(_write_json(tmp_path / "case.json", doc))
+        code = main(["validate", "--scenario", path])
+        assert not any(cwd.iterdir())
+        if code == 0:
+            code = main(["run", "--scenario", path, "--out", out])
+            err = capsys.readouterr().err
+            assert code == 0 or (
+                code == 3 and "no residual-whiteness-passing model" in err
+            ), (section, name, factor, err)
+        capsys.readouterr()
 
 
 def _run_module(*argv: str) -> subprocess.CompletedProcess:
@@ -520,21 +617,3 @@ def test_validate_rejects_string_boolean_toggle_in_json(tmp_path, capsys):
     for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
         assert main(argv + ["--scenario", str(bad)]) == 2
         assert message in capsys.readouterr().err
-
-
-def test_validate_and_run_reject_series_linear_up_to_rounding(tmp_path, capsys):
-    # First differences equal but for the last bit: validate used to pass
-    # it, and run took the NaN ADF statistic of the differenced series for
-    # a unit root, fitted (5,2,5) and exited 3.
-    doc = _bundled_doc()
-    mhi = doc["series"]["historical"]["mhi"]
-    mhi["values"] = [30000.1 + 0.1 * i for i in range(len(mhi["values"]))]
-    assert len(mhi["values"]) == 31
-    steps = {b - a for a, b in zip(mhi["values"], mhi["values"][1:])}
-    assert len(steps) > 1
-    near = _write_json(tmp_path / "near.json", doc)
-    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
-        assert main(argv + ["--scenario", str(near)]) == 2
-        err = capsys.readouterr().err
-        assert "historical series 'mhi' is linear up to rounding" in err
-        assert "numerical failure" not in err

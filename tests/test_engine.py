@@ -16,7 +16,7 @@ from aamcba.engine import (
 )
 from aamcba.factors import FACTORS
 from aamcba.forecast import ForecastError
-from aamcba.ingest import FACTOR_IDS, ScenarioError
+from aamcba.ingest import FACTOR_IDS, ScenarioError, TimeSeries
 
 
 def test_default_run_shape(default_scenario, default_evaluation):
@@ -104,6 +104,42 @@ def test_pinned_orders_demand_best_effort_on_this_data(default_scenario):
     for name, (p, d, q) in default_scenario.orders.items():
         fit = accepted.forecasts[name].fit
         assert (fit.order.p, fit.order.d, fit.order.q) == (p, d, q)
+
+
+def test_a_value_that_is_not_finite_names_its_step_and_constants(default_scenario):
+    # a negative base to a fractional power is complex
+    complex_growth = default_scenario.with_overrides(
+        constants={"scghg_discount": -2.0, "scghg_base_year": 2020.5}
+    )
+    with pytest.raises(ScenarioError) as caught:
+        evaluate(complex_growth, ("BF9",))
+    assert str(caught.value) == (
+        "BF9 in 2022 (lower channel): 'social cost of CO2 ($/ton)' from "
+        "constants 'mpg_fleet' (22.5), 'co2_tons_per_gallon' (0.00889), "
+        "'co2_share_of_ghg' (0.993), 'scghg_base_year' (2020.5), "
+        "'scghg_discount' (-2.0), 'scm_2020' (1200.0), 'scn_2020' (1500.0), "
+        "'scc_2020' (51.0) is not a finite number"
+    )
+    # the power overflows before any step is recorded
+    overflow = default_scenario.with_overrides(constants={"market_cagr": 1e200})
+    with pytest.raises(ScenarioError, match=(
+        r"^BF3 in 2022 \(lower channel\): value from constants "
+        r"'market_base_year' \(2019.0\), .*'market_cagr' \(1e\+200\), "
+    )):
+        evaluate(overflow, ("BF3",))
+
+
+def test_a_series_that_cannot_be_forecast_is_named(default_scenario):
+    mhi = default_scenario.historical("mhi")
+    flat = default_scenario.with_overrides()
+    flat.historical_series = {
+        **flat.historical_series,
+        "mhi": TimeSeries("mhi", mhi.years, [40000.0] * len(mhi.values)),
+    }
+    with pytest.raises(ScenarioError, match=(
+        "^historical series 'mhi' cannot be forecast: series is constant"
+    )):
+        evaluate(flat, ("BF1",))
 
 
 def test_explain_bridge_inspection(default_evaluation):
