@@ -425,7 +425,22 @@ def test_forecast_subpackage_imports_in_a_fresh_interpreter():
     assert proc.stdout == "aamcba.forecast.arima\n"
 
 
-def test_validate_rejects_out_of_range_pin(tmp_path, capsys):
+def _assert_both_reject_mhi(tmp_path, capsys, values):
+    # A series that makes the ADF regression singular, or numerically so:
+    # both commands exit 2 naming it, not 3 with a numerical failure.
+    doc = _bundled_doc()
+    mhi = doc["series"]["historical"]["mhi"]
+    mhi["values"] = values(len(mhi["values"]))
+    bad = _write_json(tmp_path / "bad.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "historical series 'mhi'" in err
+        assert "numerical failure" not in err
+    return mhi["values"]
+
+
+def test_validate_rejects_out_of_range_pin_and_constant_series(tmp_path, capsys):
     doc = _bundled_doc()
     doc["orders"]["mhi"] = [9, 0, 0]
     pinned = _write_json(tmp_path / "pinned.json", doc)
@@ -434,6 +449,28 @@ def test_validate_rejects_out_of_range_pin(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["run", "--scenario", str(pinned), "--pin-orders", "--out", out]) == 2
     capsys.readouterr()
+
+    _assert_both_reject_mhi(tmp_path, capsys, lambda n: [40000.0] * n)
+
+
+def test_validate_and_run_reject_exactly_linear_series(tmp_path, capsys):
+    # Equal first differences make the ADF regression singular; this used
+    # to pass validate and make run exit 3 with "Singular matrix".
+    _assert_both_reject_mhi(
+        tmp_path, capsys, lambda n: [30000.0 + 100.0 * i for i in range(n)]
+    )
+
+
+def test_validate_and_run_reject_series_linear_up_to_rounding(tmp_path, capsys):
+    # First differences equal but for the last bit: validate used to pass
+    # it, and run took the NaN ADF statistic of the differenced series for
+    # a unit root, fitted (5,2,5) and exited 3.
+    values = _assert_both_reject_mhi(
+        tmp_path, capsys, lambda n: [30000.1 + 0.1 * i for i in range(n)]
+    )
+    assert len(values) == 31
+    steps = {b - a for a, b in zip(values, values[1:])}
+    assert len(steps) > 1
 
 
 def _noisy_linear(n: int) -> list[float]:
@@ -444,28 +481,14 @@ def _noisy_linear(n: int) -> list[float]:
 
 
 @pytest.mark.parametrize("values", [
-    lambda n: [40000.0] * n,
-    lambda n: [30000.0 + 100.0 * i for i in range(n)],
-    # steps equal but for the last bit
-    lambda n: [30000.1 + 0.1 * i for i in range(n)],
     lambda n: [1000.0 + 3.0 * i * i for i in range(n)],
     _noisy_linear,
-], ids=["constant", "exactly-linear", "linear-up-to-rounding", "quadratic",
-        "noisy-linear"])
+], ids=["quadratic", "noisy-linear"])
 def test_validate_and_run_reject_a_series_they_cannot_forecast(
     tmp_path, capsys, values
 ):
-    # Each makes the ADF regression singular, or numerically so. validate
-    # used to pass the last two, and each used to make run exit 3.
-    doc = _bundled_doc()
-    mhi = doc["series"]["historical"]["mhi"]
-    mhi["values"] = values(len(mhi["values"]))
-    bad = _write_json(tmp_path / "bad.json", doc)
-    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
-        assert main(argv + ["--scenario", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert "historical series 'mhi'" in err
-        assert "numerical failure" not in err
+    # validate used to pass each, and run exited 3.
+    _assert_both_reject_mhi(tmp_path, capsys, values)
 
 
 def _scale(section: str, name: str, factor: float):
