@@ -151,15 +151,19 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser = sub.add_parser(
         "validate", help="evaluate a scenario as run does, without writing anything"
     )
-    validate_parser.add_argument("--scenario", default=None)
-    validate_parser.add_argument("--factors", default=None)
+    _add_scenario_options(validate_parser)
     return parser
 
 
-def _evaluate(args: argparse.Namespace, path: Path, options):
-    """Load the scenario at ``path``; then apply the toggle overrides and
-    evaluate the factors that ``options()`` returns. ``run`` checks its
-    options before the load and ``explain`` after it, inside ``options``."""
+def _evaluate(args: argparse.Namespace, options=None):
+    """Find and load the scenario; then apply the toggle overrides and
+    evaluate the factors that ``options()`` returns. Without ``options``,
+    as for ``run`` and ``validate``, ``--factors`` and ``--toggle`` are
+    checked before the load; ``explain`` checks its own after it."""
+    path = find_scenario(args.scenario)
+    if options is None:
+        factors, toggles = _parse_factors(args.factors), _parse_toggles(args.toggle)
+        options = lambda: (toggles, factors)
     scenario = engine.load_scenario(path)
     toggles, factors = options()
     if toggles:
@@ -170,11 +174,8 @@ def _evaluate(args: argparse.Namespace, path: Path, options):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    path = find_scenario(args.scenario)
-    factors = _parse_factors(args.factors)
     emit = _parse_emit(args.emit)
-    toggles = _parse_toggles(args.toggle)
-    result = _evaluate(args, path, lambda: (toggles, factors))
+    result = _evaluate(args)
     engine.write_outputs(result, args.out, emit, seed=args.seed)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -199,18 +200,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             raise ScenarioError(f"factor {factor} not in --factors selection")
         return toggles, factors
 
-    result = _evaluate(args, find_scenario(args.scenario), options)
+    result = _evaluate(args, options)
     print(engine.explain(result, factor, args.year))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = engine.load_scenario(find_scenario(args.scenario))
-    result = engine.evaluate(scenario, _parse_factors(args.factors), best_effort=True)
+    result = _evaluate(args)
     engine.check_outputs(result)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"scenario '{scenario.name}' is valid")
+    print(f"scenario '{result.scenario.name}' is valid")
     return 0
 
 

@@ -5,8 +5,9 @@ enabled factors need, then evaluate each factor year by year on the three
 forecast channels (lower, mean, upper), each as ``factors`` defines it.
 Every step a factor records is kept in the result's ``traces``, which
 ``explain`` and the plot tables read. A series that cannot be forecast, or
-a factor value that is not a finite float, raises ScenarioError naming the
-input; ``aamcba validate`` runs this evaluation too. Running the three
+a factor value, a year's net gain, a horizon total or a plot item that is
+not a finite float, raises ScenarioError naming it; ``aamcba validate``
+runs this evaluation and derives those sums too. Running the three
 channels through the same formulas gives a comonotone envelope: each
 factor with every forecast input at its lower, its mean or its upper limit
 together. That assumes every forecast error moves together, so it is not a
@@ -37,7 +38,6 @@ from .ledger import (
     BandValue,
     summary_dict,
     write_channels_csv,
-    write_factor_csv,
     write_item_csv,
     write_npi_csv,
     write_results_csv,
@@ -243,7 +243,15 @@ def evaluate(
                 channels.append(value)
             benefits[factor_id] = _band_from_channels(*channels)
         costs = inputs["mean"]
-        annual.append(AnnualResult(year, benefits, costs["capex"], costs["opex"]))
+        row = AnnualResult(year, benefits, costs["capex"], costs["opex"])
+        try:
+            row.npi  # cached: every output reads it
+        except ValueError:
+            raise ScenarioError(
+                f"npi in {year}: the factor values less capex and opex "
+                "are not a finite number"
+            ) from None
+        annual.append(row)
     return EvaluationResult(scenario, enabled, annual, forecasts, warnings, traces)
 
 
@@ -292,11 +300,25 @@ def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
                 for report in pipeline.diagnostics
             ],
         }
+    ledger = summary_dict(result.annual)
+    sums = [(f"{f} total", v) for f, v in ledger["benefit_totals_mean"].items()]
+    sums += [
+        ("capex total", ledger["capex_total"]),
+        ("opex total", ledger["opex_total"]),
+        ("npi total", ledger["npi_total_mean"]),
+        ("npi growth rate", ledger.get("npi_mean_cagr", 0.0)),
+    ]
+    for name, value in sums:
+        if not isfinite(value):
+            raise ScenarioError(
+                f"{name} over {s.horizon_start}-{s.horizon_end} "
+                "is not a finite number"
+            )
     payload = {
         "scenario": s.name,
         "horizon": {"start": s.horizon_start, "end": s.horizon_end},
         "factors": list(result.factors),
-        "ledger": summary_dict(result.annual),
+        "ledger": ledger,
         "forecasts": forecast_info,
         "warnings": result.warnings,
     }
@@ -306,30 +328,28 @@ def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
 
 
 def _plot_tables(result: EvaluationResult) -> dict[str, list[tuple]]:
-    """One table per factor plot file, by year: the items a factor's trace
-    tags, banded across the channels, or else the factor's value."""
-    groups: dict[str, list[str]] = {}
-    for factor_id in result.factors:
-        groups.setdefault(FACTORS[factor_id].plot_file, []).append(factor_id)
+    """One table per enabled factor that has a plot file, by year: the
+    steps its trace tags with an item, banded across the channels."""
     tables: dict[str, list[tuple]] = {}
-    for filename, members in groups.items():
-        rows = []
-        for r in result.annual:
-            for factor_id in members:
-                # the three channels record the same steps in the same order
-                trace = result.traces[factor_id, r.year]
-                bands = [
-                    (item, _band_from_channels(lo, mid, up))
-                    for (_, lo, _), (_, mid, item), (_, up, _) in zip(*trace)
-                    if item is not None
-                ]
-                if not bands:
-                    bands = [(FACTORS[factor_id].file_stem, r.benefits[factor_id])]
-                rows += [
-                    (r.year, item, band.lower, band.mean, band.upper)
-                    for item, band in bands
-                ]
-        tables[filename] = rows
+    for factor_id in result.factors:
+        filename = FACTORS[factor_id].plot_file
+        if filename is None:
+            continue
+        rows = tables[filename] = []
+        for year in result.scenario.horizon_years:
+            # the three channels record the same steps in the same order
+            trace = result.traces[factor_id, year]
+            for (_, lo, _), (_, mid, item), (_, up, _) in zip(*trace):
+                if item is None:
+                    continue
+                try:
+                    band = _band_from_channels(lo, mid, up)
+                except ValueError:
+                    raise ScenarioError(
+                        f"{factor_id} plot item '{item}' in {year} "
+                        "is not a finite number"
+                    ) from None
+                rows.append((year, item, band.lower, band.mean, band.upper))
     return tables
 
 
@@ -345,16 +365,15 @@ def write_outputs(
     emit=ALL_EMIT,
     seed: int | None = None,
 ) -> list[Path]:
-    """Write the selected output kinds; returns the paths written."""
+    """Write the selected output kinds; returns the paths written. The sums
+    are derived first, so one that overflows leaves no partial output."""
     emit = normalize_emit(emit)
+    summary = _summary(result, seed) if "json" in emit else None
+    tables = _plot_tables(result) if "plotdata" in emit else {}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if "csv" in emit:
-        for factor_id in result.factors:
-            path = out_dir / f"{FACTORS[factor_id].file_stem}.csv"
-            write_factor_csv(path, factor_id, result.annual)
-            written.append(path)
         path = out_dir / "results.csv"
         write_results_csv(path, result.annual)
         written.append(path)
@@ -366,18 +385,14 @@ def write_outputs(
             path = out_dir / f"forecast_{name}.csv"
             write_channels_csv(path, band.years, band.lower, band.mean, band.upper)
             written.append(path)
-    if "json" in emit:
+    if summary is not None:
         path = out_dir / "summary.json"
-        text = json.dumps(
-            _summary(result, seed), sort_keys=True, indent=2,
-            separators=(",", ": "),
-        )
+        text = json.dumps(summary, sort_keys=True, indent=2, separators=(",", ": "))
         path.write_text(text + "\n")
         written.append(path)
-    if "plotdata" in emit:
-        for filename, rows in _plot_tables(result).items():
-            path = out_dir / filename
-            write_item_csv(path, rows)
-            written.append(path)
+    for filename, rows in tables.items():
+        path = out_dir / filename
+        write_item_csv(path, rows)
+        written.append(path)
     return written
 

@@ -1,13 +1,13 @@
 """The nine benefit factors, each defined once.
 
-A ``Factor`` record holds the factor's id, label and output file names,
-the scenario inputs it reads, and one ``evaluate(s, v, year, rec)``: ``s``
-is the scenario, ``v`` one channel's series values for ``year``. It
-computes each intermediate once and hands it to ``rec(label, value,
-item=None)``, which returns the value unchanged. The engine passes a
-recorder that keeps every entry: that trace is what ``explain`` prints,
-and the entries tagged with an ``item`` name are what the factor's plot
-table lists. A record may also hold a ``check(s)`` across its inputs,
+A ``Factor`` record holds the factor's id and label, the scenario inputs
+it reads, and one ``evaluate(s, v, year, rec)``: ``s`` is the scenario,
+``v`` one channel's series values for ``year``. It computes each
+intermediate once and hands it to ``rec(label, value, item=None)``, which
+returns the value unchanged. The engine passes a recorder that keeps every
+entry: that trace is what ``explain`` prints. A factor whose evaluation
+tags entries with an ``item`` name also names a plot table, which lists
+those entries. A record may also hold a ``check(s)`` across its inputs,
 which validation runs before any evaluation.
 
 The arithmetic is scalar; forecast bands come from evaluating each channel
@@ -51,33 +51,27 @@ def no_record(label: str, value: float, item: str | None = None) -> float:
 
 
 class Factor:
-    """One benefit factor: names, declared inputs and its evaluation."""
+    """One benefit factor: id, label, declared inputs and its evaluation."""
 
     __slots__ = (
-        "id", "label", "file_stem", "plot_file", "evaluate", "constants",
-        "exogenous", "historical", "toggle_constants", "check",
+        "id", "label", "evaluate", "constants", "exogenous", "historical",
+        "toggle_constants", "check", "plot_file",
     )
 
     def __init__(
         self,
         id: str,
         label: str,
-        file_stem: str,
-        plot_file: str,
         evaluate: Callable[[Scenario, Values, int, Recorder], float],
         constants: tuple[str, ...] = (),
         exogenous: tuple[str, ...] = (),
         historical: tuple[str, ...] = (),
         toggle_constants: tuple[tuple[str, str], ...] = (),
         check: Callable[[Scenario], list[str]] | None = None,
+        plot_file: str | None = None,
     ) -> None:
         self.id = id
         self.label = label
-        #: Stem of the factor's own ``<stem>.csv`` output.
-        self.file_stem = file_stem
-        #: Plot table the factor goes in: the intermediates its ``evaluate``
-        #: tags with an item name, or else its value.
-        self.plot_file = plot_file
         self.evaluate = evaluate
         self.constants = constants
         self.exogenous = exogenous
@@ -88,6 +82,9 @@ class Factor:
         #: constants are known present: a failure is a ScenarioError, and the
         #: warnings are returned.
         self.check = check
+        #: The plot table of the intermediates ``evaluate`` tags with an item
+        #: name; None for a factor that tags none (its value is in results.csv).
+        self.plot_file = plot_file
 
     def required_constants(self, s: Scenario) -> tuple[str, ...]:
         """The constants an evaluation under ``s``'s toggles reads."""
@@ -471,15 +468,13 @@ _PACKAGE_MARKET = (
 
 FACTORS: dict[str, Factor] = {f.id: f for f in (
     Factor(
-        "BF1", "passenger trip time savings", "passenger_time_savings",
-        "plot_time_safety_inspection.csv", _passenger_time,
+        "BF1", "passenger trip time savings", _passenger_time,
         constants=("VTTS_2015", "MHI_2015", "trip_time_saved_min"),
         exogenous=("passenger_trips",),
         historical=("mhi",),
     ),
     Factor(
-        "BF2", "traffic safety improvement", "traffic_safety",
-        "plot_time_safety_inspection.csv", _traffic_safety,
+        "BF2", "traffic safety improvement", _traffic_safety,
         constants=(
             "trip_distance_miles",
             "ground_fatality_per_100m_miles",
@@ -491,8 +486,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         check=_fatality_rates,
     ),
     Factor(
-        "BF3", "package delivery savings", "package_delivery",
-        "plot_delivery_savings.csv", _package_delivery,
+        "BF3", "package delivery savings", _package_delivery,
         constants=(
             *_PACKAGE_MARKET,
             "operational_days", "round_trip_min", "reserve_fraction",
@@ -504,8 +498,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         historical=("population",),
     ),
     Factor(
-        "BF4", "air cargo savings", "air_cargo",
-        "plot_delivery_savings.csv", _air_cargo,
+        "BF4", "air cargo savings", _air_cargo,
         constants=(
             "trip_time_saved_min", "trip_distance_miles",
             "warehouse_rent_psf_month", "warehouse_nnn_psf_month",
@@ -517,8 +510,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         exogenous=("cargo_trips",),
     ),
     Factor(
-        "BF5", "bridge inspection savings", "bridge_inspection",
-        "plot_time_safety_inspection.csv", _bridge_inspection,
+        "BF5", "bridge inspection savings", _bridge_inspection,
         constants=(
             "VTTS_2015", "MHI_2015", "heavy_inspections_per_year",
             "drone_capable_inspections", "core_hours_share",
@@ -529,8 +521,7 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
         check=_inspection_counts,
     ),
     Factor(
-        "BF6", "farming productivity", "farming",
-        "plot_farming_components.csv", _farming,
+        "BF6", "farming productivity", _farming,
         constants=(
             "farms_total", "farms_adopting",
             *(f"{crop}_yield_uplift" for crop in _CROPS),
@@ -544,21 +535,21 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
             *(f"{crop}_price" for crop in _CROPS),
             "livestock",
         ),
+        plot_file="plot_farming_components.csv",
     ),
     Factor(
-        "BF7", "emergency medical response", "medical_response",
-        "plot_medical_cases.csv", _medical_response,
+        "BF7", "emergency medical response", _medical_response,
         constants=("ohca_per_100k", "DSN", "survival_rates", "CAS"),
         historical=("population", "vsl"),
         check=_medical_ladder,
+        plot_file="plot_medical_cases.csv",
     ),
     Factor(
-        "BF8", "tax revenue", "tax_revenue", "plot_tax_ghg.csv", _tax_revenue,
+        "BF8", "tax revenue", _tax_revenue,
         exogenous=("tax_income",),
     ),
     Factor(
-        "BF9", "greenhouse gas reduction", "ghg_reduction",
-        "plot_tax_ghg.csv", _ghg_reduction,
+        "BF9", "greenhouse gas reduction", _ghg_reduction,
         constants=(
             "scc_2020", "scm_2020", "scn_2020", "scghg_discount",
             "scghg_base_year", "mpg_fleet", "co2_share_of_ghg",

@@ -165,33 +165,15 @@ def write_channels_csv(
     _write_csv(path, lines)
 
 
-def write_band_csv(
-    path: Path, years: Sequence[int], bands: Sequence[BandValue]
-) -> None:
-    if len(years) != len(bands):
-        raise ValueError(
-            f"got {len(years)} years but {len(bands)} band values"
-        )
+def write_npi_csv(path: Path, results: Sequence[AnnualResult]) -> None:
+    npi = [r.npi for r in results]
     write_channels_csv(
         path,
-        years,
-        [band.lower for band in bands],
-        [band.mean for band in bands],
-        [band.upper for band in bands],
+        [r.year for r in results],
+        [band.lower for band in npi],
+        [band.mean for band in npi],
+        [band.upper for band in npi],
     )
-
-
-def write_factor_csv(
-    path: Path, factor_id: str, results: Sequence[AnnualResult]
-) -> None:
-    rows = [r for r in results if factor_id in r.benefits]
-    write_band_csv(
-        path, [r.year for r in rows], [r.benefits[factor_id] for r in rows]
-    )
-
-
-def write_npi_csv(path: Path, results: Sequence[AnnualResult]) -> None:
-    write_band_csv(path, [r.year for r in results], [r.npi for r in results])
 
 
 def _total(values: Iterable[float]) -> float:
@@ -212,7 +194,7 @@ def summary_dict(results: Sequence[AnnualResult]) -> dict:
     for factor_id in FACTOR_IDS:
         bands = [r.benefits[factor_id] for r in results if factor_id in r.benefits]
         if bands:
-            factor_totals[factor_id] = band_sum(bands).mean
+            factor_totals[factor_id] = _total(band.mean for band in bands)
     npi_means = [r.npi.mean for r in results]
     summary = {
         "first_year": years[0],

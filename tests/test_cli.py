@@ -103,6 +103,15 @@ def test_run_emit_subset_writes_only_that_kind(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
+def test_run_plotdata_of_factors_without_items_writes_no_file(tmp_path, capsys):
+    # BF1 and BF8 tag no plot items; their values are in results.csv alone.
+    out = tmp_path / "plots"
+    code = main(["run", "--out", str(out), "--factors", "BF1,BF8", "--emit", "plotdata"])
+    capsys.readouterr()
+    assert code == 0
+    assert list(out.iterdir()) == []
+
+
 def test_run_reruns_byte_identical(tmp_path, capsys):
     first = tmp_path / "a"
     second = tmp_path / "b"
@@ -127,6 +136,19 @@ def test_run_pinned_orders_exit_3_without_best_effort(tmp_path, capsys):
     assert code == 3
     assert "no residual-whiteness-passing model" in captured.err
     assert "enable best-effort" in captured.err
+
+
+def test_validate_takes_the_options_of_run(tmp_path, capsys):
+    # validate evaluates with run's options, so the pins that make run exit 3
+    # make validate exit 3 too, and --best-effort lets both pass.
+    assert main(["validate", "--pin-orders"]) == 3
+    err = capsys.readouterr().err
+    assert "no residual-whiteness-passing model" in err
+    assert main(["validate", "--pin-orders", "--best-effort"]) == 0
+    assert "kept order" in capsys.readouterr().err
+    assert main(["validate", "--factors", "BF6", "--toggle", "bf6_incremental=true"]) == 0
+    assert "uplifted harvest" not in capsys.readouterr().err
+    assert main(["validate", "--toggle", "bf7_case=9"]) == 2
 
 
 def test_run_pinned_orders_with_best_effort(tmp_path, capsys):
@@ -527,31 +549,45 @@ def test_forecast_derived_guards_exit_2(tmp_path, capsys, edit, message):
         assert "numerical failure" not in err
 
 
-@pytest.mark.parametrize("edit", [
-    _scale("exogenous", "tax_income", 3e299),
-    _set("constants", "CAS", [0.0, -1.7e308, 0.0, 0.0, 0.0, 0.0]),
-], ids=["tax_income-horizon-total", "CAS-unselected-network"])
-def test_validate_fails_where_the_writers_would(tmp_path, capsys, edit):
-    # Every factor value is finite, but BF8's horizon total overflows, or so
-    # does the value of a BF7 network that bf7_case does not select, which
-    # only the plot table lists: validate used to exit 0, and run exited 3
-    # writing them.
+def _edits(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_scale("exogenous", "tax_income", 3e299),
+     "BF8 total over 2022-2032 is not a finite number"),
+    (_set("constants", "CAS", [0.0, -1.7e308, 0.0, 0.0, 0.0, 0.0]),
+     "BF7 plot item 'stations_50' in 2022 is not a finite number"),
+    (_scale("exogenous", "capex", 3e299),
+     "capex total over 2022-2032 is not a finite number"),
+    (_edits(_scale("exogenous", "capex", 3e299), _scale("exogenous", "opex", 2e300)),
+     "npi in 2022: the factor values less capex and opex are not a finite number"),
+], ids=["tax_income-horizon-total", "CAS-unselected-network", "capex-horizon-total",
+        "capex-opex-yearly-npi"])
+def test_validate_fails_where_the_writers_would(tmp_path, capsys, edit, message):
+    # Every factor value is finite, but a horizon total overflows, or the
+    # value of a BF7 network that bf7_case does not select, which only the
+    # plot table lists, or a year's net gain: validate used to exit 0 or 3,
+    # and run exited 3 or wrote an Infinity into summary.json. Both exit 2
+    # naming the sum, and run writes nothing.
     doc = _bundled_doc()
     edit(doc)
     bad = _write_json(tmp_path / "bad.json", doc)
-    codes = [
-        main(argv + ["--scenario", str(bad)])
-        for argv in (["validate"], ["run", "--out", str(tmp_path / "x")])
-    ]
-    capsys.readouterr()
-    assert codes[0] != 0 and codes[0] == codes[1], codes
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "numerical failure" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_fuzzed_scenario_that_validates_runs(tmp_path, capsys, monkeypatch):
     # One input of the bundled scenario scaled by 10^k, set to zero or
-    # negated: whatever validate accepts, run accepts too, but for a model
-    # that fails the whiteness check (run has --best-effort for that).
-    # validate writes no file.
+    # negated: whatever validate accepts, run accepts too. validate writes
+    # no file.
     base = _bundled_doc()
     inputs = [("constants", key) for key in base["constants"]]
     inputs += [(section, name) for section in ("exogenous", "historical")
@@ -573,9 +609,7 @@ def test_fuzzed_scenario_that_validates_runs(tmp_path, capsys, monkeypatch):
         if code == 0:
             code = main(["run", "--scenario", path, "--out", out])
             err = capsys.readouterr().err
-            assert code == 0 or (
-                code == 3 and "no residual-whiteness-passing model" in err
-            ), (section, name, factor, err)
+            assert code == 0, (section, name, factor, err)
         capsys.readouterr()
 
 

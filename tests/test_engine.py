@@ -8,7 +8,9 @@ import pytest
 from aamcba.cli import main
 from aamcba.engine import (
     ALL_EMIT,
+    EvaluationResult,
     _values_for_year,
+    check_outputs,
     evaluate,
     explain,
     normalize_factors,
@@ -17,6 +19,7 @@ from aamcba.engine import (
 from aamcba.factors import FACTORS
 from aamcba.forecast import ForecastError
 from aamcba.ingest import FACTOR_IDS, ScenarioError, TimeSeries
+from aamcba.ledger import AnnualResult, BandValue
 
 
 def test_default_run_shape(default_scenario, default_evaluation):
@@ -204,25 +207,59 @@ def test_write_outputs_full_set(default_evaluation, tmp_path):
     out = tmp_path / "out"
     written = write_outputs(default_evaluation, out)
     names = sorted(p.name for p in written)
-    factor_files = sorted(f"{f.file_stem}.csv" for f in FACTORS.values())
-    forecast_files = sorted(
+    forecast_files = [
         f"forecast_{name}.csv" for name in default_evaluation.forecasts
-    )
-    plot_files = [
-        "plot_delivery_savings.csv",
-        "plot_farming_components.csv",
-        "plot_medical_cases.csv",
-        "plot_tax_ghg.csv",
-        "plot_time_safety_inspection.csv",
     ]
     want = sorted(
-        factor_files
-        + forecast_files
-        + plot_files
+        forecast_files
+        + ["plot_farming_components.csv", "plot_medical_cases.csv"]
         + ["results.csv", "npi.csv", "summary.json"]
     )
+    assert len(want) == 19
     assert names == want
     assert all(p.is_file() for p in written)
+
+
+def test_plot_tables_hold_only_tagged_items(default_evaluation, tmp_path):
+    # results.csv holds every factor's value, so a plot table lists only the
+    # steps its factor's trace tags with an item, and repeats no results row;
+    # a factor that tags none has no table.
+    write_outputs(default_evaluation, tmp_path, emit={"csv", "plotdata"})
+
+    def rows(name):
+        return (tmp_path / name).read_text().splitlines()[1:]
+
+    results = set(rows("results.csv"))
+    tables = []
+    for factor_id in default_evaluation.factors:
+        tagged = {
+            item
+            for year in (2022, 2032)
+            for _, _, item in default_evaluation.traces[factor_id, year][1]
+            if item is not None
+        }
+        plot_file = FACTORS[factor_id].plot_file
+        assert (plot_file is None) == (not tagged), factor_id
+        if plot_file is None:
+            continue
+        tables.append(plot_file)
+        table = rows(plot_file)
+        assert {row.split(",")[1] for row in table} == tagged
+        assert not results.intersection(table), plot_file
+    assert sorted(p.name for p in tmp_path.glob("plot_*")) == sorted(tables)
+
+
+def test_a_growth_rate_that_overflows_is_named(default_scenario):
+    # A tiny positive first-year net gain and a huge last one: their ratio
+    # overflows, and summary.json used to print the growth rate as Infinity.
+    annual = [
+        AnnualResult(year, {"BF8": BandValue.point(1e-300 if year == 2022 else 1e10)},
+                     0.0, 0.0)
+        for year in default_scenario.horizon_years
+    ]
+    result = EvaluationResult(default_scenario, ("BF8",), annual, {}, [], {})
+    with pytest.raises(ScenarioError, match="npi growth rate over 2022-2032 is not"):
+        check_outputs(result)
 
 
 def test_write_outputs_are_byte_identical(default_evaluation, tmp_path):

@@ -20,12 +20,6 @@ import aamcba
 from aamcba.cli import main
 
 DEFAULT_RUN = {
-    "air_cargo.csv":
-        "1303de99db76f50a2c0b9457fc2735c72a093e68294002c232f3d28a7c8b22d4",
-    "bridge_inspection.csv":
-        "89abde664d3b934b8dd28c721724196e18478d1c46bc253d5152e17166056bb8",
-    "farming.csv":
-        "6e10d37b48f5e2a5709f9801063bb55564527de2a5ae1667a3df015ae7b99bb9",
     "forecast_corn_area.csv":
         "2b625fdb690b5304dc636d4dd74f9d8099ae17293b03c1d60d8c07c48fd3c43e",
     "forecast_corn_price.csv":
@@ -54,44 +48,22 @@ DEFAULT_RUN = {
         "880e279015961c19a6d9b63796d909dc707f0ab009e0673d8cb0785f21608048",
     "forecast_wheat_yield.csv":
         "462dde6bf1c7c45d43b9fcfcbfdac96102f4b8a34a649dd40dac1d950b70fc1c",
-    "ghg_reduction.csv":
-        "bdd68e6029a071582cb61c7122fb017b14cb9dd54fa309d07d5a95bfcc84e67b",
-    "medical_response.csv":
-        "336d3c387fc30254f8ab6c3a9a0400c71d20d214c1e45dbfab5d82ced5621f70",
     "npi.csv":
         "0d8d20531a58046201cfffed4237ee459d285b37472f69b0f350f493fad1970e",
-    "package_delivery.csv":
-        "ee40ee13ede5951558a8c7db3c202401bf4bbd107caade66b3db98d525964e90",
-    "passenger_time_savings.csv":
-        "155e4d3ae39310b089f172d1be7dbbfb5b8f5567bc4ae9f56ac79d466c18c296",
-    "plot_delivery_savings.csv":
-        "618bc627dda7d906bb07240aaa9b0961f910fe3320aeae5618c13831f752681a",
     "plot_farming_components.csv":
         "532c8f43a226886bb57e37aa60819898c5a0f9faf66d3a81218a2b4db5497703",
     "plot_medical_cases.csv":
         "6b6071ee83ad324a17772748a6982b5d3cfd2e016b234dfa9c4b34fd1db0ed96",
-    "plot_tax_ghg.csv":
-        "48053df9a6c43bd50f34b1b2a46c2dff3030d3d0ae49e875314f1e4bd8fad012",
-    "plot_time_safety_inspection.csv":
-        "fe3d276f3647d7dffcb0b881b44471e335d20f5ee495d5e0036eef01978e645b",
     "results.csv":
         "d64a68dc5944f2d938c651a804b2e46ec81e3a144f0393411b0b01a5e987909d",
     "summary.json":
         "26910fa57a4b376b0343c4afaadd3648e8a8588255601a466d1b61a4fb3200d9",
-    "tax_revenue.csv":
-        "51ffa8f57a589cc637ae598890fd1e9041f9c4f7a62c61af67b96e287ddd0867",
-    "traffic_safety.csv":
-        "55aa326ca2e744b041fa996aa6127d027a2906f4b9e771f4989996d36df2f61c",
 }
 
 # bf6_incremental changes the farming factor, bf7_case the medical one;
 # npi, results and summary follow from both.
 TOGGLED_RUN = {
     **DEFAULT_RUN,
-    "farming.csv":
-        "114fbb864b9759012ce013516bac4f836162305a5c0a626bd6a5e41b2ff46ac5",
-    "medical_response.csv":
-        "b396a23c59a13f655cbadb567c495e97609529d6b9242ac1948871c04a0ae89e",
     "npi.csv":
         "30b92d56c93b9a2e9b9d0ac135d64d2db272610c292dfd7c6e4f0a81bddc9ef9",
     "plot_farming_components.csv":
@@ -115,10 +87,6 @@ SUBSET_RUN_ARGS = [
     "--toggle", "bf2_use_trip_miles=true",
 ]
 SUBSET_RUN = {
-    "air_cargo.csv":
-        "6ddfd38b5fb75b232522f14509495b7b86bbeaa5a8f3aeadef89b1136a6da24f",
-    "farming.csv":
-        "09b008def7c652fb4a014787f177da0f2b5359a2c7803e60edeb025f712f0895",
     "forecast_corn_area.csv":
         "2b625fdb690b5304dc636d4dd74f9d8099ae17293b03c1d60d8c07c48fd3c43e",
     "forecast_corn_price.csv":
@@ -145,24 +113,16 @@ SUBSET_RUN = {
         "880e279015961c19a6d9b63796d909dc707f0ab009e0673d8cb0785f21608048",
     "forecast_wheat_yield.csv":
         "ae12b7c8a464407725986afd00eb50128285688a72c34a0d484255077359a222",
-    "medical_response.csv":
-        "01e0ef1ea24bcf44bbf1d6e25280d2aa5a234dd9cd667f0e813fc52b020eeb3e",
     "npi.csv":
         "c9eb723fcf07167f70c98ff40bd422dcd96804175534d07ccad9f40fab2a22da",
-    "plot_delivery_savings.csv":
-        "d963e5ae74891b3f9e9e70bbcc378b91fbdaf1489e4050069f6014807bb42f1d",
     "plot_farming_components.csv":
         "614fff8dce49d9bdd310c3f963c608af6f54e4fd14c88f3ad7128d0a4cbf835e",
     "plot_medical_cases.csv":
         "36c155cf0cb572db4bddd87bba391f498ce752a3cea48d6de92c5e5803d97e0e",
-    "plot_time_safety_inspection.csv":
-        "f69eaa5955afcf0235ac8da4b1c402b98a6823a2f222c6a80c74570a6d21a466",
     "results.csv":
         "d0fc1dc9e43c0be9cf60d096001f46642714696b0a383d41c2a686ac10ad1d38",
     "summary.json":
         "1d1e67b6fa9c7c13b00631b087d14896c76e8f5e8c98135caa8216524a51ef8c",
-    "traffic_safety.csv":
-        "0a192ee5a6081e6140d242a5ff966f44ee360bdc5702e6413e3336380b7f2eb7",
 }
 
 

@@ -17,7 +17,6 @@ from aamcba.ledger import (
     compute_npi,
     results_rows,
     summary_dict,
-    write_band_csv,
     write_npi_csv,
     write_results_csv,
 )
@@ -118,9 +117,6 @@ def test_csv_writers(tmp_path):
     assert npi_lines[0] == "year,lower,mean,upper"
     assert npi_lines[1] == "2022,0.5,1.5,2.5"
     assert npi_lines[2] == "2023,2.0,4.0,6.0"
-
-    with pytest.raises(ValueError, match="got 2 years but 1 band values"):
-        write_band_csv(tmp_path / "bad.csv", [2022, 2023], [BandValue.point(1.0)])
 
 
 def test_float_formatting_round_trips():
