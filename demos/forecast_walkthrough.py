@@ -25,7 +25,6 @@ def main() -> None:
         name="ridership",
         years=tuple(range(1993, 2023)),
         values=tuple(float(v) for v in values),
-        unit="trips",
     )
 
     print("== unit-root checks ==")

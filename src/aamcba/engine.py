@@ -4,17 +4,19 @@ The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
 forecast channels (lower, mean, upper), each as ``factors`` defines it.
 Every step a factor records is kept in the result's ``traces``, which
-``explain`` and the plot tables read. A series that cannot be forecast, or
-a factor value, a year's net gain, a horizon total or a plot item that is
-not a finite float, raises ScenarioError naming it; ``aamcba validate``
-runs this evaluation and derives those sums too. Running the three
-channels through the same formulas gives a comonotone envelope: each
+``explain`` and the plot tables read. ``evaluate`` derives every number
+the outputs report: the yearly ledger, the summary and the plot tables. A
+series that cannot be forecast, or a factor value, a year's net gain, a
+horizon total or a plot item that is not a finite float, raises
+ScenarioError naming it, so ``run`` with any ``--emit``, ``validate`` and
+``explain`` reject the same inputs; the writers only format. Running the
+three channels through the same formulas gives a comonotone envelope: each
 factor with every forecast input at its lower, its mean or its upper limit
 together. That assumes every forecast error moves together, so it is not a
-95% interval. A factor can fall as one input rises, so the band
-constructor sorts the endpoints when a formula inverts them. Evaluators
-are pure functions of the scenario and one year's values, so they are safe
-to parallelize if that ever matters; at this size it does not.
+95% interval. A factor can fall as one input rises, so its band sorts the
+three channel values. Evaluators are pure functions of the scenario and
+one year's values, so they are safe to parallelize if that ever matters;
+at this size it does not.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .ingest import (
     validate_scenario,
 )
 from .ledger import (
+    CHANNELS,
     AnnualResult,
     BandValue,
     summary_dict,
@@ -42,8 +45,6 @@ from .ledger import (
     write_npi_csv,
     write_results_csv,
 )
-
-_CHANNELS = ("lower", "mean", "upper")
 
 #: One recorded step of a factor's evaluation: (label, value, item or None).
 Entry = tuple[str, float, str | None]
@@ -64,9 +65,13 @@ def normalize_emit(kinds) -> frozenset[str]:
 
 
 class EvaluationResult:
-    """Forecasts, yearly ledger rows, and accumulated warnings for one run."""
+    """Forecasts, yearly ledger rows, accumulated warnings, and the summary
+    and plot tables derived from them, for one run."""
 
-    __slots__ = ("scenario", "factors", "annual", "forecasts", "warnings", "traces")
+    __slots__ = (
+        "scenario", "factors", "annual", "forecasts", "warnings", "traces",
+        "summary", "plot_tables",
+    )
 
     def __init__(
         self,
@@ -76,6 +81,8 @@ class EvaluationResult:
         forecasts: dict[str, PipelineResult],
         warnings: list[str],
         traces: dict[tuple[str, int], tuple[list[Entry], ...]],
+        summary: dict,
+        plot_tables: dict[str, list[tuple]],
     ) -> None:
         self.scenario = scenario
         self.factors = factors
@@ -85,6 +92,10 @@ class EvaluationResult:
         #: (factor id, year) -> the lower, mean and upper channels' lists of
         #: every (label, value, item) the factor's evaluation recorded.
         self.traces = traces
+        #: summary.json's payload, without the seed.
+        self.summary = summary
+        #: plot file name -> its (year, item, lower, mean, upper) rows.
+        self.plot_tables = plot_tables
 
 
 def _values_for_year(
@@ -99,7 +110,7 @@ def _values_for_year(
         name: scenario.exogenous(name).value_at(year)
         for name in sorted(exogenous_names)
     }
-    by_channel = {channel: dict(exogenous) for channel in _CHANNELS}
+    by_channel = {channel: dict(exogenous) for channel in CHANNELS}
     for name, result in forecasts.items():
         band = result.band
         if not band.years[0] <= year <= band.years[-1]:
@@ -232,7 +243,7 @@ def evaluate(
             factor = FACTORS[factor_id]
             trace = traces[factor_id, year] = ([], [], [])
             channels = []
-            # inputs holds the channels in _CHANNELS order, as trace does
+            # inputs holds the channels in CHANNELS order, as trace does
             for (channel, values), entries in zip(inputs.items(), trace):
                 try:
                     value = factor.evaluate(scenario, values, year, _recorder(entries))
@@ -243,16 +254,18 @@ def evaluate(
                 channels.append(value)
             benefits[factor_id] = _band_from_channels(*channels)
         costs = inputs["mean"]
-        row = AnnualResult(year, benefits, costs["capex"], costs["opex"])
         try:
-            row.npi  # cached: every output reads it
+            annual.append(AnnualResult(year, benefits, costs["capex"], costs["opex"]))
         except ValueError:
             raise ScenarioError(
                 f"npi in {year}: the factor values less capex and opex "
                 "are not a finite number"
             ) from None
-        annual.append(row)
-    return EvaluationResult(scenario, enabled, annual, forecasts, warnings, traces)
+    return EvaluationResult(
+        scenario, enabled, annual, forecasts, warnings, traces,
+        _summary(scenario, enabled, annual, forecasts, warnings),
+        _plot_tables(scenario, enabled, traces),
+    )
 
 
 def explain(result: EvaluationResult, factor_id: str, year: int) -> str:
@@ -281,10 +294,17 @@ def explain(result: EvaluationResult, factor_id: str, year: int) -> str:
     return "\n".join(lines)
 
 
-def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
-    s = result.scenario
+def _summary(
+    scenario: Scenario,
+    factors: tuple[str, ...],
+    annual: list[AnnualResult],
+    forecasts: Mapping[str, PipelineResult],
+    warnings: list[str],
+) -> dict:
+    """summary.json's payload, without the seed. ScenarioError if a horizon
+    total or the growth rate is not a finite number."""
     forecast_info = {}
-    for name, pipeline in result.forecasts.items():
+    for name, pipeline in forecasts.items():
         fit = pipeline.fit
         forecast_info[name] = {
             "order": [fit.order.p, fit.order.d, fit.order.q],
@@ -300,46 +320,32 @@ def _summary(result: EvaluationResult, seed: int | None = None) -> dict:
                 for report in pipeline.diagnostics
             ],
         }
-    ledger = summary_dict(result.annual)
-    sums = [(f"{f} total", v) for f, v in ledger["benefit_totals_mean"].items()]
-    sums += [
-        ("capex total", ledger["capex_total"]),
-        ("opex total", ledger["opex_total"]),
-        ("npi total", ledger["npi_total_mean"]),
-        ("npi growth rate", ledger.get("npi_mean_cagr", 0.0)),
-    ]
-    for name, value in sums:
-        if not isfinite(value):
-            raise ScenarioError(
-                f"{name} over {s.horizon_start}-{s.horizon_end} "
-                "is not a finite number"
-            )
-    payload = {
-        "scenario": s.name,
-        "horizon": {"start": s.horizon_start, "end": s.horizon_end},
-        "factors": list(result.factors),
-        "ledger": ledger,
+    return {
+        "scenario": scenario.name,
+        "horizon": {"start": scenario.horizon_start, "end": scenario.horizon_end},
+        "factors": list(factors),
+        "ledger": summary_dict(annual),
         "forecasts": forecast_info,
-        "warnings": result.warnings,
+        "warnings": warnings,
     }
-    if seed is not None:
-        payload["seed"] = seed
-    return payload
 
 
-def _plot_tables(result: EvaluationResult) -> dict[str, list[tuple]]:
+def _plot_tables(
+    scenario: Scenario,
+    factors: tuple[str, ...],
+    traces: Mapping[tuple[str, int], tuple[list[Entry], ...]],
+) -> dict[str, list[tuple]]:
     """One table per enabled factor that has a plot file, by year: the
     steps its trace tags with an item, banded across the channels."""
     tables: dict[str, list[tuple]] = {}
-    for factor_id in result.factors:
+    for factor_id in factors:
         filename = FACTORS[factor_id].plot_file
         if filename is None:
             continue
         rows = tables[filename] = []
-        for year in result.scenario.horizon_years:
+        for year in scenario.horizon_years:
             # the three channels record the same steps in the same order
-            trace = result.traces[factor_id, year]
-            for (_, lo, _), (_, mid, item), (_, up, _) in zip(*trace):
+            for (_, lo, _), (_, mid, item), (_, up, _) in zip(*traces[factor_id, year]):
                 if item is None:
                     continue
                 try:
@@ -353,23 +359,14 @@ def _plot_tables(result: EvaluationResult) -> dict[str, list[tuple]]:
     return tables
 
 
-def check_outputs(result: EvaluationResult) -> None:
-    """Derive, without writing, the sums and items ``write_outputs`` adds."""
-    _summary(result)
-    _plot_tables(result)
-
-
 def write_outputs(
     result: EvaluationResult,
     out_dir: str | Path,
     emit=ALL_EMIT,
     seed: int | None = None,
 ) -> list[Path]:
-    """Write the selected output kinds; returns the paths written. The sums
-    are derived first, so one that overflows leaves no partial output."""
+    """Write the selected output kinds; returns the paths written."""
     emit = normalize_emit(emit)
-    summary = _summary(result, seed) if "json" in emit else None
-    tables = _plot_tables(result) if "plotdata" in emit else {}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -385,14 +382,18 @@ def write_outputs(
             path = out_dir / f"forecast_{name}.csv"
             write_channels_csv(path, band.years, band.lower, band.mean, band.upper)
             written.append(path)
-    if summary is not None:
+    if "json" in emit:
+        summary = result.summary
+        if seed is not None:
+            summary = {**summary, "seed": seed}
         path = out_dir / "summary.json"
         text = json.dumps(summary, sort_keys=True, indent=2, separators=(",", ": "))
         path.write_text(text + "\n")
         written.append(path)
-    for filename, rows in tables.items():
-        path = out_dir / filename
-        write_item_csv(path, rows)
-        written.append(path)
+    if "plotdata" in emit:
+        for filename, rows in result.plot_tables.items():
+            path = out_dir / filename
+            write_item_csv(path, rows)
+            written.append(path)
     return written
 

@@ -100,7 +100,7 @@ class FittedArima:
 
     __slots__ = (
         "order", "ar_coeffs", "ma_coeffs", "intercept", "sigma2", "residuals",
-        "loglik_proxy", "n_obs",
+        "loglik_proxy",
     )
 
     def __init__(
@@ -112,7 +112,6 @@ class FittedArima:
         sigma2: float,
         residuals: tuple[float, ...],
         loglik_proxy: float,
-        n_obs: int,
     ) -> None:
         if len(ar_coeffs) != order.p or len(ma_coeffs) != order.q:
             raise ForecastError("coefficient counts do not match the order")
@@ -133,7 +132,6 @@ class FittedArima:
         self.sigma2 = sigma2
         self.residuals = residuals
         self.loglik_proxy = loglik_proxy
-        self.n_obs = n_obs
 
 
 class ForecastBand:
@@ -503,7 +501,6 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
             sigma2=sigma2,
             residuals=tuple(e),
             loglik_proxy=-css,
-            n_obs=n,
         )
 
     import numpy as np
@@ -567,7 +564,6 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
         sigma2=sigma2,
         residuals=tuple(e.tolist()),
         loglik_proxy=-css,
-        n_obs=n,
     )
 
 

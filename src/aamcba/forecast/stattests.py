@@ -33,32 +33,22 @@ _SINGULAR = "degenerate ADF regression (singular design matrix)"
 class TestReport:
     """Outcome of one hypothesis test at the 5% level."""
 
-    __slots__ = ("name", "statistic", "p_value", "lags_used", "reject_null")
+    __slots__ = ("name", "statistic", "p_value", "lags_used")
 
     def __init__(
-        self,
-        name: str,
-        statistic: float,
-        p_value: float,
-        lags_used: int,
-        reject_null: bool,
+        self, name: str, statistic: float, p_value: float, lags_used: int
     ) -> None:
-        if not (reject_null == (p_value <= ALPHA)):
-            raise ValueError(
-                f"{name}: reject_null={reject_null} inconsistent "
-                f"with p={p_value}"
-            )
         self.name = name
         self.statistic = statistic
         self.p_value = p_value
         self.lags_used = lags_used
-        self.reject_null = reject_null
+
+    @property
+    def reject_null(self) -> bool:
+        return self.p_value <= ALPHA
 
     def _fields(self) -> tuple:
-        return (
-            self.name, self.statistic, self.p_value, self.lags_used,
-            self.reject_null,
-        )
+        return self.name, self.statistic, self.p_value, self.lags_used
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not TestReport:
@@ -210,7 +200,6 @@ def adf_test(values, max_lag: int | None = None, name: str = "adf") -> TestRepor
         statistic=statistic,
         p_value=p_value,
         lags_used=max_lag,
-        reject_null=p_value <= ALPHA,
     )
 
 
@@ -252,5 +241,4 @@ def ljung_box(
         statistic=statistic,
         p_value=p_value,
         lags_used=lags,
-        reject_null=p_value <= ALPHA,
     )

@@ -255,14 +255,13 @@ _MAGNITUDE_BRACKETS: dict[str, tuple[float, float]] = {
 class TimeSeries:
     """A named annual series: consecutive integer years, finite values."""
 
-    __slots__ = ("name", "years", "values", "unit")
+    __slots__ = ("name", "years", "values")
 
     def __init__(
         self,
         name: str,
         years: tuple[int, ...],
         values: tuple[float, ...],
-        unit: str = "",
     ) -> None:
         self.name = name
         self.years = years = tuple(map(int, years))
@@ -273,7 +272,6 @@ class TimeSeries:
             raise ScenarioError(
                 f"series '{name}' has a non-numeric value {bad!r}"
             ) from None
-        self.unit = unit
         if not years:
             raise ScenarioError(f"series '{name}' is empty")
         if len(years) != len(values):
@@ -392,9 +390,8 @@ class Scenario:
 def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
     """Read a two-column (year, value) CSV into a TimeSeries.
 
-    A non-numeric first row is treated as a header; its second cell becomes
-    the unit unless it is just 'value'. Duplicate years and year gaps are
-    rejected with row-level messages.
+    A non-numeric first row is treated as a header and skipped. Duplicate
+    years and year gaps are rejected with row-level messages.
     """
     path = Path(path)
     if not path.is_file():
@@ -402,7 +399,6 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
     label = name or path.stem
     years: list[int] = []
     values: list[float] = []
-    unit = ""
     lines = path.read_text(encoding="utf-8").splitlines()
     for row_no, line in enumerate(lines, start=1):
         line = line.strip()
@@ -414,8 +410,6 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
                 f"{path}:{row_no}: expected 2 columns, got {len(cells)}"
             )
         if not years and not _is_number(cells[0]):
-            if cells[1].lower() not in ("value", "values", ""):
-                unit = cells[1]
             continue
         if not _is_number(cells[0]) or not _is_number(cells[1]):
             raise ScenarioError(
@@ -432,7 +426,7 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
         values.append(float(cells[1]))
     if not years:
         raise ScenarioError(f"{path}: no data rows")
-    return TimeSeries(name=label, years=tuple(years), values=tuple(values), unit=unit)
+    return TimeSeries(name=label, years=tuple(years), values=tuple(values))
 
 
 def _is_number(text: str) -> bool:
@@ -447,15 +441,13 @@ def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
     """Build a TimeSeries from one of the three inline forms.
 
     Accepted forms: a {year: value} mapping, {start, values[, unit]},
-    or {file[, unit]} pointing at a CSV relative to the scenario file.
+    or {file[, unit]} pointing at a CSV relative to the scenario file. A
+    ``unit`` key documents the series and is not read.
     """
     if not isinstance(spec, Mapping):
         raise ScenarioError(f"series '{name}' must be a mapping, got {type(spec).__name__}")
     if "file" in spec:
-        ts = load_series(base_dir / str(spec["file"]), name=name)
-        if spec.get("unit"):
-            ts = TimeSeries(ts.name, ts.years, ts.values, unit=str(spec["unit"]))
-        return ts
+        return load_series(base_dir / str(spec["file"]), name=name)
     if "values" in spec:
         if "start" not in spec:
             raise ScenarioError(f"series '{name}' with 'values' needs 'start'")
@@ -464,7 +456,7 @@ def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
         if not isinstance(vals, (list, tuple)):
             raise ScenarioError(f"series '{name}' values must be a list, got {vals!r}")
         years = tuple(range(start, start + len(vals)))
-        return TimeSeries(name, years, vals, unit=str(spec.get("unit", "")))
+        return TimeSeries(name, years, vals)
     # {year: value} mapping
     try:
         items = sorted((int(k), v) for k, v in spec.items())

@@ -3,78 +3,57 @@
 Benefit factors arrive as three-channel bands (lower, mean, upper): the
 comonotone envelope of the forecast bands, with every forecast at its
 lower, mean or upper limit together, not a joint 95% interval. Costs are
-point values. The net positive gain for a year is the band sum of all
-benefit factors shifted down by that year's capital and operating spend.
+point values. A year's net positive gain is, channel by channel, the sum
+of its benefit factors less that year's capital and operating spend. Every
+band is built from sorted channels or is such a sum, and IEEE rounding is
+monotone, so each stays ordered. The horizon roll-up checks each total it
+adds, so a sum that overflows raises ScenarioError naming it.
 """
 from __future__ import annotations
 
-import math
-from functools import cached_property
+from math import isfinite
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .ingest import FACTOR_IDS
+from .ingest import FACTOR_IDS, ScenarioError
 
-# Channel ordering can slip by a rounding error when three nearly equal
-# inputs run through the same formula; anything past this is a real bug.
-_ORDER_SLACK = 1e-9
+#: The order of a band's channels, and of every per-channel sequence.
+CHANNELS = ("lower", "mean", "upper")
+
+
+def _total(values: Iterable[float]) -> float:
+    """``values`` added left to right. ``sum()`` compensates its float
+    additions from Python 3.12 on, so its last bits depend on the version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class BandValue:
     """A value with its band: lower bound, mean, upper bound."""
 
-    __slots__ = ("lower", "mean", "upper")
+    __slots__ = CHANNELS
 
     def __init__(self, lower: float, mean: float, upper: float) -> None:
         for channel in (lower, mean, upper):
-            if not math.isfinite(channel):
+            if not isfinite(channel):
                 raise ValueError(f"band channels must be finite, got {channel}")
-        slack = _ORDER_SLACK * max(1.0, abs(mean))
-        if mean < lower - slack or upper < mean - slack:
+        if not lower <= mean <= upper:
             raise ValueError(
                 "band channels out of order: "
                 f"lower={lower}, mean={mean}, upper={upper}"
             )
-        self.lower = min(lower, mean)
+        self.lower = lower
         self.mean = mean
-        self.upper = max(upper, mean)
-
-    @classmethod
-    def point(cls, value: float) -> "BandValue":
-        return cls(value, value, value)
-
-    def __add__(self, other: "BandValue") -> "BandValue":
-        if not isinstance(other, BandValue):
-            return NotImplemented
-        return BandValue(
-            self.lower + other.lower,
-            self.mean + other.mean,
-            self.upper + other.upper,
-        )
-
-    def shift(self, delta: float) -> "BandValue":
-        return BandValue(self.lower + delta, self.mean + delta, self.upper + delta)
-
-
-def band_sum(bands: Iterable[BandValue]) -> BandValue:
-    total = BandValue.point(0.0)
-    for band in bands:
-        total = total + band
-    return total
-
-
-def compute_npi(
-    benefits: Mapping[str, BandValue], capex: float, opex: float
-) -> BandValue:
-    """Net positive gain: all benefit bands less the year's spend."""
-    return band_sum(benefits.values()).shift(-(capex + opex))
+        self.upper = upper
 
 
 class AnnualResult:
-    """One horizon year: per-factor benefit bands and the cost lines.
+    """One horizon year: per-factor benefit bands, the cost lines, and the
+    net positive gain. ValueError if that gain is not finite."""
 
-    It has no ``__slots__``: the cached ``npi`` lives in the instance dict.
-    """
+    __slots__ = ("year", "benefits", "capex", "opex", "npi")
 
     def __init__(
         self, year: int, benefits: dict[str, BandValue], capex: float, opex: float
@@ -83,14 +62,11 @@ class AnnualResult:
         self.benefits = benefits
         self.capex = capex
         self.opex = opex
-
-    @property
-    def cost(self) -> float:
-        return self.capex + self.opex
-
-    @cached_property
-    def npi(self) -> BandValue:
-        return compute_npi(self.benefits, self.capex, self.opex)
+        cost = capex + opex
+        self.npi = BandValue(*(
+            _total(getattr(band, channel) for band in benefits.values()) - cost
+            for channel in CHANNELS
+        ))
 
 
 def cagr(first: float, last: float, periods: int) -> float:
@@ -176,37 +152,39 @@ def write_npi_csv(path: Path, results: Sequence[AnnualResult]) -> None:
     )
 
 
-def _total(values: Iterable[float]) -> float:
-    """``values`` added left to right. ``sum()`` compensates its float
-    additions from Python 3.12 on, so its last bits depend on the version."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def summary_dict(results: Sequence[AnnualResult]) -> dict:
-    """Horizon roll-up: totals per factor, cost totals, NPI trajectory."""
+    """Horizon roll-up: totals per factor, cost totals, NPI trajectory.
+    ScenarioError if a total or the growth rate is not a finite number."""
     if not results:
         raise ValueError("no annual results to summarize")
     years = [r.year for r in results]
+
+    def checked(name: str, value: float) -> float:
+        if not isfinite(value):
+            raise ScenarioError(
+                f"{name} over {years[0]}-{years[-1]} is not a finite number"
+            )
+        return value
+
     factor_totals = {}
     for factor_id in FACTOR_IDS:
         bands = [r.benefits[factor_id] for r in results if factor_id in r.benefits]
         if bands:
-            factor_totals[factor_id] = _total(band.mean for band in bands)
+            factor_totals[factor_id] = checked(
+                f"{factor_id} total", _total(band.mean for band in bands)
+            )
     npi_means = [r.npi.mean for r in results]
     summary = {
         "first_year": years[0],
         "last_year": years[-1],
         "benefit_totals_mean": factor_totals,
-        "capex_total": _total(r.capex for r in results),
-        "opex_total": _total(r.opex for r in results),
+        "capex_total": checked("capex total", _total(r.capex for r in results)),
+        "opex_total": checked("opex total", _total(r.opex for r in results)),
         "npi_mean_by_year": dict(zip(map(str, years), npi_means)),
-        "npi_total_mean": _total(npi_means),
+        "npi_total_mean": checked("npi total", _total(npi_means)),
     }
     if len(years) > 1 and npi_means[0] > 0 and npi_means[-1] > 0:
-        summary["npi_mean_cagr"] = cagr(
+        summary["npi_mean_cagr"] = checked("npi growth rate", cagr(
             npi_means[0], npi_means[-1], years[-1] - years[0]
-        )
+        ))
     return summary

@@ -158,3 +158,26 @@ def compound_bruteforce(base: float, rate: float, years: int) -> float:
     for _ in range(years):
         value *= 1.0 + rate
     return value
+
+
+# -- ledger arithmetic -----------------------------------------------------
+#
+# Band arithmetic channel by channel: every band added in turn to a zero
+# band, then each channel shifted by the negated spend.
+
+
+def band_sum(bands) -> tuple[float, float, float]:
+    """The (lower, mean, upper) channel sums of ``bands``, left to right."""
+    total = (0.0, 0.0, 0.0)
+    for band in bands:
+        total = tuple(
+            t + c for t, c in zip(total, (band.lower, band.mean, band.upper))
+        )
+    return total
+
+
+def npi_band(benefits, capex: float, opex: float) -> tuple[float, float, float]:
+    """A year's net gain as (lower, mean, upper): the benefit bands' sum
+    shifted by ``-(capex + opex)``."""
+    delta = -(capex + opex)
+    return tuple(channel + delta for channel in band_sum(benefits.values()))

@@ -14,11 +14,13 @@ import pytest
 from aamcba.forecast.arima import ArimaOrder, fit_arima, forecast
 from aamcba.forecast.stattests import adf_test, ljung_box
 from aamcba.ingest import FACTOR_IDS
-from aamcba.ledger import AnnualResult, BandValue, band_sum, compute_npi, write_results_csv
+from aamcba.ledger import AnnualResult, BandValue, write_results_csv
 
 from oracles import (
     adf_stat_bruteforce,
+    band_sum,
     inspection_costs_exact,
+    npi_band,
     random_walk_path,
     white_noise_path,
 )
@@ -225,7 +227,9 @@ def test_09_ledger_properties_randomized(tmp_path):
             benefits[factor_id] = BandValue(mean - spread, mean, mean + spread)
         capex = float(rng.uniform(0.0, 1e6))
         opex = float(rng.uniform(0.0, 1e5))
-        npi = compute_npi(benefits, capex, opex)
+        result = AnnualResult(year=2022, benefits=benefits, capex=capex, opex=opex)
+        npi = result.npi
+        assert (npi.lower, npi.mean, npi.upper) == npi_band(benefits, capex, opex)
 
         want = sum(b.mean for b in benefits.values()) - capex - opex
         assert npi.mean == pytest.approx(want, rel=1e-9, abs=1e-6)
@@ -233,18 +237,15 @@ def test_09_ledger_properties_randomized(tmp_path):
 
         dropped_id = sorted(benefits)[0]
         kept = {k: v for k, v in benefits.items() if k != dropped_id}
-        reduced = compute_npi(kept, capex, opex)
+        reduced = AnnualResult(year=2022, benefits=kept, capex=capex, opex=opex).npi
         assert npi.mean - reduced.mean == pytest.approx(
             benefits[dropped_id].mean, rel=1e-9, abs=1e-6
         )
 
         forward = band_sum([benefits[k] for k in sorted(benefits)])
         backward = band_sum([benefits[k] for k in sorted(benefits, reverse=True)])
-        assert forward.mean == pytest.approx(backward.mean, rel=1e-12)
-        assert forward.lower == pytest.approx(backward.lower, rel=1e-12)
-        assert forward.upper == pytest.approx(backward.upper, rel=1e-12)
+        assert forward == pytest.approx(backward, rel=1e-12)
 
-        result = AnnualResult(year=2022, benefits=benefits, capex=capex, opex=opex)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         write_results_csv(first, [result])
         write_results_csv(second, [result])

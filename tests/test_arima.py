@@ -169,13 +169,13 @@ def test_noninvertible_ma_is_flipped_inside_unit_circle():
 
 
 def test_fitted_model_validation():
-    ok = dict(intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0, n_obs=50)
+    ok = dict(intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0)
     with pytest.raises(ForecastError, match="coefficient counts"):
         FittedArima(order=ArimaOrder(1, 0, 0), ar_coeffs=(), ma_coeffs=(), **ok)
     with pytest.raises(ForecastError, match="sigma2 must be positive"):
         FittedArima(
             order=ArimaOrder(0, 0, 0), ar_coeffs=(), ma_coeffs=(),
-            intercept=0.0, sigma2=0.0, residuals=(), loglik_proxy=0.0, n_obs=50,
+            intercept=0.0, sigma2=0.0, residuals=(), loglik_proxy=0.0,
         )
     with pytest.raises(ForecastError, match="root inside the unit circle"):
         FittedArima(order=ArimaOrder(1, 0, 0), ar_coeffs=(1.5,), ma_coeffs=(), **ok)
@@ -203,7 +203,7 @@ def test_ma_root_check_uses_the_residual_filter_polynomial():
     with pytest.raises(ForecastError, match="MA polynomial root inside the unit circle"):
         FittedArima(
             order=ArimaOrder(0, 0, 2), ar_coeffs=(), ma_coeffs=ma,
-            intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0, n_obs=60,
+            intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0,
         )
 
 
@@ -225,7 +225,7 @@ def test_step_down_check_accepts_saturated_partials():
             FittedArima(
                 order=ArimaOrder(k, 0, k), ar_coeffs=tuple(a),
                 ma_coeffs=tuple(-v for v in a), intercept=0.0, sigma2=1.0,
-                residuals=(), loglik_proxy=0.0, n_obs=60,
+                residuals=(), loglik_proxy=0.0,
             )
 
 
@@ -249,7 +249,7 @@ def test_ar_only_model_checks_and_forecasts_without_numpy():
         "from aamcba.forecast.arima import ArimaOrder, FittedArima, forecast\n"
         "model = FittedArima(order=ArimaOrder(2, 1, 0), ar_coeffs=(0.5, -0.2),\n"
         "                    ma_coeffs=(), intercept=0.0, sigma2=1.0,\n"
-        "                    residuals=(), loglik_proxy=0.0, n_obs=40)\n"
+        "                    residuals=(), loglik_proxy=0.0)\n"
         "band = forecast(model, [float(i * i % 17) for i in range(40)], 5)\n"
         "print(len(band.mean), sorted(m for m in sys.modules\n"
         "                             if m.partition('.')[0] == 'numpy'))\n"
@@ -412,7 +412,7 @@ def test_band_validation():
 def _bare_model(order: ArimaOrder, ar=(), ma=()) -> FittedArima:
     return FittedArima(
         order=order, ar_coeffs=ar, ma_coeffs=ma,
-        intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0, n_obs=100,
+        intercept=0.0, sigma2=1.0, residuals=(), loglik_proxy=0.0,
     )
 
 
@@ -797,7 +797,7 @@ def test_forecast_recursion_matches_the_array_reference_bit_for_bit():
             ma_coeffs=tuple((rng.uniform(-0.9, 0.9, q) / max(q, 1)).tolist()),
             intercept=float(rng.normal()),
             sigma2=float(rng.uniform(0.1, 5.0)),
-            residuals=(), loglik_proxy=0.0, n_obs=40,
+            residuals=(), loglik_proxy=0.0,
         )
         x = np.cumsum(rng.normal(size=40)) * float(rng.uniform(0.1, 1e4))
         horizon = int(rng.integers(1, 25))

@@ -556,30 +556,38 @@ def _edits(*edits):
     return edit
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_scale("exogenous", "tax_income", 3e299),
+@pytest.mark.parametrize("edit, factor, message", [
+    (_scale("exogenous", "tax_income", 3e299), "BF8",
      "BF8 total over 2022-2032 is not a finite number"),
-    (_set("constants", "CAS", [0.0, -1.7e308, 0.0, 0.0, 0.0, 0.0]),
+    (_set("constants", "CAS", [0.0, -1.7e308, 0.0, 0.0, 0.0, 0.0]), "BF7",
      "BF7 plot item 'stations_50' in 2022 is not a finite number"),
-    (_scale("exogenous", "capex", 3e299),
+    (_scale("exogenous", "capex", 3e299), "BF8",
      "capex total over 2022-2032 is not a finite number"),
     (_edits(_scale("exogenous", "capex", 3e299), _scale("exogenous", "opex", 2e300)),
+     "BF8",
      "npi in 2022: the factor values less capex and opex are not a finite number"),
 ], ids=["tax_income-horizon-total", "CAS-unselected-network", "capex-horizon-total",
         "capex-opex-yearly-npi"])
-def test_validate_fails_where_the_writers_would(tmp_path, capsys, edit, message):
+def test_validate_fails_where_the_writers_would(
+    tmp_path, capsys, edit, factor, message
+):
     # Every factor value is finite, but a horizon total overflows, or the
     # value of a BF7 network that bf7_case does not select, which only the
     # plot table lists, or a year's net gain: validate used to exit 0 or 3,
-    # and run exited 3 or wrote an Infinity into summary.json. Both exit 2
-    # naming the sum, and run writes nothing.
+    # and run exited 3 or wrote an Infinity into summary.json. evaluate
+    # derives every reported number, so validate, run with any --emit and
+    # explain of one factor all exit 2 naming the sum, and run writes
+    # nothing.
     doc = _bundled_doc()
     edit(doc)
     bad = _write_json(tmp_path / "bad.json", doc)
-    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
-        assert main(argv + ["--scenario", str(bad)]) == 2
+    run = ["run", "--out", str(tmp_path / "x")]
+    commands = [["validate"], run, ["explain", factor, "2022"]]
+    commands += [run + ["--emit", kind] for kind in ("csv", "json", "plotdata")]
+    for argv in commands:
+        assert main(argv + ["--scenario", str(bad)]) == 2, argv
         err = capsys.readouterr().err
-        assert message in err
+        assert message in err, argv
         assert "numerical failure" not in err
     assert not (tmp_path / "x").exists()
 

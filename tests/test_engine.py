@@ -8,9 +8,8 @@ import pytest
 from aamcba.cli import main
 from aamcba.engine import (
     ALL_EMIT,
-    EvaluationResult,
+    _summary,
     _values_for_year,
-    check_outputs,
     evaluate,
     explain,
     normalize_factors,
@@ -252,14 +251,14 @@ def test_plot_tables_hold_only_tagged_items(default_evaluation, tmp_path):
 def test_a_growth_rate_that_overflows_is_named(default_scenario):
     # A tiny positive first-year net gain and a huge last one: their ratio
     # overflows, and summary.json used to print the growth rate as Infinity.
+    years = default_scenario.horizon_years
+    means = [1e-300] + [1e10] * (len(years) - 1)
     annual = [
-        AnnualResult(year, {"BF8": BandValue.point(1e-300 if year == 2022 else 1e10)},
-                     0.0, 0.0)
-        for year in default_scenario.horizon_years
+        AnnualResult(year, {"BF8": BandValue(mean, mean, mean)}, 0.0, 0.0)
+        for year, mean in zip(years, means)
     ]
-    result = EvaluationResult(default_scenario, ("BF8",), annual, {}, [], {})
     with pytest.raises(ScenarioError, match="npi growth rate over 2022-2032 is not"):
-        check_outputs(result)
+        _summary(default_scenario, ("BF8",), annual, {}, [])
 
 
 def test_write_outputs_are_byte_identical(default_evaluation, tmp_path):

@@ -41,7 +41,7 @@ def test_yaml_loader_reads_bundled_scenario_like_safe_load():
 
 
 def test_time_series_invariants():
-    ts = TimeSeries("x", (2000, 2001, 2002), (1.0, 2.0, 3.0), unit="usd")
+    ts = TimeSeries("x", (2000, 2001, 2002), (1.0, 2.0, 3.0))
     assert ts.first_year == 2000
     assert ts.last_year == 2002
     assert ts.value_at(2001) == 2.0
@@ -69,7 +69,6 @@ def test_load_series_happy_path(tmp_path):
     )
     ts = load_series(path)
     assert ts.name == "demand"
-    assert ts.unit == "riders"
     assert ts.years == (2000, 2001, 2002)
     assert ts.values == (10.5, 11.0, 12.25)
 
@@ -77,7 +76,7 @@ def test_load_series_happy_path(tmp_path):
 def test_load_series_plain_header_has_no_unit(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("year,value\n2000,1\n2001,2\n")
-    assert load_series(path).unit == ""
+    assert load_series(path).values == (1.0, 2.0)
 
 
 def test_load_series_errors(tmp_path):
@@ -127,7 +126,6 @@ def test_scenario_from_dict_series_forms(tmp_path):
     assert s.exogenous("opex").years == (2022, 2023, 2024)
     pax = s.exogenous("passenger_trips")
     assert pax.values == (5.0, 6.0, 7.0)
-    assert pax.unit == "trips"
 
 
 def test_scenario_from_dict_errors():

@@ -1,72 +1,66 @@
-"""Band arithmetic, the annual ledger, and its serialization.
+"""Bands, the annual ledger, and its serialization.
 
 The randomized block drives a few hundred ledgers through the additivity,
-ordering, permutation, and determinism properties end to end.
+ordering, permutation, and determinism properties end to end, and checks
+each year's net gain bit for bit against the band arithmetic in
+``oracles``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from aamcba.ingest import FACTOR_IDS
+from aamcba.ingest import FACTOR_IDS, ScenarioError
 from aamcba.ledger import (
     AnnualResult,
     BandValue,
-    band_sum,
     cagr,
-    compute_npi,
     results_rows,
     summary_dict,
     write_npi_csv,
     write_results_csv,
 )
 
+from oracles import band_sum, npi_band
+
+
+def _point(value: float) -> BandValue:
+    return BandValue(value, value, value)
+
+
+def _channels(band: BandValue) -> tuple[float, float, float]:
+    return band.lower, band.mean, band.upper
+
 
 def test_band_ordering_and_normalization():
     band = BandValue(1.0, 2.0, 3.0)
     assert (band.lower, band.mean, band.upper) == (1.0, 2.0, 3.0)
 
-    # rounding-level inversions are normalized instead of rejected
+    # channels are taken as given: an inversion, however small, is an error
     eps = 1e-12
-    tightened = BandValue(2.0 + eps, 2.0, 2.0 - eps)
-    assert tightened.lower == 2.0
-    assert tightened.upper == 2.0
-
+    with pytest.raises(ValueError, match="out of order"):
+        BandValue(2.0 + eps, 2.0, 2.0)
     with pytest.raises(ValueError, match="out of order"):
         BandValue(3.0, 2.0, 4.0)
     with pytest.raises(ValueError, match="must be finite"):
         BandValue(0.0, float("nan"), 1.0)
 
 
-def test_band_arithmetic():
-    a = BandValue(1.0, 2.0, 3.0)
-    b = BandValue(10.0, 20.0, 30.0)
-    s = a + b
-    assert (s.lower, s.mean, s.upper) == (11.0, 22.0, 33.0)
-    assert (a.shift(5.0).lower, a.shift(5.0).upper) == (6.0, 8.0)
-    assert (BandValue.point(7.0).lower, BandValue.point(7.0).upper) == (7.0, 7.0)
-
-
-def test_band_sum():
-    total = band_sum([BandValue(0.0, 1.0, 2.0), BandValue(1.0, 1.0, 1.0)])
-    assert (total.lower, total.mean, total.upper) == (1.0, 2.0, 3.0)
-    assert band_sum([]).mean == 0.0
-
-
 def test_compute_npi_subtracts_cost_from_every_channel():
-    benefits = {"BF1": BandValue(10.0, 20.0, 30.0), "BF8": BandValue.point(5.0)}
-    npi = compute_npi(benefits, capex=4.0, opex=1.0)
-    assert (npi.lower, npi.mean, npi.upper) == (10.0, 20.0, 30.0)
+    benefits = {"BF1": BandValue(10.0, 20.0, 30.0), "BF8": _point(5.0)}
+    npi = AnnualResult(2022, benefits, capex=4.0, opex=1.0).npi
+    assert _channels(npi) == (10.0, 20.0, 30.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        AnnualResult(2022, benefits, capex=1e308, opex=1e308)
 
 
 def test_annual_result_validation_and_views():
     result = AnnualResult(
         year=2022,
-        benefits={"BF1": BandValue(1.0, 2.0, 3.0), "BF8": BandValue.point(4.0)},
+        benefits={"BF1": BandValue(1.0, 2.0, 3.0), "BF8": _point(4.0)},
         capex=1.5,
         opex=0.5,
     )
-    assert result.cost == 2.0
     assert result.npi.mean == 4.0
 
 
@@ -82,12 +76,12 @@ def _tiny_results() -> list[AnnualResult]:
     return [
         AnnualResult(
             year=2022,
-            benefits={"BF1": BandValue(1.0, 2.0, 3.0), "BF8": BandValue.point(1.0)},
+            benefits={"BF1": BandValue(1.0, 2.0, 3.0), "BF8": _point(1.0)},
             capex=1.0, opex=0.5,
         ),
         AnnualResult(
             year=2023,
-            benefits={"BF1": BandValue(2.0, 4.0, 6.0), "BF8": BandValue.point(1.0)},
+            benefits={"BF1": BandValue(2.0, 4.0, 6.0), "BF8": _point(1.0)},
             capex=0.5, opex=0.5,
         ),
     ]
@@ -166,7 +160,7 @@ def test_summary_totals_add_left_to_right():
     # (npi) and 1.0 (capex, opex)
     results = [
         AnnualResult(
-            year=2022 + i, benefits={"BF1": BandValue.point(v)}, capex=v, opex=v
+            year=2022 + i, benefits={"BF1": _point(v)}, capex=v, opex=v
         )
         for i, v in enumerate([1e16, 1.0, -1e16])
     ]
@@ -175,6 +169,10 @@ def test_summary_totals_add_left_to_right():
     assert summary["npi_total_mean"] == 0.0
     assert summary["capex_total"] == 0.0
     assert summary["opex_total"] == 0.0
+    # each year's spend is finite, their sum is not
+    huge = [AnnualResult(year, {}, 1e308, 0.0) for year in (2022, 2023)]
+    with pytest.raises(ScenarioError, match="capex total over 2022-2023 is not"):
+        summary_dict(huge)
 
 
 def _random_ledger(rng: np.random.Generator) -> list[AnnualResult]:
@@ -204,8 +202,12 @@ def test_randomized_ledger_properties():
         results = _random_ledger(rng)
         for result in results:
             npi = result.npi
+            # the net gain is band arithmetic's, bit for bit
+            want = npi_band(result.benefits, result.capex, result.opex)
+            assert _channels(npi) == want
             # additivity: NPI mean is the benefit means less the cost
-            want = sum(b.mean for b in result.benefits.values()) - result.cost
+            cost = result.capex + result.opex
+            want = sum(b.mean for b in result.benefits.values()) - cost
             assert npi.mean == pytest.approx(want, rel=1e-9, abs=1e-6)
             # ordering survives the arithmetic
             assert npi.lower <= npi.mean <= npi.upper
@@ -215,7 +217,7 @@ def test_randomized_ledger_properties():
                 kept = {
                     k: v for k, v in result.benefits.items() if k != dropped_id
                 }
-                reduced = compute_npi(kept, result.capex, result.opex)
+                reduced = AnnualResult(result.year, kept, result.capex, result.opex).npi
                 delta = result.benefits[dropped_id]
                 assert npi.mean - reduced.mean == pytest.approx(
                     delta.mean, rel=1e-9, abs=1e-6
@@ -228,9 +230,7 @@ def test_randomized_ledger_properties():
             backward = band_sum(
                 [result.benefits[k] for k in sorted(result.benefits, reverse=True)]
             )
-            assert forward.mean == pytest.approx(backward.mean, rel=1e-12)
-            assert forward.lower == pytest.approx(backward.lower, rel=1e-12)
-            assert forward.upper == pytest.approx(backward.upper, rel=1e-12)
+            assert forward == pytest.approx(backward, rel=1e-12)
 
 
 def test_randomized_ledger_serialization_is_deterministic(tmp_path):

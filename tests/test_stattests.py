@@ -35,13 +35,6 @@ def test_default_adf_lag():
     assert default_adf_lag(200) == 5
 
 
-def test_report_rejects_inconsistent_decision():
-    with pytest.raises(ValueError, match="inconsistent with p="):
-        stattests.TestReport(
-            name="x", statistic=0.0, p_value=0.5, lags_used=1, reject_null=True
-        )
-
-
 def test_adf_rejects_white_noise():
     y = white_noise_path(2, 200)
     report = adf_test(y, max_lag=ADF_LAGS)
