@@ -1,6 +1,7 @@
 """Command-line interface: run a scenario, explain a factor, or validate.
 
-Exit codes: 0 success, 2 scenario/validation error, 3 numerical failure.
+Exit codes: 0 success, 2 scenario/validation error or a file that cannot
+be read or written, 3 numerical failure.
 Scenario paths that do not exist as given are searched for in the
 directories listed in ``AAMCBA_SCENARIO_DIR`` (``os.pathsep`` separated);
 ``default`` or no ``--scenario`` at all uses the bundled scenario.
@@ -65,10 +66,6 @@ def _parse_toggles(pairs: list[str] | None) -> dict:
         if not sep:
             raise ScenarioError(f"--toggle needs key=value, got {pair!r}")
         key = key.strip()
-        if key not in TOGGLE_DEFAULTS:
-            raise ScenarioError(
-                f"unknown toggle '{key}'; valid: {', '.join(sorted(TOGGLE_DEFAULTS))}"
-            )
         try:
             toggles[key] = read_yaml(raw.strip())
         except InvalidYAML:
@@ -155,17 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _evaluate(args: argparse.Namespace, options=None):
-    """Find and load the scenario; then apply the toggle overrides and
-    evaluate the factors that ``options()`` returns. Without ``options``,
-    as for ``run`` and ``validate``, ``--factors`` and ``--toggle`` are
-    checked before the load; ``explain`` checks its own after it."""
+def _evaluate(args: argparse.Namespace):
+    """Find the scenario, parse ``--factors`` and ``--toggle``, load the
+    scenario, apply the toggle overrides and evaluate. ``Scenario`` checks
+    the toggle names and ``evaluate`` everything else."""
     path = find_scenario(args.scenario)
-    if options is None:
-        factors, toggles = _parse_factors(args.factors), _parse_toggles(args.toggle)
-        options = lambda: (toggles, factors)
+    factors, toggles = _parse_factors(args.factors), _parse_toggles(args.toggle)
     scenario = engine.load_scenario(path)
-    toggles, factors = options()
     if toggles:
         scenario = scenario.with_overrides(toggles=toggles)
     return engine.evaluate(
@@ -192,15 +185,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     factor = args.factor.strip().upper()
-
-    def options():
-        toggles = _parse_toggles(args.toggle)
-        factors = _parse_factors(args.factors) if args.factors else (factor,)
-        if factor not in factors:
-            raise ScenarioError(f"factor {factor} not in --factors selection")
-        return toggles, factors
-
-    result = _evaluate(args, options)
+    if args.factors is None:
+        args.factors = factor  # evaluate the explained factor alone
+    result = _evaluate(args)
     print(engine.explain(result, factor, args.year))
     return 0
 
@@ -219,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "explain": _cmd_explain, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except ScenarioError as err:
+    except (ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ForecastError, ArithmeticError, ValueError) as err:

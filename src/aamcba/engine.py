@@ -3,20 +3,22 @@
 The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
 forecast channels (lower, mean, upper), each as ``factors`` defines it.
-Every step a factor records is kept in the result's ``traces``, which
-``explain`` and the plot tables read. ``evaluate`` derives every number
-the outputs report: the yearly ledger, the summary and the plot tables. A
-series that cannot be forecast, or a factor value, a year's net gain, a
-horizon total or a plot item that is not a finite float, raises
-ScenarioError naming it, so ``run`` with any ``--emit``, ``validate`` and
-``explain`` reject the same inputs; the writers only format. Running the
-three channels through the same formulas gives a comonotone envelope: each
-factor with every forecast input at its lower, its mean or its upper limit
-together. That assumes every forecast error moves together, so it is not a
-95% interval. A factor can fall as one input rises, so its band sorts the
-three channel values. Evaluators are pure functions of the scenario and
-one year's values, so they are safe to parallelize if that ever matters;
-at this size it does not.
+``validate_scenario`` checks every input once; after it, evaluation reads
+the scenario's mappings directly. Every step a factor records is kept in
+the result's ``traces``, which ``explain`` and the plot tables read.
+``evaluate`` derives every number the outputs report: the yearly ledger,
+the summary and the plot tables. A series that cannot be forecast, a
+model that fails the whiteness check without ``best_effort``, or a factor
+value, a year's net gain, a horizon total or a plot item that is not a
+finite float, raises ScenarioError naming it, so ``run`` with any
+``--emit``, ``validate`` and ``explain`` reject the same inputs; the
+writers only format. Running the three channels through the same formulas
+gives a comonotone envelope: each factor with every forecast input at its
+lower, its mean or its upper limit together. That assumes every forecast
+error moves together, so it is not a 95% interval. A factor can fall as
+one input rises, so its band sorts the three channel values. Evaluators
+are pure functions of the scenario and one year's values, so they are
+safe to parallelize if that ever matters; at this size it does not.
 """
 from __future__ import annotations
 
@@ -28,11 +30,11 @@ from typing import Mapping
 from .factors import FACTORS, Recorder
 from .forecast import ArimaOrder, ForecastError, PipelineResult, auto_pipeline
 from .ingest import (
+    COST_SERIES,
     Scenario,
     ScenarioError,
     load_scenario,  # the CLI loads through this module (see cli.py)
     normalize_factors,
-    required_inputs,
     validate_scenario,
 )
 from .ledger import (
@@ -105,19 +107,15 @@ def _values_for_year(
     year: int,
 ) -> dict[str, dict[str, float]]:
     """Each channel's inputs for one year: the exogenous points, the same in
-    every channel, then each forecast's value in that channel."""
+    every channel, then each forecast's value in that channel. Validation
+    made each series cover the horizon, and each forecast runs to its end
+    year."""
     exogenous = {
-        name: scenario.exogenous(name).value_at(year)
-        for name in sorted(exogenous_names)
+        name: scenario.input_series[name].value_at(year) for name in exogenous_names
     }
     by_channel = {channel: dict(exogenous) for channel in CHANNELS}
     for name, result in forecasts.items():
         band = result.band
-        if not band.years[0] <= year <= band.years[-1]:
-            raise ForecastError(
-                f"forecast for '{name}' covers {band.years[0]}-{band.years[-1]}, "
-                f"not {year}"
-            )
         i = year - band.years[0]
         for channel, values in by_channel.items():
             values[name] = getattr(band, channel)[i]
@@ -190,17 +188,20 @@ def evaluate(
     """Forecast, run the enabled factors, and build the yearly ledger.
 
     ``pin_orders`` uses the scenario's per-series (p, d, q) entries instead
-    of automatic identification where they exist. Inadequate forecast
-    models abort unless ``best_effort``, which demotes them to warnings.
+    of automatic identification where they exist. An inadequate forecast
+    model raises ScenarioError unless ``best_effort``, which demotes it to
+    a warning.
     """
     enabled = normalize_factors(factors)
     warnings = validate_scenario(scenario, enabled)
-    _, exogenous_names, historical_names = required_inputs(enabled)
+    used = [FACTORS[factor_id] for factor_id in enabled]
+    exogenous_names = sorted({*COST_SERIES, *(n for f in used for n in f.exogenous)})
+    historical_names = sorted({n for f in used for n in f.historical})
     include_mean = bool(scenario.toggle("include_mean_when_differenced"))
 
     forecasts: dict[str, PipelineResult] = {}
-    for name in sorted(historical_names):
-        series = scenario.historical(name)
+    for name in historical_names:
+        series = scenario.historical_series[name]
         steps = scenario.horizon_end - series.last_year
         pinned = None
         if pin_orders and name in scenario.orders:
@@ -210,7 +211,7 @@ def evaluate(
                 series, steps, pinned=pinned,
                 include_mean_when_differenced=include_mean,
             )
-        except (ForecastError, ArithmeticError) as err:
+        except (ForecastError, ArithmeticError, ValueError) as err:
             raise ScenarioError(
                 f"historical series '{name}' cannot be forecast: {err}"
             ) from err
@@ -221,9 +222,7 @@ def evaluate(
                 f"{result.fit.order.q})"
             )
             if not best_effort:
-                raise ForecastError(
-                    message + " (enable best-effort to accept it)"
-                )
+                raise ScenarioError(message + " (enable --best-effort to accept it)")
             warnings.append(message)
         forecasts[name] = result
 

@@ -4,6 +4,12 @@ Input series are two-column (year, value) CSV files or inline entries in a
 scenario document. Scenario documents are YAML or JSON with four sections:
 ``constants``, ``series`` (split into ``exogenous`` and ``historical``),
 ``orders``, and ``toggles``.
+
+Each input is checked once. Loading checks the form of every value: numbers,
+series years and orders; ``Scenario`` checks the toggle names.
+``validate_scenario`` checks what the enabled factors need: their constants
+and domains, the coverage and length of their series, and the toggle values.
+Code that runs after it reads the scenario's mappings directly.
 """
 from __future__ import annotations
 
@@ -202,8 +208,9 @@ def _flow_sequence(lines: list, i: int, text: str) -> tuple[list, int]:
 #: Constants stored as vectors rather than scalars.
 VECTOR_CONSTANTS = ("DSN", "survival_rates", "CAS")
 
-#: Toggle defaults. Every toggle is scenario-overridable; unknown toggle
-#: names are rejected so typos do not silently fall back to defaults.
+#: Toggle defaults. Every toggle is scenario-overridable; ``Scenario``
+#: rejects unknown toggle names, so typos do not silently fall back to
+#: defaults.
 TOGGLE_DEFAULTS: dict[str, Any] = {
     "bf2_use_trip_miles": False,
     "bf3_single_ratio": False,
@@ -221,7 +228,7 @@ _BOOLEAN_TOGGLES = tuple(
 )
 
 #: The exogenous series the cost ledger reads, whatever the factors.
-_COST_SERIES = ("capex", "opex")
+COST_SERIES = ("capex", "opex")
 
 #: Domains lo < value <= hi of the inputs the factor arithmetic divides by
 #: or compounds with, keyed by constant name, or by exogenous series name
@@ -312,7 +319,8 @@ class TimeSeries:
 class Scenario:
     """A complete analysis setup: constants, series, pinned orders, toggles.
 
-    Each mapping left out starts empty.
+    Each mapping left out starts empty. An unknown toggle name raises
+    ScenarioError; ``validate_scenario`` checks the rest.
     """
 
     __slots__ = (
@@ -345,7 +353,10 @@ class Scenario:
             )
         unknown = set(self.toggles) - set(TOGGLE_DEFAULTS)
         if unknown:
-            raise ScenarioError(f"unknown toggles: {sorted(unknown)}")
+            raise ScenarioError(
+                f"unknown toggles: {sorted(unknown)}; "
+                f"valid: {', '.join(sorted(TOGGLE_DEFAULTS))}"
+            )
 
     @property
     def horizon_years(self) -> tuple[int, ...]:
@@ -357,19 +368,7 @@ class Scenario:
         return self.constants[key]
 
     def toggle(self, key: str) -> Any:
-        if key not in TOGGLE_DEFAULTS:
-            raise ScenarioError(f"unknown toggle '{key}'")
         return self.toggles.get(key, TOGGLE_DEFAULTS[key])
-
-    def exogenous(self, name: str) -> TimeSeries:
-        if name not in self.input_series:
-            raise ScenarioError(f"exogenous series '{name}' is missing")
-        return self.input_series[name]
-
-    def historical(self, name: str) -> TimeSeries:
-        if name not in self.historical_series:
-            raise ScenarioError(f"historical series '{name}' is missing")
-        return self.historical_series[name]
 
     def with_overrides(
         self,
@@ -598,10 +597,12 @@ def _outside_domain(key: str, value: float) -> str | None:
 def validate_scenario(
     s: Scenario, factors: Iterable[str] | None = None
 ) -> list[str]:
-    """Check a scenario against the requirements of the enabled factors.
+    """Check a scenario against the requirements of the enabled factors and
+    the cost ledger, and check every toggle value.
 
-    Hard failures raise ScenarioError naming the offending key, series, or
-    year. Suspicious-but-legal values come back as warning strings.
+    This is the one place these are checked. Hard failures raise
+    ScenarioError naming the offending key, series, or year.
+    Suspicious-but-legal values come back as warning strings.
     """
     enabled = normalize_factors(factors)
     used = [FACTORS[f] for f in enabled]
@@ -620,7 +621,7 @@ def validate_scenario(
             warnings += factor.check(s)
     # the cost ledger always runs
     needed_exo = [(f.id, name) for f in used for name in f.exogenous]
-    needed_exo += [("costs", name) for name in _COST_SERIES]
+    needed_exo += [("costs", name) for name in COST_SERIES]
     for f, name in needed_exo:
         if name not in s.input_series:
             raise ScenarioError(
@@ -675,7 +676,7 @@ def validate_scenario(
             f"got {amortize!r}"
         )
 
-    for name in _COST_SERIES:
+    for name in COST_SERIES:
         ts = s.input_series.get(name)
         if ts and any(v < 0 for v in ts.values):
             warnings.append(f"'{name}' has negative entries")
@@ -703,21 +704,6 @@ def normalize_factors(factors: Iterable[str] | None = None) -> tuple[str, ...]:
     if not requested:
         raise ScenarioError("no benefit factors enabled")
     return tuple(f for f in FACTOR_IDS if f in requested)
-
-
-def required_inputs(
-    factors: Iterable[str] | None = None,
-) -> tuple[set[str], set[str], set[str]]:
-    """Constant, exogenous, and historical names the given factors need
-    under any toggles (``validate_scenario`` adds toggle-bound constants)."""
-    constants: set[str] = set()
-    exogenous: set[str] = set(_COST_SERIES)
-    historical: set[str] = set()
-    for f in normalize_factors(factors):
-        constants.update(FACTORS[f].constants)
-        exogenous.update(FACTORS[f].exogenous)
-        historical.update(FACTORS[f].historical)
-    return constants, exogenous, historical
 
 
 def default_scenario_path() -> Path:

@@ -15,7 +15,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .ingest import FACTOR_IDS, ScenarioError
+from .errors import ScenarioError
 
 #: The order of a band's channels, and of every per-channel sequence.
 CHANNELS = ("lower", "mean", "upper")
@@ -95,13 +95,11 @@ def _write_csv(path: Path, lines: list[str]) -> None:
 
 
 def results_rows(results: Sequence[AnnualResult]) -> list[tuple]:
-    """Long-form (year, item, lower, mean, upper) rows, costs as points."""
+    """Long-form (year, item, lower, mean, upper) rows, costs as points;
+    the factors in the order of each result's ``benefits``."""
     rows: list[tuple] = []
     for result in results:
-        for factor_id in FACTOR_IDS:
-            if factor_id not in result.benefits:
-                continue
-            band = result.benefits[factor_id]
+        for factor_id, band in result.benefits.items():
             rows.append((result.year, factor_id, band.lower, band.mean, band.upper))
         rows.append((result.year, "capex", result.capex, result.capex, result.capex))
         rows.append((result.year, "opex", result.opex, result.opex, result.opex))
@@ -154,7 +152,8 @@ def write_npi_csv(path: Path, results: Sequence[AnnualResult]) -> None:
 
 def summary_dict(results: Sequence[AnnualResult]) -> dict:
     """Horizon roll-up: totals per factor, cost totals, NPI trajectory.
-    ScenarioError if a total or the growth rate is not a finite number."""
+    Every result holds the same factors. ScenarioError if a total or the
+    growth rate is not a finite number."""
     if not results:
         raise ValueError("no annual results to summarize")
     years = [r.year for r in results]
@@ -166,13 +165,12 @@ def summary_dict(results: Sequence[AnnualResult]) -> dict:
             )
         return value
 
-    factor_totals = {}
-    for factor_id in FACTOR_IDS:
-        bands = [r.benefits[factor_id] for r in results if factor_id in r.benefits]
-        if bands:
-            factor_totals[factor_id] = checked(
-                f"{factor_id} total", _total(band.mean for band in bands)
-            )
+    factor_totals = {
+        factor_id: checked(
+            f"{factor_id} total", _total(r.benefits[factor_id].mean for r in results)
+        )
+        for factor_id in results[0].benefits
+    }
     npi_means = [r.npi.mean for r in results]
     summary = {
         "first_year": years[0],

@@ -9,14 +9,12 @@ from aamcba.cli import main
 from aamcba.engine import (
     ALL_EMIT,
     _summary,
-    _values_for_year,
     evaluate,
     explain,
     normalize_factors,
     write_outputs,
 )
 from aamcba.factors import FACTORS
-from aamcba.forecast import ForecastError
 from aamcba.ingest import FACTOR_IDS, ScenarioError, TimeSeries
 from aamcba.ledger import AnnualResult, BandValue
 
@@ -41,8 +39,8 @@ def test_band_ordering_everywhere(default_evaluation):
 
 
 def test_costs_come_straight_from_the_scenario(default_scenario, default_evaluation):
-    capex = default_scenario.exogenous("capex")
-    opex = default_scenario.exogenous("opex")
+    capex = default_scenario.input_series["capex"]
+    opex = default_scenario.input_series["opex"]
     for annual in default_evaluation.annual:
         assert annual.capex == capex.value_at(annual.year)
         assert annual.opex == opex.value_at(annual.year)
@@ -81,9 +79,9 @@ def test_disabling_one_factor_moves_npi_by_its_band(
 def test_tax_only_run_needs_no_forecasts(default_scenario):
     result = evaluate(default_scenario, ("BF8",))
     assert result.forecasts == {}
-    tax = default_scenario.exogenous("tax_income")
-    capex = default_scenario.exogenous("capex")
-    opex = default_scenario.exogenous("opex")
+    tax = default_scenario.input_series["tax_income"]
+    capex = default_scenario.input_series["capex"]
+    opex = default_scenario.input_series["opex"]
     for annual in result.annual:
         band = annual.benefits["BF8"]
         assert band.lower == band.mean == band.upper
@@ -99,7 +97,10 @@ def test_tax_only_run_needs_no_forecasts(default_scenario):
 def test_pinned_orders_demand_best_effort_on_this_data(default_scenario):
     # the bundled series are synthetic placeholders, so the published pins
     # describe a different dataset and at least one fails the whiteness check
-    with pytest.raises(ForecastError, match="enable best-effort"):
+    with pytest.raises(ScenarioError, match=(
+        "^no residual-whiteness-passing model found for '.+'; kept order "
+        r"\(\d,\d,\d\) \(enable --best-effort to accept it\)$"
+    )):
         evaluate(default_scenario, pin_orders=True)
     accepted = evaluate(default_scenario, pin_orders=True, best_effort=True)
     assert any("kept order" in w for w in accepted.warnings)
@@ -132,7 +133,7 @@ def test_a_value_that_is_not_finite_names_its_step_and_constants(default_scenari
 
 
 def test_a_series_that_cannot_be_forecast_is_named(default_scenario):
-    mhi = default_scenario.historical("mhi")
+    mhi = default_scenario.historical_series["mhi"]
     flat = default_scenario.with_overrides()
     flat.historical_series = {
         **flat.historical_series,
@@ -195,11 +196,6 @@ def test_normalize_factors():
         normalize_factors(["BF1", "BFX"])
     with pytest.raises(ScenarioError, match="no benefit factors enabled"):
         normalize_factors([])
-
-
-def test_forecast_coverage_guard(default_scenario, default_evaluation):
-    with pytest.raises(ForecastError, match="covers 2022-2032, not 3000"):
-        _values_for_year(default_scenario, default_evaluation.forecasts, [], 3000)
 
 
 def test_write_outputs_full_set(default_evaluation, tmp_path):

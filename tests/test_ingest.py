@@ -13,7 +13,6 @@ from aamcba.ingest import (
     load_scenario,
     load_series,
     read_yaml,
-    required_inputs,
     scenario_from_dict,
     validate_scenario,
 )
@@ -31,7 +30,7 @@ def test_bundled_scenario_loads_clean(default_scenario):
     assert s.name == "ohio-baseline"
     assert s.horizon_years == tuple(range(2022, 2033))
     # the income anchor must equal the historical series at its base year
-    assert s.constant("MHI_2015") == s.historical("mhi").value_at(2015)
+    assert s.constant("MHI_2015") == s.historical_series["mhi"].value_at(2015)
     assert validate_scenario(s) == []
 
 
@@ -122,9 +121,9 @@ def test_scenario_from_dict_series_forms(tmp_path):
         "file": "pax.csv", "unit": "trips",
     }
     s = scenario_from_dict(doc, base_dir=tmp_path)
-    assert s.exogenous("capex").values == (3.0, 2.0, 1.0)
-    assert s.exogenous("opex").years == (2022, 2023, 2024)
-    pax = s.exogenous("passenger_trips")
+    assert s.input_series["capex"].values == (3.0, 2.0, 1.0)
+    assert s.input_series["opex"].years == (2022, 2023, 2024)
+    pax = s.input_series["passenger_trips"]
     assert pax.values == (5.0, 6.0, 7.0)
 
 
@@ -152,7 +151,10 @@ def test_scenario_from_dict_errors():
 def test_scenario_construction_guards():
     with pytest.raises(ScenarioError, match="horizon end 2020 precedes start"):
         Scenario(name="x", horizon_start=2022, horizon_end=2020)
-    with pytest.raises(ScenarioError, match="unknown toggles"):
+    with pytest.raises(ScenarioError, match=(
+        r"^unknown toggles: \['definitely_not_a_toggle'\]; "
+        "valid: amortize_capex_years, bf2_use_trip_miles, "
+    )):
         Scenario(
             name="x", horizon_start=2022, horizon_end=2023,
             toggles={"definitely_not_a_toggle": True},
@@ -163,12 +165,6 @@ def test_scenario_accessors(default_scenario):
     s = default_scenario
     with pytest.raises(ScenarioError, match="constant 'no_such' is missing"):
         s.constant("no_such")
-    with pytest.raises(ScenarioError, match="unknown toggle"):
-        s.toggle("no_such")
-    with pytest.raises(ScenarioError, match="exogenous series 'no_such'"):
-        s.exogenous("no_such")
-    with pytest.raises(ScenarioError, match="historical series 'no_such'"):
-        s.historical("no_such")
     assert s.toggle("bf7_case") == 5  # default applies when unset
 
 
@@ -313,26 +309,6 @@ def test_validate_warnings(default_scenario):
     )
     warnings = validate_scenario(negative, ("BF8",))
     assert any("'capex' has negative entries" in w for w in warnings)
-
-
-def test_required_inputs():
-    constants, exogenous, historical = required_inputs(("BF8",))
-    assert constants == set()
-    assert exogenous == {"tax_income", "capex", "opex"}
-    assert historical == set()
-
-    constants, exogenous, historical = required_inputs(("BF1",))
-    assert constants == {"VTTS_2015", "MHI_2015", "trip_time_saved_min"}
-    assert exogenous == {"passenger_trips", "capex", "opex"}
-    assert historical == {"mhi"}
-
-    all_constants, all_exo, all_hist = required_inputs()
-    assert "DSN" in all_constants
-    assert "cargo_trips" in all_exo
-    assert "livestock" in all_hist
-
-    with pytest.raises(ScenarioError, match="unknown benefit factor"):
-        required_inputs(("BF0",))
 
 
 def test_factor_ids_are_canonical():
