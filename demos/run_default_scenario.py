@@ -49,7 +49,7 @@ def main() -> None:
         f"{first.year} and {last.year}"
     )
 
-    written = write_outputs(result, out_dir, seed=0)
+    written = write_outputs(result, out_dir)
     print(f"wrote {len(written)} files to {out_dir}/")
     for path in written[:5]:
         print(f"  {path.name}")

@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 2 scenario/validation error or a file that cannot
 be read or written, 3 numerical failure.
-Scenario paths that do not exist as given are searched for in the
-directories listed in ``AAMCBA_SCENARIO_DIR`` (``os.pathsep`` separated);
-``default`` or no ``--scenario`` at all uses the bundled scenario.
+``--scenario`` takes a file path; ``default`` or no ``--scenario`` at all
+uses the bundled scenario. Every ``run`` writes the full output set.
 """
 from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from pathlib import Path
 
@@ -30,33 +28,20 @@ from .ingest import (
 
 
 def find_scenario(spec: str | None) -> Path:
-    """Resolve a scenario argument to a file path."""
+    """The bundled scenario for ``None`` or ``default``, else ``spec`` as a
+    path; ``load_scenario`` reports a file that is not there."""
     if spec is None or spec == "default":
         return default_scenario_path()
-    path = Path(spec)
-    if path.is_file():
-        return path
-    if not path.is_absolute():
-        for entry in os.environ.get("AAMCBA_SCENARIO_DIR", "").split(os.pathsep):
-            if not entry:
-                continue
-            for candidate in (Path(entry) / spec, Path(entry) / f"{spec}.yaml"):
-                if candidate.is_file():
-                    return candidate
-    raise ScenarioError(f"scenario file not found: {spec}")
-
-
-def _split_list(text: str, option: str) -> list[str]:
-    names = text.replace(",", " ").split()
-    if not names:
-        raise ScenarioError(f"--{option} given but empty")
-    return names
+    return Path(spec)
 
 
 def _parse_factors(text: str | None) -> tuple[str, ...]:
     if text is None:
         return FACTOR_IDS
-    return normalize_factors(name.upper() for name in _split_list(text, "factors"))
+    names = text.replace(",", " ").split()
+    if not names:
+        raise ScenarioError("--factors given but empty")
+    return normalize_factors(name.upper() for name in names)
 
 
 def _parse_toggles(pairs: list[str] | None) -> dict:
@@ -71,12 +56,6 @@ def _parse_toggles(pairs: list[str] | None) -> dict:
         except InvalidYAML:
             raise ScenarioError(f"--toggle {key}: not a YAML value: {raw!r}") from None
     return toggles
-
-
-def _parse_emit(text: str | None) -> frozenset[str]:
-    if text is None:
-        return engine.ALL_EMIT
-    return engine.normalize_emit(kind.lower() for kind in _split_list(text, "emit"))
 
 
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
@@ -125,18 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--out", default="aamcba_out", help="output directory (default: aamcba_out)"
     )
-    run_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed recorded in the summary for simulation-backed diagnostics; "
-        "the current pipeline is deterministic, so it does not change results",
-    )
-    run_parser.add_argument(
-        "--emit",
-        default=None,
-        help="comma-separated subset of csv,json,plotdata (default: all)",
-    )
 
     explain_parser = sub.add_parser(
         "explain", help="print the derivation of one factor in one year"
@@ -167,9 +134,8 @@ def _evaluate(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    emit = _parse_emit(args.emit)
     result = _evaluate(args)
-    engine.write_outputs(result, args.out, emit, seed=args.seed)
+    engine.write_outputs(result, args.out)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"scenario: {result.scenario.name}")

@@ -10,9 +10,8 @@ the result's ``traces``, which ``explain`` and the plot tables read.
 the summary and the plot tables. A series that cannot be forecast, a
 model that fails the whiteness check without ``best_effort``, or a factor
 value, a year's net gain, a horizon total or a plot item that is not a
-finite float, raises ScenarioError naming it, so ``run`` with any
-``--emit``, ``validate`` and ``explain`` reject the same inputs; the
-writers only format. Running the three channels through the same formulas
+finite float, raises ScenarioError naming it, so ``run``, ``validate``
+and ``explain`` reject the same inputs; the writers only format. Running the three channels through the same formulas
 gives a comonotone envelope: each factor with every forecast input at its
 lower, its mean or its upper limit together. That assumes every forecast
 error moves together, so it is not a 95% interval. A factor can fall as
@@ -51,21 +50,6 @@ from .ledger import (
 #: One recorded step of a factor's evaluation: (label, value, item or None).
 Entry = tuple[str, float, str | None]
 
-ALL_EMIT = frozenset(("csv", "json", "plotdata"))
-
-
-def normalize_emit(kinds) -> frozenset[str]:
-    """Check output kinds against ``ALL_EMIT``."""
-    kinds = frozenset(kinds)
-    unknown = kinds - ALL_EMIT
-    if unknown:
-        raise ScenarioError(
-            f"unknown emit kinds: {sorted(unknown)}; "
-            f"valid: {', '.join(sorted(ALL_EMIT))}"
-        )
-    return kinds
-
-
 class EvaluationResult:
     """Forecasts, yearly ledger rows, accumulated warnings, and the summary
     and plot tables derived from them, for one run."""
@@ -94,7 +78,7 @@ class EvaluationResult:
         #: (factor id, year) -> the lower, mean and upper channels' lists of
         #: every (label, value, item) the factor's evaluation recorded.
         self.traces = traces
-        #: summary.json's payload, without the seed.
+        #: summary.json's payload.
         self.summary = summary
         #: plot file name -> its (year, item, lower, mean, upper) rows.
         self.plot_tables = plot_tables
@@ -300,8 +284,8 @@ def _summary(
     forecasts: Mapping[str, PipelineResult],
     warnings: list[str],
 ) -> dict:
-    """summary.json's payload, without the seed. ScenarioError if a horizon
-    total or the growth rate is not a finite number."""
+    """summary.json's payload. ScenarioError if a horizon total or the
+    growth rate is not a finite number."""
     forecast_info = {}
     for name, pipeline in forecasts.items():
         fit = pipeline.fit
@@ -358,41 +342,29 @@ def _plot_tables(
     return tables
 
 
-def write_outputs(
-    result: EvaluationResult,
-    out_dir: str | Path,
-    emit=ALL_EMIT,
-    seed: int | None = None,
-) -> list[Path]:
-    """Write the selected output kinds; returns the paths written."""
-    emit = normalize_emit(emit)
+def write_outputs(result: EvaluationResult, out_dir: str | Path) -> list[Path]:
+    """Write every output file; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    if "csv" in emit:
-        path = out_dir / "results.csv"
-        write_results_csv(path, result.annual)
+    path = out_dir / "results.csv"
+    write_results_csv(path, result.annual)
+    written.append(path)
+    path = out_dir / "npi.csv"
+    write_npi_csv(path, result.annual)
+    written.append(path)
+    for name in sorted(result.forecasts):
+        band = result.forecasts[name].band
+        path = out_dir / f"forecast_{name}.csv"
+        write_channels_csv(path, band.years, band.lower, band.mean, band.upper)
         written.append(path)
-        path = out_dir / "npi.csv"
-        write_npi_csv(path, result.annual)
+    path = out_dir / "summary.json"
+    text = json.dumps(result.summary, sort_keys=True, indent=2, separators=(",", ": "))
+    path.write_text(text + "\n")
+    written.append(path)
+    for filename, rows in result.plot_tables.items():
+        path = out_dir / filename
+        write_item_csv(path, rows)
         written.append(path)
-        for name in sorted(result.forecasts):
-            band = result.forecasts[name].band
-            path = out_dir / f"forecast_{name}.csv"
-            write_channels_csv(path, band.years, band.lower, band.mean, band.upper)
-            written.append(path)
-    if "json" in emit:
-        summary = result.summary
-        if seed is not None:
-            summary = {**summary, "seed": seed}
-        path = out_dir / "summary.json"
-        text = json.dumps(summary, sort_keys=True, indent=2, separators=(",", ": "))
-        path.write_text(text + "\n")
-        written.append(path)
-    if "plotdata" in emit:
-        for filename, rows in result.plot_tables.items():
-            path = out_dir / filename
-            write_item_csv(path, rows)
-            written.append(path)
     return written
 

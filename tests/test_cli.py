@@ -12,36 +12,23 @@ import pytest
 
 import aamcba
 
-from aamcba.cli import (
-    _parse_emit,
-    _parse_factors,
-    _parse_toggles,
-    find_scenario,
-    main,
+from aamcba.cli import _parse_factors, _parse_toggles, find_scenario, main
+from aamcba.ingest import (
+    FACTOR_IDS,
+    ScenarioError,
+    default_scenario_path,
+    load_scenario,
 )
-from aamcba.ingest import FACTOR_IDS, ScenarioError, default_scenario_path
 
 
-def test_find_scenario_default_and_literal(tmp_path, monkeypatch):
-    monkeypatch.delenv("AAMCBA_SCENARIO_DIR", raising=False)
+def test_find_scenario_default_and_literal(tmp_path):
     assert find_scenario(None) == default_scenario_path()
     assert find_scenario("default") == default_scenario_path()
     literal = tmp_path / "case.yaml"
     literal.write_text("name: case\n")
     assert find_scenario(str(literal)) == literal
     with pytest.raises(ScenarioError, match="scenario file not found"):
-        find_scenario("no-such-scenario")
-
-
-def test_find_scenario_searches_env_dirs(tmp_path, monkeypatch):
-    (tmp_path / "plans").mkdir()
-    exact = tmp_path / "plans" / "alpha.json"
-    exact.write_text("{}")
-    suffixed = tmp_path / "plans" / "beta.yaml"
-    suffixed.write_text("name: beta\n")
-    monkeypatch.setenv("AAMCBA_SCENARIO_DIR", str(tmp_path / "plans"))
-    assert find_scenario("alpha.json") == exact
-    assert find_scenario("beta") == suffixed  # .yaml added automatically
+        load_scenario(find_scenario("no-such-scenario"))
 
 
 def test_parse_factors():
@@ -69,16 +56,6 @@ def test_parse_toggles():
         _parse_toggles(["bf7_case=["])
 
 
-def test_parse_emit():
-    assert _parse_emit(None) == frozenset({"csv", "json", "plotdata"})
-    assert _parse_emit("json") == frozenset({"json"})
-    assert _parse_emit("csv, plotdata") == frozenset({"csv", "plotdata"})
-    with pytest.raises(ScenarioError, match="unknown emit kinds"):
-        _parse_emit("pdf")
-    with pytest.raises(ScenarioError, match="--emit given but empty"):
-        _parse_emit("  ,  ")
-
-
 def test_run_command(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--out", str(out)])
@@ -93,21 +70,13 @@ def test_run_command(tmp_path, capsys):
     assert (out / "results.csv").is_file()
 
 
-def test_run_emit_subset_writes_only_that_kind(tmp_path, capsys):
-    out = tmp_path / "json_only"
-    code = main(["run", "--out", str(out), "--emit", "json"])
-    capsys.readouterr()
-    assert code == 0
-    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
-
-
 def test_run_plotdata_of_factors_without_items_writes_no_file(tmp_path, capsys):
     # BF1 and BF8 tag no plot items; their values are in results.csv alone.
     out = tmp_path / "plots"
-    code = main(["run", "--out", str(out), "--factors", "BF1,BF8", "--emit", "plotdata"])
+    code = main(["run", "--out", str(out), "--factors", "BF1,BF8"])
     capsys.readouterr()
     assert code == 0
-    assert list(out.iterdir()) == []
+    assert list(out.glob("plot_*")) == []
 
 
 def test_run_reruns_byte_identical(tmp_path, capsys):
@@ -155,7 +124,6 @@ def test_validate_takes_the_options_of_run(tmp_path, capsys):
 def test_run_pinned_orders_with_best_effort(tmp_path, capsys):
     code = main([
         "run", "--out", str(tmp_path / "x"), "--pin-orders", "--best-effort",
-        "--emit", "json",
     ])
     captured = capsys.readouterr()
     assert code == 0
@@ -165,7 +133,7 @@ def test_run_pinned_orders_with_best_effort(tmp_path, capsys):
 def test_run_toggle_flows_through(tmp_path, capsys):
     code = main([
         "run", "--out", str(tmp_path / "x"), "--factors", "BF6",
-        "--toggle", "bf6_incremental=true", "--emit", "json",
+        "--toggle", "bf6_incremental=true",
     ])
     captured = capsys.readouterr()
     assert code == 0
@@ -194,7 +162,7 @@ def test_run_to_an_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     # Path.mkdir used to end this run in a FileExistsError traceback.
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    assert main(["run", "--out", str(taken), "--emit", "json"]) == 2
+    assert main(["run", "--out", str(taken)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert f"File exists: '{taken}'" in captured.err
@@ -241,7 +209,7 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
         "from aamcba.cli import main\n"
         "validated = main(['validate'])\n"
         "after_validate = loaded(*SHUNNED)\n"
-        "code = main(['run', '--out', sys.argv[1], '--emit', 'json'])\n"
+        "code = main(['run', '--out', sys.argv[1]])\n"
         "after_run = loaded(*SHUNNED)\n"
         "from aamcba.forecast.arima import ArimaOrder, fit_arima\n"
         "fit_arima([(i * 7919 % 101) / 10.0 for i in range(60)], ArimaOrder(1, 0, 1))\n"
@@ -594,15 +562,13 @@ def test_validate_fails_where_the_writers_would(
     # value of a BF7 network that bf7_case does not select, which only the
     # plot table lists, or a year's net gain: validate used to exit 0 or 3,
     # and run exited 3 or wrote an Infinity into summary.json. evaluate
-    # derives every reported number, so validate, run with any --emit and
-    # explain of one factor all exit 2 naming the sum, and run writes
-    # nothing.
+    # derives every reported number, so validate, run and explain of one
+    # factor all exit 2 naming the sum, and run writes nothing.
     doc = _bundled_doc()
     edit(doc)
     bad = _write_json(tmp_path / "bad.json", doc)
     run = ["run", "--out", str(tmp_path / "x")]
     commands = [["validate"], run, ["explain", factor, "2022"]]
-    commands += [run + ["--emit", kind] for kind in ("csv", "json", "plotdata")]
     for argv in commands:
         assert main(argv + ["--scenario", str(bad)]) == 2, argv
         err = capsys.readouterr().err

@@ -6,14 +6,7 @@ import json
 import pytest
 
 from aamcba.cli import main
-from aamcba.engine import (
-    ALL_EMIT,
-    _summary,
-    evaluate,
-    explain,
-    normalize_factors,
-    write_outputs,
-)
+from aamcba.engine import _summary, evaluate, explain, normalize_factors, write_outputs
 from aamcba.factors import FACTORS
 from aamcba.ingest import FACTOR_IDS, ScenarioError, TimeSeries
 from aamcba.ledger import AnnualResult, BandValue
@@ -168,7 +161,7 @@ def test_explain_and_plot_tables_read_the_recorded_trace(
 ):
     years = (2022, 2027, 2032)
     texts = [explain(default_evaluation, f, y) for f in FACTOR_IDS for y in years]
-    write_outputs(default_evaluation, tmp_path / "before", emit={"plotdata"})
+    write_outputs(default_evaluation, tmp_path / "before", )
 
     def fail(*args):
         raise AssertionError("a factor was evaluated again")
@@ -177,7 +170,7 @@ def test_explain_and_plot_tables_read_the_recorded_trace(
         monkeypatch.setattr(factor, "evaluate", fail)
     again = [explain(default_evaluation, f, y) for f in FACTOR_IDS for y in years]
     assert again == texts
-    written = write_outputs(default_evaluation, tmp_path / "after", emit={"plotdata"})
+    written = write_outputs(default_evaluation, tmp_path / "after", )
     assert written
     for path in written:
         assert path.read_bytes() == (tmp_path / "before" / path.name).read_bytes()
@@ -219,7 +212,7 @@ def test_plot_tables_hold_only_tagged_items(default_evaluation, tmp_path):
     # results.csv holds every factor's value, so a plot table lists only the
     # steps its factor's trace tags with an item, and repeats no results row;
     # a factor that tags none has no table.
-    write_outputs(default_evaluation, tmp_path, emit={"csv", "plotdata"})
+    write_outputs(default_evaluation, tmp_path)
 
     def rows(name):
         return (tmp_path / name).read_text().splitlines()[1:]
@@ -260,27 +253,18 @@ def test_a_growth_rate_that_overflows_is_named(default_scenario):
 def test_write_outputs_are_byte_identical(default_evaluation, tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
-    written_first = write_outputs(default_evaluation, first, seed=0)
-    written_second = write_outputs(default_evaluation, second, seed=0)
+    written_first = write_outputs(default_evaluation, first)
+    written_second = write_outputs(default_evaluation, second)
     for a, b in zip(sorted(written_first), sorted(written_second)):
         assert a.name == b.name
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
-def test_write_outputs_emit_subsets(default_evaluation, tmp_path):
-    json_only = tmp_path / "json_only"
-    written = write_outputs(default_evaluation, json_only, emit={"json"})
-    assert [p.name for p in written] == ["summary.json"]
-    assert sorted(p.name for p in json_only.iterdir()) == ["summary.json"]
-    with pytest.raises(ScenarioError, match="unknown emit kinds"):
-        write_outputs(default_evaluation, tmp_path, emit={"pdf"})
-
-
 def test_summary_json_content(default_evaluation, tmp_path):
-    write_outputs(default_evaluation, tmp_path, emit={"json"}, seed=7)
+    write_outputs(default_evaluation, tmp_path)
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["scenario"] == "ohio-baseline"
-    assert payload["seed"] == 7
+    assert "seed" not in payload
     assert payload["factors"] == list(FACTOR_IDS)
     assert payload["horizon"] == {"start": 2022, "end": 2032}
     assert set(payload["forecasts"]) == set(default_evaluation.forecasts)
@@ -295,20 +279,17 @@ def test_summary_json_content(default_evaluation, tmp_path):
 
 def test_cli_run_end_to_end(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["run", "--out", str(out), "--factors", "BF8", "--emit", "json"]) == 0
+    assert main(["run", "--out", str(out), "--factors", "BF8"]) == 0
     assert "factors: BF8\n" in capsys.readouterr().out
-    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["npi.csv", "results.csv", "summary.json"]
     assert json.loads((out / "summary.json").read_text())["factors"] == ["BF8"]
 
 
 def test_cli_run_applies_toggles(tmp_path, capsys):
     out = tmp_path / "out"
-    argv = ["run", "--out", str(out), "--factors", "BF6", "--emit", "json"]
+    argv = ["run", "--out", str(out), "--factors", "BF6"]
     assert main(argv + ["--toggle", "bf6_incremental=true"]) == 0
     assert "uplifted harvest" not in capsys.readouterr().err
     warnings = json.loads((out / "summary.json").read_text())["warnings"]
     assert not any("uplifted harvest" in w for w in warnings)
-
-
-def test_emit_constant_is_closed():
-    assert ALL_EMIT == frozenset({"csv", "json", "plotdata"})
