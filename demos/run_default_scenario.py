@@ -1,9 +1,9 @@
-"""Run the bundled scenario end to end and write every output kind.
+"""Run the bundled scenario end to end and write every output file.
 
 The script loads the packaged statewide scenario, forecasts its
 historical inputs, evaluates all nine benefit factors against the
 capital and operating cost schedule, prints the yearly net-gain table
-with its 95% band, and writes the CSV/JSON/plot-data outputs.
+with its comonotone envelope, and writes every output file.
 
 Run with: python3 demos/run_default_scenario.py [output_dir]
 """
@@ -33,7 +33,7 @@ def main() -> None:
     print(f"forecasts: {adequate}/{len(result.forecasts)} passed residual checks")
     print()
 
-    print("net positive gain by year ($, 95% band)")
+    print("net positive gain by year ($, comonotone envelope)")
     print(f"{'year':>6} {'lower':>18} {'mean':>18} {'upper':>18}")
     for row in result.annual:
         print(

@@ -272,7 +272,7 @@ def explain(result: EvaluationResult, factor_id: str, year: int) -> str:
         lines.append(f"  {label}: {float(value):,.6g}")
     lines.append(
         f"  value ($): {band.mean:,.2f}   "
-        f"[95% band {band.lower:,.2f} .. {band.upper:,.2f}]"
+        f"[comonotone envelope {band.lower:,.2f} .. {band.upper:,.2f}]"
     )
     return "\n".join(lines)
 

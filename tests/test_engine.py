@@ -145,7 +145,7 @@ def test_explain_bridge_inspection(default_evaluation):
     assert "cost, drone-capable share by drone ($): 112,920" in text
     assert "inspection cost savings ($): 556,040" in text
     assert "value ($):" in text
-    assert "[95% band" in text
+    assert "[comonotone envelope" in text
 
 
 def test_explain_medical_network(default_evaluation):
