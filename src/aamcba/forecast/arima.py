@@ -510,8 +510,11 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     # Optimize on a standardized copy so the convergence tolerances mean
     # the same thing whatever the data units; AR/MA coefficients are
     # invariant under the affine map and the mean/variance map back exactly.
-    shift = float(w.mean()) if include_mean else 0.0
-    scale = float(np.sqrt(np.mean((w - shift) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = float(w.mean()) if include_mean else 0.0
+        scale = float(np.sqrt(np.mean((w - shift) ** 2)))
+    if not math.isfinite(scale):
+        raise ForecastError("the series' spread overflows float64 when squared")
     if scale == 0.0:
         scale = 1.0
     z = (w - shift) / scale

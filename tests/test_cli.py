@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -498,6 +499,30 @@ def test_validate_and_run_reject_a_series_they_cannot_forecast(
     # validate used to pass the first two, and run exited 3; both commands
     # exited 3 on the third.
     _assert_both_reject_mhi(tmp_path, capsys, values, *options)
+
+
+def test_a_series_whose_spread_overflows_exits_2_naming_the_overflow(
+    tmp_path, capsys
+):
+    # population x 1e221 at its pinned (0,2,1): the iterative fit's
+    # standardizing scale squares the differenced values, which overflows.
+    # numpy used to warn about it, and the fit ended in "sigma2 must be
+    # positive, got nan".
+    edited = tmp_path / "big.json"
+    doc = _bundled_doc()
+    _scale("historical", "population", 1e221)(doc)
+    _write_json(edited, doc)
+    options = ["--scenario", str(edited), "--factors", "BF9", "--pin-orders"]
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + options) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: historical series 'population' cannot be forecast: "
+            "the series' spread overflows float64 when squared\n"
+        )
+    assert not (tmp_path / "x").exists()
 
 
 def _scale(section: str, name: str, factor: float):
