@@ -11,13 +11,15 @@ the summary and the plot tables. A series that cannot be forecast, a
 model that fails the whiteness check without ``best_effort``, or a factor
 value, a year's net gain, a horizon total or a plot item that is not a
 finite float, raises ScenarioError naming it, so ``run``, ``validate``
-and ``explain`` reject the same inputs; the writers only format. Running the three channels through the same formulas
-gives a comonotone envelope: each factor with every forecast input at its
-lower, its mean or its upper limit together. That assumes every forecast
-error moves together, so it is not a 95% interval. A factor can fall as
-one input rises, so its band sorts the three channel values. Evaluators
-are pure functions of the scenario and one year's values, so they are
-safe to parallelize if that ever matters; at this size it does not.
+and ``explain`` reject the same inputs; the writers only format. Running
+the three channels through the same formulas gives a comonotone envelope:
+each factor with every forecast input at its lower, its mean or its upper
+limit together. That assumes every forecast error moves together, so it
+is not a 95% interval, and ``explain`` prints it as the envelope. A
+factor can fall as one input rises, so its band sorts the three channel
+values. Evaluators are pure functions of the scenario and one year's
+values, so they are safe to parallelize if that ever matters; at this
+size it does not.
 """
 from __future__ import annotations
 

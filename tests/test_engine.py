@@ -161,7 +161,7 @@ def test_explain_and_plot_tables_read_the_recorded_trace(
 ):
     years = (2022, 2027, 2032)
     texts = [explain(default_evaluation, f, y) for f in FACTOR_IDS for y in years]
-    write_outputs(default_evaluation, tmp_path / "before", )
+    write_outputs(default_evaluation, tmp_path / "before")
 
     def fail(*args):
         raise AssertionError("a factor was evaluated again")
@@ -170,7 +170,7 @@ def test_explain_and_plot_tables_read_the_recorded_trace(
         monkeypatch.setattr(factor, "evaluate", fail)
     again = [explain(default_evaluation, f, y) for f in FACTOR_IDS for y in years]
     assert again == texts
-    written = write_outputs(default_evaluation, tmp_path / "after", )
+    written = write_outputs(default_evaluation, tmp_path / "after")
     assert written
     for path in written:
         assert path.read_bytes() == (tmp_path / "before" / path.name).read_bytes()
