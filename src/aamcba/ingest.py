@@ -398,7 +398,10 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
     label = name or path.stem
     years: list[int] = []
     values: list[float] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"{path}: not UTF-8 text ({err.reason})") from None
     for row_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -414,7 +417,8 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
             raise ScenarioError(
                 f"{path}:{row_no}: non-numeric cell in row {cells!r}"
             )
-        year = int(float(cells[0]))
+        what = f"{path}:{row_no}: year"
+        year = _integer(_number(cells[0], what), what)
         if year in years:
             raise ScenarioError(f"{path}:{row_no}: duplicate year {year}")
         if years and year != years[-1] + 1:
@@ -458,8 +462,8 @@ def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
         return TimeSeries(name, years, vals)
     # {year: value} mapping
     try:
-        items = sorted((int(k), v) for k, v in spec.items())
-    except (TypeError, ValueError, OverflowError):
+        items = sorted((_integer(k, "year"), v) for k, v in spec.items())
+    except (ScenarioError, TypeError):
         raise ScenarioError(
             f"series '{name}' must map years to numbers, "
             f"use 'start'/'values', or reference a 'file'"
@@ -563,10 +567,11 @@ def scenario_from_dict(
 
     orders: dict[str, tuple[int, int, int]] = {}
     for key, val in _section(doc, "orders").items():
-        try:
-            p, d, q = (int(v) for v in val)
-        except (TypeError, ValueError, OverflowError):
-            raise ScenarioError(f"order for '{key}' must be a [p, d, q] triple") from None
+        if not isinstance(val, (list, tuple)) or len(val) != 3:
+            raise ScenarioError(f"order for '{key}' must be a [p, d, q] triple")
+        p, d, q = (
+            _integer(v, f"order for '{key}': {term}") for term, v in zip("pdq", val)
+        )
         try:
             ArimaOrder(p, d, q)
         except ForecastError as err:
@@ -606,7 +611,6 @@ def validate_scenario(
     """
     enabled = normalize_factors(factors)
     used = [FACTORS[f] for f in enabled]
-    horizon = s.horizon_years
     warnings: list[str] = []
 
     for factor in used:
@@ -628,14 +632,16 @@ def validate_scenario(
                 f"exogenous series '{name}' is required by {f} but missing"
             )
         ts = s.input_series[name]
-        missing = [y for y in horizon if not ts.first_year <= y <= ts.last_year]
-        if missing:
+        if not ts.first_year <= s.horizon_start <= s.horizon_end <= ts.last_year:
+            starts_inside = ts.first_year <= s.horizon_start <= ts.last_year
             raise ScenarioError(
-                f"exogenous series '{name}' does not cover year {missing[0]} "
+                f"exogenous series '{name}' does not cover year "
+                f"{ts.last_year + 1 if starts_inside else s.horizon_start} "
                 f"(covers {ts.first_year}-{ts.last_year})"
             )
         if name in _DOMAINS:
-            for y in horizon:
+            # covered, so the horizon is no longer than the series
+            for y in s.horizon_years:
                 if problem := _outside_domain(name, ts.value_at(y)):
                     raise ScenarioError(f"exogenous series '{name}' in {y} {problem}")
     needed_hist: dict[str, str] = {}

@@ -17,32 +17,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 from numpy.linalg._umath_linalg import solve1
 
 from aamcba.forecast import ForecastError
 import aamcba
-from aamcba.forecast import arima
+from aamcba.forecast import css
 from aamcba.forecast.arima import (
-    _BLOCK,
-    _PARTIAL_CAP,
-    _RESTART_OFFSETS,
     MAX_P,
     MAX_Q,
     ArimaOrder,
     FittedArima,
     ForecastBand,
-    _css_point,
-    _css_residuals,
-    _inverse_ma,
-    _levinson,
-    _ma_impulse_response,
     _unstable_lag,
     difference,
     fit_arima,
     forecast,
     integrate,
     psi_weights,
+)
+from aamcba.forecast.css import (
+    _BLOCK,
+    _FTOL,
+    _MAX_ITER,
+    _PARTIAL_CAP,
+    _RESTART_OFFSETS,
+    _css_point,
+    _css_residuals,
+    _inverse_ma,
+    _levinson,
+    _ma_impulse_response,
 )
 from aamcba.ingest import TimeSeries
 
@@ -540,7 +543,7 @@ def _eager_levenberg_marquardt(z, start, p, q, include_mean):
     css = float(e @ e)
     damping, growth = 1e-3, 2.0
     begun = 0
-    for _ in range(arima._MAX_ITER):
+    for _ in range(_MAX_ITER):
         begun += 1
         gram = jac.T @ jac
         grad = jac.T @ e
@@ -564,7 +567,7 @@ def _eager_levenberg_marquardt(z, start, p, q, include_mean):
                 return (css, x), begun
         predicted = float(step @ gram @ step + 2.0 * damping * step @ (scale * step))
         gain = (css - css1) / predicted if predicted > 0.0 else 1.0
-        done = css - css1 <= arima._FTOL * css
+        done = css - css1 <= _FTOL * css
         x, e, jac, css = trial, e1, jac1, css1
         if done:
             return (css, x), begun
@@ -589,19 +592,19 @@ def test_lazy_levenberg_marquardt_matches_the_eager_loop(
 ):
     # The series and the offset-0 start that fit_arima hands to the loop.
     problems = []
-    real_lm = arima._levenberg_marquardt
+    real_lm = css._levenberg_marquardt
 
     def recording_lm(z, start, *rest):
         problems.append((z, start.copy(), rest))
         return real_lm(z, start, *rest)
 
     with monkeypatch.context() as m:
-        m.setattr(arima, "_levenberg_marquardt", recording_lm)
+        m.setattr(css, "_levenberg_marquardt", recording_lm)
         fit_arima(x, order, include_mean)
     z, first, (p, q, mean) = problems[0]
 
     builds = []
-    real_point = arima._css_point
+    real_point = css._css_point
 
     def counting_point(*args):
         e, jacobian = real_point(*args)
@@ -618,8 +621,8 @@ def test_lazy_levenberg_marquardt_matches_the_eager_loop(
         want, begun = _eager_levenberg_marquardt(z, start.copy(), p, q, mean)
         builds.clear()
         with monkeypatch.context() as m:
-            m.setattr(arima, "_css_point", counting_point)
-            got = arima._levenberg_marquardt(z, start.copy(), p, q, mean)
+            m.setattr(css, "_css_point", counting_point)
+            got = css._levenberg_marquardt(z, start.copy(), p, q, mean)
         if want is None:
             assert got is None, offset
         else:
@@ -716,8 +719,8 @@ def test_singular_solves_take_the_eager_loops_linalg_error_path(
         m.setattr(np.linalg, "solve", zeroing(np.linalg.solve, eager_calls))
         want, _ = _eager_levenberg_marquardt(z, start.copy(), p, q, True)
     with monkeypatch.context() as m:
-        m.setattr(_umath_linalg, "solve1", zeroing(solve1, lazy_calls))
-        got = arima._levenberg_marquardt(z, start.copy(), p, q, True)
+        m.setattr(css, "solve1", zeroing(solve1, lazy_calls))
+        got = css._levenberg_marquardt(z, start.copy(), p, q, True)
     assert len(eager_calls) == len(lazy_calls) >= max(singular)
     assert want is not None
     assert got[0].hex() == want[0].hex()

@@ -1,6 +1,7 @@
 """CLI argument handling, exit codes, and output wiring."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -193,9 +194,10 @@ def test_validate_and_run_reject_nan_constant(tmp_path, capsys):
 
 
 def test_import_and_closed_form_run_load_no_scipy(tmp_path):
-    # numpy serves only iterative (p+q>0) fits; every bundled series fits a
-    # closed-form (0,d,0) model, so neither the import, nor validate, nor
-    # the run needs it. No fit needs scipy, an iterative one included.
+    # numpy serves only iterative (p+q>0) fits, in aamcba.forecast.css;
+    # every bundled series fits a closed-form (0,d,0) model, so neither the
+    # import, nor validate, nor the run loads that module or numpy. No fit
+    # needs scipy, an iterative one included.
     # PyYAML reads only YAML outside the line reader's subset, and the
     # bundled scenario is inside it. The records are plain classes, so
     # dataclasses, and the inspect module it imports, stay unloaded too.
@@ -203,8 +205,9 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
         "import json, sys\n"
         "def loaded(*names):\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.lstrip('_').partition('.')[0] in names)\n"
-        "SHUNNED = ('numpy', 'scipy', 'yaml', 'dataclasses', 'inspect')\n"
+        "                  if m in names or m.lstrip('_').partition('.')[0] in names)\n"
+        "SHUNNED = ('numpy', 'scipy', 'yaml', 'dataclasses', 'inspect',\n"
+        "           'aamcba.forecast.css')\n"
         "import aamcba\n"
         "after_import = loaded(*SHUNNED)\n"
         "from aamcba.cli import main\n"
@@ -231,6 +234,22 @@ def test_import_and_closed_form_run_load_no_scipy(tmp_path):
     assert code == 0
     assert after_run == []
     assert after_fit == []
+
+
+def test_only_the_css_module_imports_numpy():
+    package = Path(aamcba.__file__).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"forecast/css.py"}
 
 
 def _bundled_doc() -> dict:
@@ -279,6 +298,29 @@ def test_invalid_timestamp_exits_2_naming_file_or_toggle(tmp_path, capsys):
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize("year, data, message", [
+    ("2023", "# caf\xe9\n".encode("latin-1"), ": not UTF-8 text"),
+    ("1e400", b"", ":3: year must be finite, got '1e400'"),
+    ("2023.5", b"", ":3: year must be an integer, got 2023.5"),
+], ids=["latin-1", "infinite-year", "fractional-year"])
+def test_malformed_series_file_exits_2_naming_the_file(
+    tmp_path, capsys, year, data, message
+):
+    doc = _bundled_doc()
+    capex = doc["series"]["exogenous"]["capex"]
+    rows = [f"{capex['start'] + i},{v}" for i, v in enumerate(capex["values"])]
+    rows[1] = f"{year},{capex['values'][1]}"
+    csv = tmp_path / "capex.csv"
+    csv.write_bytes(data + ("year,value\n" + "\n".join(rows) + "\n").encode())
+    doc["series"]["exogenous"]["capex"] = {"file": csv.name}
+    bad = _write_json(tmp_path / "bad.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv}{message}" in err
+        assert "numerical failure" not in err
+
+
 def _set(*path_and_value):
     """An edit that sets doc[k1]...[kn] = value."""
     *path, key, value = path_and_value
@@ -316,6 +358,14 @@ DOMAIN_CASES = [
     (_set("horizon", "start", "soon"), "horizon start must be an integer"),
     (_set("horizon", "start", 2022.5), "horizon start must be an integer"),
     (_set("horizon", "end", float("inf")), "horizon end must be an integer"),
+    (_set("horizon", "end", 10**18),
+     "exogenous series 'passenger_trips' does not cover year 2033 (covers 2022-2032)"),
+    (_set("horizon", "end", 10**19),
+     "exogenous series 'passenger_trips' does not cover year 2033 (covers 2022-2032)"),
+    (_set("orders", "vmt_us", [1.5, 0, 1.9]),
+     "order for 'vmt_us': p must be an integer, got 1.5"),
+    (_set("orders", "vmt_us", [True, 1, False]),
+     "order for 'vmt_us': p must be an integer, got True"),
     (_set("series", "historical", "mhi", "values", 3),
      "series 'mhi' values must be a list"),
     (_set("series", "historical", "mhi", "values", [1.0] * 20 + ["x"]),
@@ -330,7 +380,9 @@ DOMAIN_CASES = [
      "constant 'drone_capable_inspections' (500.0) exceeds "
      "'heavy_inspections_per_year' (400.0)"),
 ], ids=["constants-list", "DSN-scalar", "constant-string", "horizon-string",
-        "horizon-fraction", "horizon-infinite", "values-scalar", "value-string",
+        "horizon-fraction", "horizon-infinite", "horizon-end-1e18",
+        "horizon-end-1e19", "order-fraction", "order-boolean", "values-scalar",
+        "value-string",
         "exogenous-list", "toggles-string",
         *(f"{key}={value}" for key, value, _ in DOMAIN_CASES),
         "us_population-2025=0", "drone_capable_inspections-above-total"])

@@ -98,6 +98,11 @@ def test_load_series_errors(tmp_path):
         load_series(write("2000,1\n2002,2\n"))
     with pytest.raises(ScenarioError, match="no data rows"):
         load_series(write("year,value\n"))
+    with pytest.raises(ScenarioError, match="bad.csv:2: year must be an integer, got 2001.5"):
+        load_series(write("2000,1\n2001.5,2\n"))
+    with pytest.raises(ScenarioError, match="bad.csv:2: year must be finite, got '1e400'"):
+        load_series(write("2000,1\n1e400,2\n"))
+    assert load_series(write("2000.0,1\n2001,2\n")).years == (2000, 2001)
 
 
 def _minimal_doc() -> dict:
@@ -141,6 +146,10 @@ def test_scenario_from_dict_errors():
     doc = _minimal_doc()
     doc["series"]["exogenous"]["bad"] = {"kind": "mystery"}
     with pytest.raises(ScenarioError, match="must map years to numbers"):
+        scenario_from_dict(doc)
+    doc = _minimal_doc()
+    doc["series"]["exogenous"]["opex"] = {2022.5: 1.0, 2023: 1.5, 2024: 2.0}
+    with pytest.raises(ScenarioError, match="series 'opex' must map years to numbers"):
         scenario_from_dict(doc)
     doc = _minimal_doc()
     doc["orders"] = {"mhi": [1, 2]}
