@@ -7,11 +7,12 @@ forecast channels (lower, mean, upper), each as ``factors`` defines it.
 the scenario's mappings directly. Every step a factor records is kept in
 the result's ``traces``, which ``explain`` and the plot tables read.
 ``evaluate`` derives every number the outputs report: the yearly ledger,
-the summary and the plot tables. A series that cannot be forecast, a
-model that fails the whiteness check without ``best_effort``, or a factor
-value, a year's net gain, a horizon total or a plot item that is not a
-finite float, raises ScenarioError naming it, so ``run``, ``validate``
-and ``explain`` reject the same inputs; the writers only format. Running
+the summary and the plot tables. A series that cannot be forecast or
+whose forecast leaves its domain, a model that fails the whiteness check
+without ``best_effort``, or a factor value, a year's net gain, a horizon
+total or a plot item that is not a finite float, raises ScenarioError
+naming it, so ``run``, ``validate`` and ``explain`` reject the same
+inputs; the writers only format. Running
 the three channels through the same formulas gives a comonotone envelope:
 each factor with every forecast input at its lower, its mean or its upper
 limit together. That assumes every forecast error moves together, so it
@@ -34,6 +35,7 @@ from .ingest import (
     COST_SERIES,
     Scenario,
     ScenarioError,
+    check_horizon_domain,
     load_scenario,  # the CLI loads through this module (see cli.py)
     normalize_factors,
     validate_scenario,
@@ -210,6 +212,10 @@ def evaluate(
             if not best_effort:
                 raise ScenarioError(message + " (enable --best-effort to accept it)")
             warnings.append(message)
+        band = result.band
+        for channel, values in (("lower", band.lower), ("upper", band.upper)):
+            what = f"forecast of historical series '{name}' ({channel} channel)"
+            check_horizon_domain(scenario, name, band.years, values, what)
         forecasts[name] = result
 
     if "BF6" in enabled and not scenario.toggle("bf6_incremental"):

@@ -10,17 +10,15 @@ tags entries with an ``item`` name also names a plot table, which lists
 those entries. A record may also hold a ``check(s)`` across its inputs,
 which validation runs before any evaluation.
 
-The arithmetic is scalar; forecast bands come from evaluating each channel
-in turn, a comonotone envelope with every banded input at the same limit (a
-factor need not be monotone in each input alone). Each input's domain is
-checked upstream, by ``ingest.validate_scenario`` and each factor's
-``check``; the engine names the constants behind a value that overflows.
-The arithmetic guards three values derived from forecasts: local VMT,
-ground trips and package trips.
+The evaluations are pure arithmetic on any number type. The engine runs
+each forecast channel in turn: a comonotone envelope with every banded input
+at the same limit (a factor need not be monotone in each input alone). Each
+input's domain is checked once, outside the arithmetic: by
+``ingest.validate_scenario``, each factor's ``check`` and, for forecasts,
+the engine, which also names the constants behind a value that overflows.
 """
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ScenarioError
@@ -35,15 +33,6 @@ _CROPS = ("soybean", "corn", "wheat")
 
 _MINUTES_PER_DAY = 24.0 * 60.0
 _MINUTES_PER_MONTH = 30.0 * _MINUTES_PER_DAY
-
-# Per-inspection cost rates (core hours, off hours). The core rates are the
-# source table's printed payroll plus equipment subtotals. Its per-line
-# labor figures do not reproduce those subtotals (the table is internally
-# inconsistent), so the printed subtotals are canonical here; the tests pin
-# the discrepancy.
-_SNOOPER_RATES = (2018.0 + 1125.0, 4152.0)
-_DRONE_RATES = (427.0 + 95.0, 735.0)
-
 
 def no_record(label: str, value: float, item: str | None = None) -> float:
     """The recorder of a plain evaluation: keeps nothing."""
@@ -136,8 +125,6 @@ def _traffic_safety(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
         # vehicle trips at full occupancy, not passenger trips
         trips = trips / s.constant("seats_per_evtol")
     rec("trips moved to the air", trips)
-    if vmt <= 0:
-        raise ScenarioError(f"local VMT must be positive in {year}, got {vmt}")
     share = rec(
         "share of road miles replaced",
         trips * s.constant("trip_distance_miles") / vmt,
@@ -202,8 +189,6 @@ def _package_delivery(s: Scenario, v: Values, year: int, rec: Recorder) -> float
         "fleet incl. rotation and reserve",
         2.0 * active + s.constant("reserve_fraction") * active,
     )
-    if trips <= 0:
-        raise ScenarioError(f"package trips must be positive in {year}, got {trips}")
     truck_per_package = (
         s.constant("driver_hours_per_day") * s.constant("truck_cost_per_hour")
         / s.constant("packages_per_driver_day")
@@ -284,17 +269,19 @@ def _bridge_inspection(s: Scenario, v: Values, year: int, rec: Recorder) -> floa
     delay_value = rec("delay cost avoided ($)", hours * vtts)
     capable = s.constant("drone_capable_inspections")
     core_share = s.constant("core_hours_share")
+    snooper = (s.constant("snooper_rate_core"), s.constant("snooper_rate_offhours"))
+    drone = (s.constant("drone_rate_core"), s.constant("drone_rate_offhours"))
     all_snooper = rec(
         "cost, all inspections by snooper truck ($)",
-        _blended(inspections, core_share, _SNOOPER_RATES),
+        _blended(inspections, core_share, snooper),
     )
     by_drone = rec(
         "cost, drone-capable share by drone ($)",
-        _blended(capable, core_share, _DRONE_RATES),
+        _blended(capable, core_share, drone),
     )
     remaining = rec(
         "cost, remainder by snooper truck ($)",
-        _blended(inspections - capable, core_share, _SNOOPER_RATES),
+        _blended(inspections - capable, core_share, snooper),
     )
     return delay_value + rec(
         "inspection cost savings ($)", all_snooper - (by_drone + remaining)
@@ -371,9 +358,9 @@ def _medical_response(s: Scenario, v: Values, year: int, rec: Recorder) -> float
     # whose value is therefore zero by construction; each added survivor
     # is worth the statistical life net of the network's cost per survivor.
     rates = s.constant("survival_rates")
-    baseline = ohca * float(rates[0])
+    baseline = ohca * rates[0]
     values = [
-        (v["vsl"] - float(cost)) * (ohca * float(rate) - baseline)
+        (v["vsl"] - cost) * (ohca * rate - baseline)
         for rate, cost in zip(rates, s.constant("CAS"))
     ]
     for count, value in zip(stations[1:], values[1:]):
@@ -453,8 +440,6 @@ def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
         "local ground vehicle trips",
         v["population"] / v["us_population"] * s.constant("us_annual_trips"),
     )
-    if ground <= 0:
-        raise ScenarioError(f"ground trip count must be positive in {year}, got {ground}")
     share = rec("share of ground trips replaced", (evtol + packages + cargo) / ground)
     ratio = rec("emission advantage factor", s.constant("evtol_emission_ratio"))
     return share * ratio * (scc * co2 + sc_other * other)
@@ -516,6 +501,8 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
             "drone_capable_inspections", "core_hours_share",
             "lane_closure_hours_traditional", "lane_closure_hours_drone",
             "traffic_per_lane_hour", "delay_min_per_vehicle",
+            "snooper_rate_core", "snooper_rate_offhours",
+            "drone_rate_core", "drone_rate_offhours",
         ),
         historical=("mhi",),
         check=_inspection_counts,

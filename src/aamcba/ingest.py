@@ -231,16 +231,18 @@ _BOOLEAN_TOGGLES = tuple(
 COST_SERIES = ("capex", "opex")
 
 #: Domains lo < value <= hi of the inputs the factor arithmetic divides by
-#: or compounds with, keyed by constant name, or by exogenous series name
-#: for a series checked over the horizon. Checked for the inputs the
-#: enabled factors read, so the arithmetic itself carries no guards.
+#: or compounds with, keyed by constant or series name; a series is checked
+#: over the horizon, a historical one in its forecast's lower and upper
+#: channels. Only the enabled factors' inputs are checked.
 _DOMAINS: dict[str, tuple[float, float]] = {
     **dict.fromkeys((
         "MHI_2015", "seats_per_evtol", "mpg_fleet", "farms_total",
         "herd_size_case_study", "market_value_2019", "us_market_2019",
         "round_trip_min", "operational_days", "packages_per_driver_day",
         "warehouse_area_per_worker_sf", "truck_payload_lb", "evtol_payload_lb",
-        "annual_parcels", "parcel_fraction", "us_annual_trips", "us_population",
+        "annual_parcels", "parcel_fraction", "us_annual_trips",
+        "snooper_rate_core", "snooper_rate_offhours", "drone_rate_core",
+        "drone_rate_offhours", "us_population", "population", "vmt_us",
     ), (0.0, math.inf)),
     "co2_share_of_ghg": (0.0, 1.0),
     "market_cagr": (-1.0, math.inf),
@@ -460,10 +462,11 @@ def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
             raise ScenarioError(f"series '{name}' values must be a list, got {vals!r}")
         years = tuple(range(start, start + len(vals)))
         return TimeSeries(name, years, vals)
-    # {year: value} mapping
+    # {year: value} mapping; a JSON object's keys are always strings
     try:
-        items = sorted((_integer(k, "year"), v) for k, v in spec.items())
-    except (ScenarioError, TypeError):
+        items = sorted((_integer(int(k) if isinstance(k, str) else k, "year"), v)
+                       for k, v in spec.items())
+    except (ScenarioError, TypeError, ValueError):
         raise ScenarioError(
             f"series '{name}' must map years to numbers, "
             f"use 'start'/'values', or reference a 'file'"
@@ -523,7 +526,7 @@ def _integer(value: Any, what: str) -> int:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or isinstance(value, bool) or (
+    if number is None or isinstance(value, (str, bool)) or (
         isinstance(value, float) and value != number
     ):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
@@ -599,6 +602,15 @@ def _outside_domain(key: str, value: float) -> str | None:
     return f"must be {bounds}, got {value!r}"
 
 
+def check_horizon_domain(s: Scenario, name: str, years, values, what: str) -> None:
+    """Raise ScenarioError naming ``what`` and the year if a horizon value lies
+    outside ``name``'s domain; a name without one passes."""
+    for year, value in zip(years, values):
+        if name in _DOMAINS and s.horizon_start <= year <= s.horizon_end and (
+                problem := _outside_domain(name, value)):
+            raise ScenarioError(f"{what} in {year} {problem}")
+
+
 def validate_scenario(
     s: Scenario, factors: Iterable[str] | None = None
 ) -> list[str]:
@@ -639,11 +651,7 @@ def validate_scenario(
                 f"{ts.last_year + 1 if starts_inside else s.horizon_start} "
                 f"(covers {ts.first_year}-{ts.last_year})"
             )
-        if name in _DOMAINS:
-            # covered, so the horizon is no longer than the series
-            for y in s.horizon_years:
-                if problem := _outside_domain(name, ts.value_at(y)):
-                    raise ScenarioError(f"exogenous series '{name}' in {y} {problem}")
+        check_horizon_domain(s, name, ts.years, ts.values, f"exogenous series '{name}'")
     needed_hist: dict[str, str] = {}
     for factor in used:
         for name in factor.historical:

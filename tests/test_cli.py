@@ -332,6 +332,18 @@ def _set(*path_and_value):
     return edit
 
 
+def _drop(key):
+    """An edit that deletes constant ``key``."""
+
+    def edit(doc):
+        del doc["constants"][key]
+    return edit
+
+
+#: BF5's per-inspection rates, which the bundled scenario sets.
+RATES = ("snooper_rate_core", "snooper_rate_offhours", "drone_rate_core",
+         "drone_rate_offhours")
+
 #: A constant set outside its domain. Validation must reject each one,
 #: because the factor arithmetic does not guard it.
 DOMAIN_CASES = [
@@ -346,7 +358,7 @@ DOMAIN_CASES = [
         "us_market_2019", "round_trip_min", "operational_days",
         "packages_per_driver_day", "warehouse_area_per_worker_sf",
         "truck_payload_lb", "evtol_payload_lb", "annual_parcels",
-        "parcel_fraction", "us_annual_trips",
+        "parcel_fraction", "us_annual_trips", *RATES,
     )),
 ]
 
@@ -357,6 +369,7 @@ DOMAIN_CASES = [
     (_set("constants", "VTTS_2015", "abc"), "constant 'VTTS_2015' must be a number"),
     (_set("horizon", "start", "soon"), "horizon start must be an integer"),
     (_set("horizon", "start", 2022.5), "horizon start must be an integer"),
+    (_set("horizon", "start", "2022"), "horizon start must be an integer, got '2022'"),
     (_set("horizon", "end", float("inf")), "horizon end must be an integer"),
     (_set("horizon", "end", 10**18),
      "exogenous series 'passenger_trips' does not cover year 2033 (covers 2022-2032)"),
@@ -366,6 +379,10 @@ DOMAIN_CASES = [
      "order for 'vmt_us': p must be an integer, got 1.5"),
     (_set("orders", "vmt_us", [True, 1, False]),
      "order for 'vmt_us': p must be an integer, got True"),
+    (_set("orders", "vmt_us", ["1", "0", "1"]),
+     "order for 'vmt_us': p must be an integer, got '1'"),
+    (_set("series", "historical", "mhi", "start", "1990"),
+     "series 'mhi' start must be an integer, got '1990'"),
     (_set("series", "historical", "mhi", "values", 3),
      "series 'mhi' values must be a list"),
     (_set("series", "historical", "mhi", "values", [1.0] * 20 + ["x"]),
@@ -379,13 +396,17 @@ DOMAIN_CASES = [
     (_set("constants", "drone_capable_inspections", 500.0),
      "constant 'drone_capable_inspections' (500.0) exceeds "
      "'heavy_inspections_per_year' (400.0)"),
+    *((_drop(key), f"scenario constant '{key}' is required by BF5 but missing")
+      for key in RATES),
 ], ids=["constants-list", "DSN-scalar", "constant-string", "horizon-string",
-        "horizon-fraction", "horizon-infinite", "horizon-end-1e18",
-        "horizon-end-1e19", "order-fraction", "order-boolean", "values-scalar",
+        "horizon-fraction", "horizon-quoted", "horizon-infinite",
+        "horizon-end-1e18", "horizon-end-1e19", "order-fraction",
+        "order-boolean", "order-quoted", "start-quoted", "values-scalar",
         "value-string",
         "exogenous-list", "toggles-string",
         *(f"{key}={value}" for key, value, _ in DOMAIN_CASES),
-        "us_population-2025=0", "drone_capable_inspections-above-total"])
+        "us_population-2025=0", "drone_capable_inspections-above-total",
+        *(f"{key}-missing" for key in RATES)])
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message):
     doc = _bundled_doc()
     edit(doc)
@@ -595,22 +616,36 @@ def _scale(section: str, name: str, factor: float):
     return edit
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_scale("historical", "population", -1.0), "local VMT must be positive in 2022"),
-    (_scale("historical", "vmt_us", -1.0), "local VMT must be positive in 2022"),
-    (_scale("constants", "us_market_2019", 1e-300),
-     "package trips must be positive in 2022"),
-], ids=["negated-population", "negated-vmt_us", "tiny-us_market_2019"])
-def test_forecast_derived_guards_exit_2(tmp_path, capsys, edit, message):
-    # validate used to pass each, and run exited 3 at a factor's guard.
+NEGATIVE_FORECAST = (
+    "forecast of historical series '{}' (lower channel) in 2022 "
+    "must be greater than 0, got -"
+)
+
+
+@pytest.mark.parametrize("edit, factors, message", [
+    (_scale("historical", "population", -1.0), [],
+     NEGATIVE_FORECAST.format("population")),
+    (_scale("historical", "vmt_us", -1.0), [], NEGATIVE_FORECAST.format("vmt_us")),
+    (_scale("constants", "us_market_2019", 1e-300), [],
+     "'us_market_2019' (2.11553e-298)"),
+    (_scale("historical", "population", -1.0), ["--factors", "BF7"],
+     NEGATIVE_FORECAST.format("population")),
+], ids=["negated-population", "negated-vmt_us", "tiny-us_market_2019",
+        "BF7-negated-population"])
+def test_forecast_derived_guards_exit_2(tmp_path, capsys, edit, factors, message):
+    # Each forecast is checked against its series' domain as it is made, so
+    # the factor arithmetic carries no guards; package trips that underflow
+    # to 0 divide by zero, which names the constants read. BF7 alone used
+    # to exit 0 on a negated population, with negative medical values.
     doc = _bundled_doc()
     edit(doc)
     bad = _write_json(tmp_path / "bad.json", doc)
     for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
-        assert main(argv + ["--scenario", str(bad)]) == 2
+        assert main(argv + factors + ["--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert message in err
         assert "numerical failure" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def _edits(*edits):

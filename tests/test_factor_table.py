@@ -1,4 +1,5 @@
-"""The factor table declares exactly the inputs each factor reads.
+"""The factor table declares exactly the inputs each factor reads, and each
+factor's arithmetic runs on any number type.
 
 For every factor, at default toggles and with each toggle it reads flipped
 in turn, the bundled scenario is cut down to the factor's declared
@@ -7,6 +8,7 @@ evaluation of the factor must read every declared input.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from aamcba.engine import _values_for_year, evaluate
@@ -90,3 +92,29 @@ def test_declared_inputs_are_what_the_factor_reads(default_scenario, factor_id):
     read = _reads(default_scenario, factor, {})
     for toggle in sorted(read):
         assert _reads(default_scenario, factor, {toggle: FLIPPED[toggle]}) == read
+
+
+@pytest.mark.parametrize("toggles", [{}, FLIPPED], ids=["default", "flipped"])
+def test_factors_evaluate_the_channels_as_one_array(default_scenario, toggles):
+    # Each input as a numpy array of its lower, mean and upper channel
+    # values: one evaluation gives, bit for bit, the three per-channel
+    # float evaluations.
+    scenario = default_scenario.with_overrides(toggles=toggles)
+    result = evaluate(scenario)
+    exogenous = sorted({"capex", "opex", *(n for f in FACTORS.values()
+                                           for n in f.exogenous)})
+    for year in scenario.horizon_years:
+        channels = _values_for_year(scenario, result.forecasts, exogenous, year)
+        arrays = {
+            name: np.array([values[name] for values in channels.values()])
+            for name in channels["mean"]
+        }
+        for factor in FACTORS.values():
+            got = factor.evaluate(scenario, arrays, year, no_record)
+            want = [
+                factor.evaluate(scenario, values, year, no_record)
+                for values in channels.values()
+            ]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], (
+                factor.id, year,
+            )

@@ -1,10 +1,20 @@
 """Bridge-inspection delay and cost arithmetic (BF5), checked against the
-exact rational-number oracle in oracles.py."""
+exact rational-number oracle in oracles.py, at the bundled scenario's
+per-inspection rates."""
 from __future__ import annotations
 
 import pytest
 
+from aamcba.ingest import default_scenario_path, load_scenario
+
 from oracles import inspection_costs_exact
+
+_BUNDLED = load_scenario(default_scenario_path()).constants
+#: The bundled scenario's per-inspection rates, core and off hours.
+RATES = {
+    key: _BUNDLED[key] for key in ("snooper_rate_core", "snooper_rate_offhours",
+                                   "drone_rate_core", "drone_rate_offhours")
+}
 
 ALL_SNOOPER = "cost, all inspections by snooper truck ($)"
 BY_DRONE = "cost, drone-capable share by drone ($)"
@@ -22,6 +32,7 @@ def inspection_trace(factor_value, inspections=400.0, capable=200.0,
         "drone_capable_inspections": capable, "core_hours_share": core_share,
         "lane_closure_hours_traditional": 8.0, "lane_closure_hours_drone": 4.0,
         "traffic_per_lane_hour": 1200.0, "delay_min_per_vehicle": 10.0,
+        **RATES,
     }
     trace = {}
     factor_value("BF5", constants, {"mhi": 30000.0}, trace=trace)

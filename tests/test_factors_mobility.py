@@ -89,5 +89,7 @@ def test_component_errors(factor_value):
     assert trace["fatalities avoided at full substitution"] == pytest.approx(
         0.3, rel=1e-15
     )
-    with pytest.raises(ValueError, match="local VMT must be positive"):
+    # the engine checks vmt_us's forecast against its domain; the arithmetic
+    # carries no guard
+    with pytest.raises(ArithmeticError):
         factor_value("BF2", SAFETY_CONSTANTS, _safety_values(vmt_us=0.0))

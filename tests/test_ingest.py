@@ -9,6 +9,7 @@ from aamcba.ingest import (
     Scenario,
     ScenarioError,
     TimeSeries,
+    check_horizon_domain,
     default_scenario_path,
     load_scenario,
     load_series,
@@ -130,6 +131,10 @@ def test_scenario_from_dict_series_forms(tmp_path):
     assert s.input_series["opex"].years == (2022, 2023, 2024)
     pax = s.input_series["passenger_trips"]
     assert pax.values == (5.0, 6.0, 7.0)
+    # a JSON object's keys are strings, so a year key may be one
+    doc["series"]["exogenous"]["opex"] = {"2023": 1.5, "2022": 1.0, "2024": 2.0}
+    opex = scenario_from_dict(doc, base_dir=tmp_path).input_series["opex"]
+    assert (opex.years, opex.values) == ((2022, 2023, 2024), (1.0, 1.5, 2.0))
 
 
 def test_scenario_from_dict_errors():
@@ -149,6 +154,9 @@ def test_scenario_from_dict_errors():
         scenario_from_dict(doc)
     doc = _minimal_doc()
     doc["series"]["exogenous"]["opex"] = {2022.5: 1.0, 2023: 1.5, 2024: 2.0}
+    with pytest.raises(ScenarioError, match="series 'opex' must map years to numbers"):
+        scenario_from_dict(doc)
+    doc["series"]["exogenous"]["opex"] = {"2022.5": 1.0, "2023": 1.5}
     with pytest.raises(ScenarioError, match="series 'opex' must map years to numbers"):
         scenario_from_dict(doc)
     doc = _minimal_doc()
@@ -218,6 +226,18 @@ def test_validate_missing_constant(default_scenario):
         ScenarioError, match="constant 'VTTS_2015' is required by BF1"
     ):
         validate_scenario(trimmed, ("BF1",))
+
+
+def test_horizon_domain_check_reads_the_horizon_years(default_scenario):
+    # A forecast band starts the year after its series ends, which may lie
+    # before the horizon; only the horizon years are checked.
+    years = tuple(range(2020, 2033))
+    values = (-1.0, -1.0) + (1.0,) * 10 + (0.0,)
+    check_horizon_domain(default_scenario, "mhi", years, values, "no domain")
+    with pytest.raises(
+        ScenarioError, match=r"^'vmt_us' in 2032 must be greater than 0, got 0\.0$"
+    ):
+        check_horizon_domain(default_scenario, "vmt_us", years, values, "'vmt_us'")
 
 
 def test_validate_exogenous_coverage(default_scenario):
