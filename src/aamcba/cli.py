@@ -38,10 +38,7 @@ def find_scenario(spec: str | None) -> Path:
 def _parse_factors(text: str | None) -> tuple[str, ...]:
     if text is None:
         return FACTOR_IDS
-    names = text.replace(",", " ").split()
-    if not names:
-        raise ScenarioError("--factors given but empty")
-    return normalize_factors(name.upper() for name in names)
+    return normalize_factors(name.upper() for name in text.replace(",", " ").split())
 
 
 def _parse_toggles(pairs: list[str] | None) -> dict:

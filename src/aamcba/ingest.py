@@ -5,10 +5,13 @@ scenario document. Scenario documents are YAML or JSON with four sections:
 ``constants``, ``series`` (split into ``exogenous`` and ``historical``),
 ``orders``, and ``toggles``.
 
-Each input is checked once. Loading checks the form of every value: numbers,
-series years and orders; ``Scenario`` checks the toggle names.
-``validate_scenario`` checks what the enabled factors need: their constants
-and domains, the coverage and length of their series, and the toggle values.
+Each input is checked once. Loading checks the form of every value:
+``_number`` and ``_integer`` read every number, years and order terms
+included, and take no boolean; ``TimeSeries`` checks each series' shape
+(consecutive years, one finite number per year); ``Scenario`` checks the
+toggle names. ``validate_scenario`` checks what the enabled factors need:
+their constants and domains, the coverage and length of their series, and
+the toggle values.
 Code that runs after it reads the scenario's mappings directly.
 """
 from __future__ import annotations
@@ -230,10 +233,11 @@ _BOOLEAN_TOGGLES = tuple(
 #: The exogenous series the cost ledger reads, whatever the factors.
 COST_SERIES = ("capex", "opex")
 
-#: Domains lo < value <= hi of the inputs the factor arithmetic divides by
-#: or compounds with, keyed by constant or series name; a series is checked
-#: over the horizon, a historical one in its forecast's lower and upper
-#: channels. Only the enabled factors' inputs are checked.
+#: Domains lo < value <= hi, keyed by constant or series name, of the inputs
+#: that are bounded in kind (a count, a share, an income, a price, an area, a
+#: yield) or that the factor arithmetic divides by or compounds with. A series
+#: is checked over the horizon, a historical one in its forecast's lower and
+#: upper channels. Only the enabled factors' inputs are checked.
 _DOMAINS: dict[str, tuple[float, float]] = {
     **dict.fromkeys((
         "MHI_2015", "seats_per_evtol", "mpg_fleet", "farms_total",
@@ -242,7 +246,10 @@ _DOMAINS: dict[str, tuple[float, float]] = {
         "warehouse_area_per_worker_sf", "truck_payload_lb", "evtol_payload_lb",
         "annual_parcels", "parcel_fraction", "us_annual_trips",
         "snooper_rate_core", "snooper_rate_offhours", "drone_rate_core",
-        "drone_rate_offhours", "us_population", "population", "vmt_us",
+        "drone_rate_offhours", "us_population", "population", "vmt_us", "mhi",
+        "vsl", "livestock",
+        *(f"{crop}_{kind}" for crop in ("soybean", "corn", "wheat")
+          for kind in ("area", "yield", "price")),
     ), (0.0, math.inf)),
     "co2_share_of_ghg": (0.0, 1.0),
     "market_cagr": (-1.0, math.inf),
@@ -274,13 +281,6 @@ class TimeSeries:
     ) -> None:
         self.name = name
         self.years = years = tuple(map(int, years))
-        try:
-            self.values = values = tuple(map(float, values))
-        except (TypeError, ValueError, OverflowError):
-            bad = next(v for v in values if not _is_number(v))
-            raise ScenarioError(
-                f"series '{name}' has a non-numeric value {bad!r}"
-            ) from None
         if not years:
             raise ScenarioError(f"series '{name}' is empty")
         if len(years) != len(values):
@@ -294,11 +294,15 @@ class TimeSeries:
                     f"series '{name}' years must step by 1, "
                     f"got {a} followed by {b}"
                 )
-        if not all(map(math.isfinite, values)):
-            y = next(y for y, v in zip(years, values) if not math.isfinite(v))
-            raise ScenarioError(
-                f"series '{name}' has non-finite value at year {y}"
-            )
+        try:
+            self.values = tuple(map(float, values))
+            clean = (bool not in map(type, values)
+                     and all(map(math.isfinite, self.values)))
+        except (TypeError, ValueError, OverflowError):
+            clean = False
+        if not clean:  # name the first value that _number rejects
+            for year, value in zip(years, values):
+                _number(value, f"series '{name}' value for {year}")
 
     @property
     def first_year(self) -> int:
@@ -391,20 +395,14 @@ class Scenario:
 def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
     """Read a two-column (year, value) CSV into a TimeSeries.
 
-    A non-numeric first row is treated as a header and skipped. Duplicate
-    years and year gaps are rejected with row-level messages.
+    A non-numeric first row is treated as a header and skipped. A year
+    cell is checked in its row; ``TimeSeries`` checks the years' steps and
+    the value cells.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ScenarioError(f"series file not found: {path}")
-    label = name or path.stem
     years: list[int] = []
-    values: list[float] = []
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        raise ScenarioError(f"{path}: not UTF-8 text ({err.reason})") from None
-    for row_no, line in enumerate(lines, start=1):
+    values: list[str] = []
+    for row_no, line in enumerate(_read_text(path, "series").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -415,26 +413,26 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
             )
         if not years and not _is_number(cells[0]):
             continue
-        if not _is_number(cells[0]) or not _is_number(cells[1]):
-            raise ScenarioError(
-                f"{path}:{row_no}: non-numeric cell in row {cells!r}"
-            )
         what = f"{path}:{row_no}: year"
-        year = _integer(_number(cells[0], what), what)
-        if year in years:
-            raise ScenarioError(f"{path}:{row_no}: duplicate year {year}")
-        if years and year != years[-1] + 1:
-            raise ScenarioError(
-                f"{path}:{row_no}: year gap between {years[-1]} and {year}"
-            )
-        years.append(year)
-        values.append(float(cells[1]))
+        years.append(_integer(_number(cells[0], what), what))
+        values.append(cells[1])
     if not years:
         raise ScenarioError(f"{path}: no data rows")
-    return TimeSeries(name=label, years=tuple(years), values=tuple(values))
+    return TimeSeries(name or path.stem, tuple(years), tuple(values))
+
+
+def _read_text(path: Path, kind: str) -> str:
+    """The text of the ``kind`` file at ``path``, read as UTF-8."""
+    if not path.is_file():
+        raise ScenarioError(f"{kind} file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def _is_number(text: str) -> bool:
+    """Whether a CSV cell reads as a number; a first row that does not is a header."""
     try:
         float(text)
     except (TypeError, ValueError, OverflowError):
@@ -481,16 +479,9 @@ def load_scenario(path: str | Path) -> Scenario:
     the file and, for a syntax error, its line.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ScenarioError(f"scenario file not found: {path}")
+    text = _read_text(path, "scenario")
     try:
-        text = path.read_text(encoding="utf-8")
-        if path.suffix.lower() == ".json":
-            doc = json.loads(text)
-        else:
-            doc = read_yaml(text)
-    except UnicodeDecodeError as err:
-        raise ScenarioError(f"{path}: not UTF-8 text ({err.reason})") from None
+        doc = json.loads(text) if path.suffix.lower() == ".json" else read_yaml(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path}:{err.lineno}: invalid JSON: {err.msg}") from None
     except InvalidYAML as err:
@@ -515,7 +506,9 @@ def _number(value: Any, what: str) -> float:
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ScenarioError(f"{what} must be finite, got {value!r}")
     return number

@@ -39,7 +39,7 @@ def test_parse_factors():
     assert _parse_factors("BF2 BF3") == ("BF2", "BF3")
     with pytest.raises(ScenarioError, match="unknown benefit factors"):
         _parse_factors("BF1,BFZ")
-    with pytest.raises(ScenarioError, match="--factors given but empty"):
+    with pytest.raises(ScenarioError, match="no benefit factors enabled"):
         _parse_factors("  ,  ")
 
 
@@ -386,7 +386,14 @@ DOMAIN_CASES = [
     (_set("series", "historical", "mhi", "values", 3),
      "series 'mhi' values must be a list"),
     (_set("series", "historical", "mhi", "values", [1.0] * 20 + ["x"]),
-     "series 'mhi' has a non-numeric value 'x'"),
+     "series 'mhi' value for 2011 must be a number, got 'x'"),
+    (_set("constants", "VTTS_2015", True), "constant 'VTTS_2015' must be a number, got True"),
+    (_set("constants", "DSN", 1, True), "constant 'DSN' must be a number, got True"),
+    (_set("series", "historical", "mhi", "values", 20, True),
+     "series 'mhi' value for 2011 must be a number, got True"),
+    (_set("series", "exogenous", "capex",
+          {str(year): True if year == 2025 else 1.0 for year in range(2022, 2033)}),
+     "series 'capex' value for 2025 must be a number, got True"),
     (_set("series", "exogenous", [1]), "'exogenous' must be a mapping"),
     (_set("toggles", "all"), "'toggles' must be a mapping"),
     *((_set("constants", key, value), f"constant '{key}' must be {rule}")
@@ -402,7 +409,7 @@ DOMAIN_CASES = [
         "horizon-fraction", "horizon-quoted", "horizon-infinite",
         "horizon-end-1e18", "horizon-end-1e19", "order-fraction",
         "order-boolean", "order-quoted", "start-quoted", "values-scalar",
-        "value-string",
+        "value-string", "constant-true", "DSN-true", "value-true", "year-value-true",
         "exogenous-list", "toggles-string",
         *(f"{key}={value}" for key, value, _ in DOMAIN_CASES),
         "us_population-2025=0", "drone_capable_inspections-above-total",
@@ -630,8 +637,11 @@ NEGATIVE_FORECAST = (
      "'us_market_2019' (2.11553e-298)"),
     (_scale("historical", "population", -1.0), ["--factors", "BF7"],
      NEGATIVE_FORECAST.format("population")),
+    *((_scale("historical", name, -1.0), [], NEGATIVE_FORECAST.format(name))
+      for name in ("mhi", "vsl", "livestock", "soybean_area")),
 ], ids=["negated-population", "negated-vmt_us", "tiny-us_market_2019",
-        "BF7-negated-population"])
+        "BF7-negated-population", "negated-mhi", "negated-vsl", "negated-livestock",
+        "negated-soybean_area"])
 def test_forecast_derived_guards_exit_2(tmp_path, capsys, edit, factors, message):
     # Each forecast is checked against its series' domain as it is made, so
     # the factor arithmetic carries no guards; package trips that underflow
