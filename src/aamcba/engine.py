@@ -3,9 +3,10 @@
 The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
 forecast channels (lower, mean, upper), each as ``factors`` defines it.
-``validate_scenario`` checks every input once; after it, evaluation reads
-the scenario's mappings directly. Every step a factor records is kept in
-the result's ``traces``, which ``explain`` and the plot tables read.
+Loading and ``validate_scenario`` check every input once; after them,
+evaluation reads the scenario's mappings directly. Every step a factor
+records is kept in the result's ``traces``, which ``explain`` and the plot
+tables read.
 ``evaluate`` derives every number the outputs report: the yearly ledger,
 the summary and the plot tables. A series that cannot be forecast or
 whose forecast leaves its domain, a model that fails the whiteness check
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .factors import FACTORS, Recorder
-from .forecast import ArimaOrder, ForecastError, PipelineResult, auto_pipeline
+from .forecast import ForecastError, PipelineResult, auto_pipeline
 from .ingest import (
     COST_SERIES,
     Scenario,
@@ -185,15 +186,13 @@ def evaluate(
     used = [FACTORS[factor_id] for factor_id in enabled]
     exogenous_names = sorted({*COST_SERIES, *(n for f in used for n in f.exogenous)})
     historical_names = sorted({n for f in used for n in f.historical})
-    include_mean = bool(scenario.toggle("include_mean_when_differenced"))
+    include_mean = scenario.toggle("include_mean_when_differenced")
 
     forecasts: dict[str, PipelineResult] = {}
     for name in historical_names:
         series = scenario.historical_series[name]
         steps = scenario.horizon_end - series.last_year
-        pinned = None
-        if pin_orders and name in scenario.orders:
-            pinned = ArimaOrder(*scenario.orders[name])
+        pinned = scenario.orders.get(name) if pin_orders else None
         try:
             result = auto_pipeline(
                 series, steps, pinned=pinned,

@@ -1,20 +1,23 @@
 """The nine benefit factors, each defined once.
 
-A ``Factor`` record holds the factor's id and label, the scenario inputs
-it reads, and one ``evaluate(s, v, year, rec)``: ``s`` is the scenario,
-``v`` one channel's series values for ``year``. It computes each
-intermediate once and hands it to ``rec(label, value, item=None)``, which
-returns the value unchanged. The engine passes a recorder that keeps every
-entry: that trace is what ``explain`` prints. A factor whose evaluation
-tags entries with an ``item`` name also names a plot table, which lists
-those entries. A record may also hold a ``check(s)`` across its inputs,
-which validation runs before any evaluation.
+A ``Factor`` record holds the factor's id and label, the series it reads,
+and one ``evaluate(s, v, year, rec)``: ``s`` is the scenario, ``v`` one
+channel's series values for ``year``. The constants it reads are named only
+where it reads them, through ``s.constant``, which raises a ScenarioError
+naming one that the scenario lacks. It computes each intermediate once and
+hands it to ``rec(label, value, item=None)``, which returns the value
+unchanged. The engine passes a recorder that keeps every entry: that trace
+is what ``explain`` prints. A factor whose evaluation tags entries with an
+``item`` name also names a plot table, which lists those entries. A record
+may also hold a ``check(s)`` across its inputs, which validation runs
+before any evaluation.
 
 The evaluations are pure arithmetic on any number type. The engine runs
 each forecast channel in turn: a comonotone envelope with every banded input
 at the same limit (a factor need not be monotone in each input alone). Each
-input's domain is checked once, outside the arithmetic: by
-``ingest.validate_scenario``, each factor's ``check`` and, for forecasts,
+input's domain is checked once, outside the arithmetic: a constant's when
+the scenario is read, a series' by ``ingest.validate_scenario``, the
+relations between inputs by each factor's ``check`` and, for forecasts, by
 the engine, which also names the constants behind a value that overflows.
 """
 from __future__ import annotations
@@ -40,11 +43,10 @@ def no_record(label: str, value: float, item: str | None = None) -> float:
 
 
 class Factor:
-    """One benefit factor: id, label, declared inputs and its evaluation."""
+    """One benefit factor: id, label, the series it reads and its evaluation."""
 
     __slots__ = (
-        "id", "label", "evaluate", "constants", "exogenous", "historical",
-        "toggle_constants", "check", "plot_file",
+        "id", "label", "evaluate", "exogenous", "historical", "check", "plot_file",
     )
 
     def __init__(
@@ -52,34 +54,25 @@ class Factor:
         id: str,
         label: str,
         evaluate: Callable[[Scenario, Values, int, Recorder], float],
-        constants: tuple[str, ...] = (),
         exogenous: tuple[str, ...] = (),
         historical: tuple[str, ...] = (),
-        toggle_constants: tuple[tuple[str, str], ...] = (),
         check: Callable[[Scenario], list[str]] | None = None,
         plot_file: str | None = None,
     ) -> None:
         self.id = id
         self.label = label
         self.evaluate = evaluate
-        self.constants = constants
+        #: The series the evaluation reads, named before any evaluation so
+        #: that the engine can check and forecast them.
         self.exogenous = exogenous
         self.historical = historical
-        #: (toggle, constant) pairs: the constant is read while the toggle is on.
-        self.toggle_constants = toggle_constants
-        #: Checks across the factor's inputs, run by validation once its
-        #: constants are known present: a failure is a ScenarioError, and the
-        #: warnings are returned.
+        #: Checks across the factor's inputs, run by validation before any
+        #: evaluation: a failure is a ScenarioError, and the warnings are
+        #: returned.
         self.check = check
         #: The plot table of the intermediates ``evaluate`` tags with an item
         #: name; None for a factor that tags none (its value is in results.csv).
         self.plot_file = plot_file
-
-    def required_constants(self, s: Scenario) -> tuple[str, ...]:
-        """The constants an evaluation under ``s``'s toggles reads."""
-        return self.constants + tuple(
-            key for toggle, key in self.toggle_constants if s.toggle(toggle)
-        )
 
 
 def _vtts(s: Scenario, v: Values) -> float:
@@ -303,7 +296,7 @@ def _farming(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     # The printed production equation values the whole uplifted harvest,
     # (yield + yield * uplift) * area; bf6_incremental values only the
     # extra bushels, roughly forty times less.
-    incremental = bool(s.toggle("bf6_incremental"))
+    incremental = s.toggle("bf6_incremental")
     reading = (
         "increment only" if incremental
         else "whole uplifted harvest, ~40x the increment"
@@ -384,9 +377,9 @@ def _medical_ladder(s: Scenario) -> list[str]:
         raise ScenarioError("DSN/survival_rates/CAS need at least 2 entries")
     if dsn[0] != 0:
         raise ScenarioError(f"DSN must start at 0 (no-drone case), got {dsn[0]}")
+    # validation has checked that the toggle is a positive integer
     case = s.toggle("bf7_case")
-    # type(), not isinstance(): true and false are ints to isinstance
-    if type(case) is not int or not 1 <= case <= len(dsn) - 1:
+    if case > len(dsn) - 1:
         raise ScenarioError(
             f"bf7_case must be an integer in 1..{len(dsn) - 1}, got {case!r}"
         )
@@ -445,77 +438,34 @@ def _ghg_reduction(s: Scenario, v: Values, year: int, rec: Recorder) -> float:
     return share * ratio * (scc * co2 + sc_other * other)
 
 
-#: The package-delivery constants, which BF9's replaced-trip count reads too.
-_PACKAGE_MARKET = (
-    "market_value_2019", "market_base_year", "market_cagr", "us_market_2019",
-    "annual_parcels", "parcel_fraction",
-)
-
 FACTORS: dict[str, Factor] = {f.id: f for f in (
     Factor(
         "BF1", "passenger trip time savings", _passenger_time,
-        constants=("VTTS_2015", "MHI_2015", "trip_time_saved_min"),
         exogenous=("passenger_trips",),
         historical=("mhi",),
     ),
     Factor(
         "BF2", "traffic safety improvement", _traffic_safety,
-        constants=(
-            "trip_distance_miles",
-            "ground_fatality_per_100m_miles",
-            "air_fatality_per_100m_miles",
-        ),
         exogenous=("passenger_trips", "us_population"),
         historical=("vmt_us", "population", "vsl"),
-        toggle_constants=(("bf2_use_trip_miles", "seats_per_evtol"),),
         check=_fatality_rates,
     ),
     Factor(
         "BF3", "package delivery savings", _package_delivery,
-        constants=(
-            *_PACKAGE_MARKET,
-            "operational_days", "round_trip_min", "reserve_fraction",
-            "driver_hours_per_day", "packages_per_driver_day",
-            "truck_cost_per_hour", "drone_capital_cost", "drone_operating_cost",
-            "ATS_min", "VDTS",
-        ),
         exogenous=("us_population",),
         historical=("population",),
     ),
     Factor(
         "BF4", "air cargo savings", _air_cargo,
-        constants=(
-            "trip_time_saved_min", "trip_distance_miles",
-            "warehouse_rent_psf_month", "warehouse_nnn_psf_month",
-            "warehouse_size_sf", "warehouse_wage_year",
-            "warehouse_area_per_worker_sf", "truck_cost_per_mile",
-            "truck_payload_lb", "evtol_cost_per_mile", "evtol_payload_lb",
-            "evtol_cost_share", "VDTS",
-        ),
         exogenous=("cargo_trips",),
     ),
     Factor(
         "BF5", "bridge inspection savings", _bridge_inspection,
-        constants=(
-            "VTTS_2015", "MHI_2015", "heavy_inspections_per_year",
-            "drone_capable_inspections", "core_hours_share",
-            "lane_closure_hours_traditional", "lane_closure_hours_drone",
-            "traffic_per_lane_hour", "delay_min_per_vehicle",
-            "snooper_rate_core", "snooper_rate_offhours",
-            "drone_rate_core", "drone_rate_offhours",
-        ),
         historical=("mhi",),
         check=_inspection_counts,
     ),
     Factor(
         "BF6", "farming productivity", _farming,
-        constants=(
-            "farms_total", "farms_adopting",
-            *(f"{crop}_yield_uplift" for crop in _CROPS),
-            *(f"cost_savings_per_acre_{crop}" for crop in _CROPS),
-            "livestock_hours_saved_hill", "livestock_hours_saved_grassland",
-            "farm_labor_rate", "herd_size_case_study",
-        ),
         historical=(
             *(f"{crop}_area" for crop in _CROPS),
             *(f"{crop}_yield" for crop in _CROPS),
@@ -526,7 +476,6 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
     ),
     Factor(
         "BF7", "emergency medical response", _medical_response,
-        constants=("ohca_per_100k", "DSN", "survival_rates", "CAS"),
         historical=("population", "vsl"),
         check=_medical_ladder,
         plot_file="plot_medical_cases.csv",
@@ -537,12 +486,6 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
     ),
     Factor(
         "BF9", "greenhouse gas reduction", _ghg_reduction,
-        constants=(
-            "scc_2020", "scm_2020", "scn_2020", "scghg_discount",
-            "scghg_base_year", "mpg_fleet", "co2_share_of_ghg",
-            "co2_tons_per_gallon", "evtol_emission_ratio", "us_annual_trips",
-            "seats_per_evtol", *_PACKAGE_MARKET,
-        ),
         exogenous=("passenger_trips", "cargo_trips", "us_population"),
         historical=("vmt_us", "population"),
     ),

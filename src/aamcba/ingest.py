@@ -7,11 +7,14 @@ scenario document. Scenario documents are YAML or JSON with four sections:
 
 Each input is checked once. Loading checks the form of every value:
 ``_number`` and ``_integer`` read every number, years and order terms
-included, and take no boolean; ``TimeSeries`` checks each series' shape
-(consecutive years, one finite number per year); ``Scenario`` checks the
-toggle names. ``validate_scenario`` checks what the enabled factors need:
-their constants and domains, the coverage and length of their series, and
-the toggle values.
+included, and take no boolean; ``_constant`` checks each constant, loaded
+or overridden, against its domain, whichever factors run; ``TimeSeries``
+checks each series' shape (consecutive years, one finite number per year);
+``Scenario`` checks the toggle names. ``validate_scenario`` checks the
+toggle values and what the enabled factors need: their series' coverage,
+length and domains, and each factor's ``check``. A constant that an
+enabled factor reads and the scenario lacks is named by
+``Scenario.constant`` as it is read.
 Code that runs after it reads the scenario's mappings directly.
 """
 from __future__ import annotations
@@ -235,9 +238,10 @@ COST_SERIES = ("capex", "opex")
 
 #: Domains lo < value <= hi, keyed by constant or series name, of the inputs
 #: that are bounded in kind (a count, a share, an income, a price, an area, a
-#: yield) or that the factor arithmetic divides by or compounds with. A series
-#: is checked over the horizon, a historical one in its forecast's lower and
-#: upper channels. Only the enabled factors' inputs are checked.
+#: yield) or that the factor arithmetic divides by or compounds with. A
+#: constant is checked when the scenario is read, whichever factors run. A
+#: series is checked over the horizon, a historical one in its forecast's
+#: lower and upper channels, if an enabled factor reads it.
 _DOMAINS: dict[str, tuple[float, float]] = {
     **dict.fromkeys((
         "MHI_2015", "seats_per_evtol", "mpg_fleet", "farms_total",
@@ -342,7 +346,7 @@ class Scenario:
         constants: dict[str, Any] | None = None,
         input_series: dict[str, TimeSeries] | None = None,
         historical_series: dict[str, TimeSeries] | None = None,
-        orders: dict[str, tuple[int, int, int]] | None = None,
+        orders: dict[str, ArimaOrder] | None = None,
         toggles: dict[str, Any] | None = None,
     ) -> None:
         self.name = name
@@ -381,9 +385,10 @@ class Scenario:
         constants: Mapping[str, Any] | None = None,
         toggles: Mapping[str, Any] | None = None,
     ) -> "Scenario":
-        """A copy with constants/toggles overridden (used by CLI flags)."""
+        """A copy with constants/toggles overridden (used by CLI flags); each
+        constant is read as a scenario document's is."""
         new_constants = dict(self.constants)
-        new_constants.update(constants or {})
+        new_constants.update((k, _constant(k, v)) for k, v in (constants or {}).items())
         new_toggles = dict(self.toggles)
         new_toggles.update(toggles or {})
         return Scenario(
@@ -395,13 +400,14 @@ class Scenario:
 def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
     """Read a two-column (year, value) CSV into a TimeSeries.
 
-    A non-numeric first row is treated as a header and skipped. A year
-    cell is checked in its row; ``TimeSeries`` checks the years' steps and
-    the value cells.
+    A first row whose year cell is not a number is taken for a header and
+    skipped; any later year cell is checked in its row. ``TimeSeries``
+    checks the years' steps and the value cells.
     """
     path = Path(path)
     years: list[int] = []
     values: list[str] = []
+    header_allowed = True
     for row_no, line in enumerate(_read_text(path, "series").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -411,8 +417,10 @@ def load_series(path: str | Path, name: str | None = None) -> TimeSeries:
             raise ScenarioError(
                 f"{path}:{row_no}: expected 2 columns, got {len(cells)}"
             )
-        if not years and not _is_number(cells[0]):
-            continue
+        if header_allowed:
+            header_allowed = False
+            if not _is_number(cells[0]):
+                continue
         what = f"{path}:{row_no}: year"
         years.append(_integer(_number(cells[0], what), what))
         values.append(cells[1])
@@ -514,6 +522,20 @@ def _number(value: Any, what: str) -> float:
     return number
 
 
+def _constant(key: Any, value: Any) -> float | tuple[float, ...]:
+    """Constant ``key``'s ``value`` as read: a number, or a tuple of numbers
+    for a vector constant, inside the constant's domain if it has one."""
+    what = f"constant '{key}'"
+    if key in VECTOR_CONSTANTS:
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioError(f"{what} must be a list of numbers, got {value!r}")
+        return tuple(_number(v, what) for v in value)
+    number = _number(value, what)
+    if key in _DOMAINS and (problem := _outside_domain(key, number)):
+        raise ScenarioError(f"{what} {problem}")
+    return number
+
+
 def _integer(value: Any, what: str) -> int:
     try:
         number = int(value)
@@ -536,15 +558,9 @@ def scenario_from_dict(
     if not isinstance(horizon, Mapping) or "start" not in horizon or "end" not in horizon:
         raise ScenarioError("scenario needs horizon: {start: <year>, end: <year>}")
 
-    constants: dict[str, Any] = {}
-    for key, val in _section(doc, "constants").items():
-        what = f"constant '{key}'"
-        if key in VECTOR_CONSTANTS:
-            if not isinstance(val, (list, tuple)):
-                raise ScenarioError(f"{what} must be a list of numbers, got {val!r}")
-            constants[key] = tuple(_number(v, what) for v in val)
-        else:
-            constants[key] = _number(val, what)
+    constants = {
+        key: _constant(key, val) for key, val in _section(doc, "constants").items()
+    }
 
     series = _section(doc, "series")
     extra = set(series) - {"exogenous", "historical"}
@@ -561,7 +577,7 @@ def scenario_from_dict(
         for k, v in _section(series, "historical").items()
     }
 
-    orders: dict[str, tuple[int, int, int]] = {}
+    orders: dict[str, ArimaOrder] = {}
     for key, val in _section(doc, "orders").items():
         if not isinstance(val, (list, tuple)) or len(val) != 3:
             raise ScenarioError(f"order for '{key}' must be a [p, d, q] triple")
@@ -569,10 +585,9 @@ def scenario_from_dict(
             _integer(v, f"order for '{key}': {term}") for term, v in zip("pdq", val)
         )
         try:
-            ArimaOrder(p, d, q)
+            orders[str(key)] = ArimaOrder(p, d, q)
         except ForecastError as err:
             raise ScenarioError(f"order for '{key}': {err}") from None
-        orders[str(key)] = (p, d, q)
 
     return Scenario(
         name=str(doc.get("name", fallback_name)),
@@ -607,8 +622,8 @@ def check_horizon_domain(s: Scenario, name: str, years, values, what: str) -> No
 def validate_scenario(
     s: Scenario, factors: Iterable[str] | None = None
 ) -> list[str]:
-    """Check a scenario against the requirements of the enabled factors and
-    the cost ledger, and check every toggle value.
+    """Check every toggle value, and check a scenario against the
+    requirements of the enabled factors and the cost ledger.
 
     This is the one place these are checked. Hard failures raise
     ScenarioError naming the offending key, series, or year.
@@ -618,14 +633,27 @@ def validate_scenario(
     used = [FACTORS[f] for f in enabled]
     warnings: list[str] = []
 
+    for key in _BOOLEAN_TOGGLES:
+        if not isinstance(s.toggle(key), bool):
+            raise ScenarioError(
+                f"toggle {key} must be true or false, got {s.toggle(key)!r}"
+            )
+    if s.toggle("bf4_ci_sign") not in ("as_printed", "positive_extra_cost"):
+        raise ScenarioError(
+            "toggle bf4_ci_sign must be 'as_printed' or 'positive_extra_cost', "
+            f"got {s.toggle('bf4_ci_sign')!r}"
+        )
+    amortize = s.toggle("amortize_capex_years")
+    if amortize is not None and (type(amortize) is not int or amortize < 1):
+        raise ScenarioError(
+            f"toggle amortize_capex_years must be a positive integer or null, "
+            f"got {amortize!r}"
+        )
+    case = s.toggle("bf7_case")
+    if type(case) is not int or case < 1:
+        raise ScenarioError(f"toggle bf7_case must be a positive integer, got {case!r}")
+    # the toggles are checked first: a factor's check may read one
     for factor in used:
-        for key in factor.required_constants(s):
-            if key not in s.constants:
-                raise ScenarioError(
-                    f"scenario constant '{key}' is required by {factor.id} but missing"
-                )
-            if key in _DOMAINS and (problem := _outside_domain(key, s.constants[key])):
-                raise ScenarioError(f"constant '{key}' {problem}")
         if factor.check:
             warnings += factor.check(s)
     # the cost ledger always runs
@@ -665,23 +693,6 @@ def validate_scenario(
                 f"historical series '{name}' has {len(ts.values)} points; "
                 f"at least {MIN_OBS} are needed for forecasting"
             )
-
-    for key in _BOOLEAN_TOGGLES:
-        if not isinstance(s.toggle(key), bool):
-            raise ScenarioError(
-                f"toggle {key} must be true or false, got {s.toggle(key)!r}"
-            )
-    if s.toggle("bf4_ci_sign") not in ("as_printed", "positive_extra_cost"):
-        raise ScenarioError(
-            "toggle bf4_ci_sign must be 'as_printed' or 'positive_extra_cost', "
-            f"got {s.toggle('bf4_ci_sign')!r}"
-        )
-    amortize = s.toggle("amortize_capex_years")
-    if amortize is not None and (type(amortize) is not int or amortize < 1):
-        raise ScenarioError(
-            f"toggle amortize_capex_years must be a positive integer or null, "
-            f"got {amortize!r}"
-        )
 
     for name in COST_SERIES:
         ts = s.input_series.get(name)

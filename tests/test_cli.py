@@ -403,8 +403,7 @@ DOMAIN_CASES = [
     (_set("constants", "drone_capable_inspections", 500.0),
      "constant 'drone_capable_inspections' (500.0) exceeds "
      "'heavy_inspections_per_year' (400.0)"),
-    *((_drop(key), f"scenario constant '{key}' is required by BF5 but missing")
-      for key in RATES),
+    *((_drop(key), f"scenario constant '{key}' is missing") for key in RATES),
 ], ids=["constants-list", "DSN-scalar", "constant-string", "horizon-string",
         "horizon-fraction", "horizon-quoted", "horizon-infinite",
         "horizon-end-1e18", "horizon-end-1e19", "order-fraction",
@@ -787,7 +786,7 @@ def test_module_entry_point_matches_in_process_main(tmp_path, capsys):
     ("bf2_use_trip_miles=1", "toggle bf2_use_trip_miles must be true or false, got 1"),
     ("include_mean_when_differenced=null",
      "toggle include_mean_when_differenced must be true or false, got None"),
-    ("bf7_case=true", "bf7_case must be an integer in 1..5, got True"),
+    ("bf7_case=true", "toggle bf7_case must be a positive integer, got True"),
     ("amortize_capex_years=true",
      "toggle amortize_capex_years must be a positive integer or null, got True"),
     ("no_such=1",
@@ -797,11 +796,32 @@ def test_module_entry_point_matches_in_process_main(tmp_path, capsys):
 ], ids=["bool-string", "bool-int", "bool-null", "int-bool", "int-or-null-bool",
         "unknown-name"])
 def test_toggle_flag_of_the_wrong_type_exits_2(tmp_path, capsys, toggle, message):
-    # BF7 reads bf7_case; the other toggles are checked whatever the factors
     for argv in (["run", "--out", str(tmp_path / "x")], ["explain", "BF7", "2022"]):
         assert main(argv + ["--toggle", toggle]) == 2
         err = capsys.readouterr().err
         assert message in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("edit, toggle, message", [
+    (_set("constants", "co2_share_of_ghg", 2.0), [],
+     "constant 'co2_share_of_ghg' must be in (0, 1], got 2.0"),
+    (None, ["--toggle", "bf7_case=banana"],
+     "toggle bf7_case must be a positive integer, got 'banana'"),
+], ids=["co2_share_of_ghg=2", "bf7_case=banana"])
+def test_inputs_no_enabled_factor_reads_are_checked(tmp_path, capsys, edit, toggle,
+                                                     message):
+    # Only BF9 reads co2_share_of_ghg and only BF7 reads bf7_case, but every
+    # constant's domain and every toggle value is checked whatever the factors.
+    doc = _bundled_doc()
+    if edit:
+        edit(doc)
+    bad = _write_json(tmp_path / "bad.json", doc)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--factors", "BF1", "--scenario", str(bad), *toggle]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 

@@ -97,9 +97,8 @@ def test_pinned_orders_demand_best_effort_on_this_data(default_scenario):
         evaluate(default_scenario, pin_orders=True)
     accepted = evaluate(default_scenario, pin_orders=True, best_effort=True)
     assert any("kept order" in w for w in accepted.warnings)
-    for name, (p, d, q) in default_scenario.orders.items():
-        fit = accepted.forecasts[name].fit
-        assert (fit.order.p, fit.order.d, fit.order.q) == (p, d, q)
+    for name, order in default_scenario.orders.items():
+        assert accepted.forecasts[name].fit.order == order
 
 
 def test_a_value_that_is_not_finite_names_its_step_and_constants(default_scenario):

@@ -1,10 +1,13 @@
-"""The factor table declares exactly the inputs each factor reads, and each
-factor's arithmetic runs on any number type.
+"""The factor table declares exactly the series each factor reads, every
+constant a factor reads is named when missing, and each factor's arithmetic
+runs on any number type.
 
-For every factor, at default toggles and with each toggle it reads flipped
-in turn, the bundled scenario is cut down to the factor's declared
-constants and series. ``evaluate`` must succeed on what is left, and one
-evaluation of the factor must read every declared input.
+A factor names its constants only where its evaluation reads them. For
+every factor, at default toggles and with each toggle it reads flipped in
+turn, the bundled scenario is cut down to the factor's declared series:
+``evaluate`` must succeed on what is left, and one evaluation of the factor
+must read every declared series. Without any one constant that evaluation
+reads, ``evaluate`` must stop and name it.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import pytest
 
 from aamcba.engine import _values_for_year, evaluate
 from aamcba.factors import FACTORS, no_record
-from aamcba.ingest import Scenario
+from aamcba.ingest import Scenario, ScenarioError
 
 #: A non-default value for every toggle a factor may read.
 FLIPPED = {
@@ -62,14 +65,12 @@ class _ValueLog(dict):
 
 
 def _reads(default_scenario, factor, toggles):
-    """Evaluate ``factor`` on the declared inputs alone; return what one
-    evaluation read and the toggles it consulted."""
+    """Evaluate ``factor`` on its declared series alone; return the
+    constants and toggles that one evaluation read."""
     full = default_scenario.with_overrides(toggles=toggles)
-    constants = factor.required_constants(full)
     exogenous = (*factor.exogenous, "capex", "opex")
     cut = _replace(
         full,
-        constants={k: full.constants[k] for k in constants},
         input_series={k: full.input_series[k] for k in exogenous},
         historical_series={k: full.historical_series[k] for k in factor.historical},
         orders={},
@@ -81,17 +82,32 @@ def _reads(default_scenario, factor, toggles):
         _values_for_year(cut, result.forecasts, exogenous, year)["mean"]
     )
     factor.evaluate(log, values, year, no_record)
-    assert log.constants_read == set(constants)
     assert values.read == set(factor.exogenous) | set(factor.historical)
-    return log.toggles_read
+    return log.constants_read, log.toggles_read
 
 
 @pytest.mark.parametrize("factor_id", list(FACTORS))
 def test_declared_inputs_are_what_the_factor_reads(default_scenario, factor_id):
     factor = FACTORS[factor_id]
-    read = _reads(default_scenario, factor, {})
+    _, read = _reads(default_scenario, factor, {})
     for toggle in sorted(read):
-        assert _reads(default_scenario, factor, {toggle: FLIPPED[toggle]}) == read
+        assert _reads(default_scenario, factor, {toggle: FLIPPED[toggle]})[1] == read
+
+
+@pytest.mark.parametrize("factor_id, toggles", [
+    *((factor_id, {}) for factor_id in FACTORS),
+    ("BF2", {"bf2_use_trip_miles": True}),
+], ids=[*FACTORS, "BF2-trip-miles"])
+def test_each_constant_read_is_named_when_missing(default_scenario, factor_id, toggles):
+    factor = FACTORS[factor_id]
+    constants, _ = _reads(default_scenario, factor, toggles)
+    full = default_scenario.with_overrides(toggles=toggles)
+    for key in sorted(constants):
+        cut = _replace(
+            full, constants={k: v for k, v in full.constants.items() if k != key}
+        )
+        with pytest.raises(ScenarioError, match=f"^scenario constant '{key}' is missing$"):
+            evaluate(cut, (factor_id,))
 
 
 @pytest.mark.parametrize("toggles", [{}, FLIPPED], ids=["default", "flipped"])

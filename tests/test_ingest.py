@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
+from aamcba.engine import evaluate
 from aamcba.ingest import (
     FACTOR_IDS,
     Scenario,
@@ -106,6 +107,9 @@ def test_load_series_errors(tmp_path):
         load_series(write("2000,1\n2001.5,2\n"))
     with pytest.raises(ScenarioError, match="bad.csv:2: year must be finite, got '1e400'"):
         load_series(write("2000,1\n1e400,2\n"))
+    # only the first row may be a header: a typo'd year after it is named
+    with pytest.raises(ScenarioError, match="bad.csv:2: year must be a number, got 'year two'"):
+        load_series(write("year,value\nyear two,7\n20O1,5\n2002,6\n"))
     assert load_series(write("2000.0,1\n2001,2\n")).years == (2000, 2001)
 
 
@@ -197,6 +201,8 @@ def test_with_overrides_is_a_copy(default_scenario):
     assert changed.toggle("bf7_case") == 3
     assert s.constant("VTTS_2015") != 20.0
     assert s.toggle("bf7_case") == 5
+    with pytest.raises(ScenarioError, match=r"^constant 'co2_share_of_ghg' must be in \(0, 1\]"):
+        s.with_overrides(constants={"co2_share_of_ghg": 2.0})
 
 
 def test_load_scenario_errors(tmp_path):
@@ -226,9 +232,9 @@ def test_validate_missing_constant(default_scenario):
         s, constants={k: v for k, v in s.constants.items() if k != "VTTS_2015"}
     )
     with pytest.raises(
-        ScenarioError, match="constant 'VTTS_2015' is required by BF1"
+        ScenarioError, match="^scenario constant 'VTTS_2015' is missing$"
     ):
-        validate_scenario(trimmed, ("BF1",))
+        evaluate(trimmed, ("BF1",))
 
 
 def test_horizon_domain_check_reads_the_horizon_years(default_scenario):
