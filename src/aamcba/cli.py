@@ -15,14 +15,13 @@ from pathlib import Path
 # Called as module attributes, not bound by name, so that a tracer which
 # replaces engine.load_scenario, evaluate or write_outputs sees these calls.
 from . import engine
+from .factors import FACTOR_IDS, normalize_factors
 from .forecast import ForecastError
 from .ingest import (
-    FACTOR_IDS,
     TOGGLE_DEFAULTS,
     InvalidYAML,
     ScenarioError,
     default_scenario_path,
-    normalize_factors,
     read_yaml,
 )
 
@@ -119,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _evaluate(args: argparse.Namespace):
     """Find the scenario, parse ``--factors`` and ``--toggle``, load the
     scenario, apply the toggle overrides and evaluate. ``Scenario`` checks
-    the toggle names and ``evaluate`` everything else."""
+    the toggles, those in the file and those overridden, and ``evaluate``
+    what the factors need."""
     path = find_scenario(args.scenario)
     factors, toggles = _parse_factors(args.factors), _parse_toggles(args.toggle)
     scenario = engine.load_scenario(path)

@@ -3,10 +3,11 @@
 The flow: validate the scenario, forecast every historical series the
 enabled factors need, then evaluate each factor year by year on the three
 forecast channels (lower, mean, upper), each as ``factors`` defines it.
-Loading and ``validate_scenario`` check every input once; after them,
-evaluation reads the scenario's mappings directly. Every step a factor
-records is kept in the result's ``traces``, which ``explain`` and the plot
-tables read.
+The ``Scenario`` constructor checks what holds whatever the factors;
+``validate_scenario`` checks what the enabled factors and the cost ledger
+need; after them, evaluation reads the scenario's mappings directly.
+Every step a factor records is kept in the result's ``traces``, which
+``explain`` and the plot tables read.
 ``evaluate`` derives every number the outputs report: the yearly ledger,
 the summary and the plot tables. A series that cannot be forecast or
 whose forecast leaves its domain, a model that fails the whiteness check
@@ -28,18 +29,16 @@ from __future__ import annotations
 import json
 from math import isfinite
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .factors import FACTORS, Recorder
+from .factors import FACTORS, Recorder, normalize_factors
 from .forecast import ForecastError, PipelineResult, auto_pipeline
+from .forecast.common import MIN_OBS
 from .ingest import (
-    COST_SERIES,
     Scenario,
     ScenarioError,
     check_horizon_domain,
     load_scenario,  # the CLI loads through this module (see cli.py)
-    normalize_factors,
-    validate_scenario,
 )
 from .ledger import (
     CHANNELS,
@@ -54,6 +53,22 @@ from .ledger import (
 
 #: One recorded step of a factor's evaluation: (label, value, item or None).
 Entry = tuple[str, float, str | None]
+
+#: The exogenous series the cost ledger reads, whatever the factors.
+COST_SERIES = ("capex", "opex")
+
+#: Sanity brackets for warnings only; values outside are suspicious, not fatal.
+_MAGNITUDE_BRACKETS: dict[str, tuple[float, float]] = {
+    "VTTS_2015": (2.0, 100.0),
+    "market_cagr": (0.0, 1.5),
+    "parcel_fraction": (0.0, 1.0),
+    "mpg_fleet": (5.0, 100.0),
+    "co2_share_of_ghg": (0.9, 1.0),
+    "evtol_cost_share": (0.0, 1.0),
+    "core_hours_share": (0.0, 1.0),
+    "reserve_fraction": (0.0, 1.0),
+}
+
 
 class EvaluationResult:
     """Forecasts, yearly ledger rows, accumulated warnings, and the summary
@@ -87,6 +102,76 @@ class EvaluationResult:
         self.summary = summary
         #: plot file name -> its (year, item, lower, mean, upper) rows.
         self.plot_tables = plot_tables
+
+
+def validate_scenario(
+    s: Scenario, factors: Iterable[str] | None = None
+) -> list[str]:
+    """Check a scenario against the requirements of the enabled factors
+    and the cost ledger.
+
+    This is the one place these are checked. Hard failures raise
+    ScenarioError naming the offending key, series, or year.
+    Suspicious-but-legal values come back as warning strings.
+    """
+    enabled = normalize_factors(factors)
+    used = [FACTORS[f] for f in enabled]
+    warnings: list[str] = []
+
+    for factor in used:
+        if factor.check:
+            warnings += factor.check(s)
+    # the cost ledger always runs
+    needed_exo = [(f.id, name) for f in used for name in f.exogenous]
+    needed_exo += [("costs", name) for name in COST_SERIES]
+    for f, name in needed_exo:
+        if name not in s.input_series:
+            raise ScenarioError(
+                f"exogenous series '{name}' is required by {f} but missing"
+            )
+        ts = s.input_series[name]
+        if not ts.first_year <= s.horizon_start <= s.horizon_end <= ts.last_year:
+            starts_inside = ts.first_year <= s.horizon_start <= ts.last_year
+            raise ScenarioError(
+                f"exogenous series '{name}' does not cover year "
+                f"{ts.last_year + 1 if starts_inside else s.horizon_start} "
+                f"(covers {ts.first_year}-{ts.last_year})"
+            )
+        check_horizon_domain(s, name, ts.years, ts.values, f"exogenous series '{name}'")
+    needed_hist: dict[str, str] = {}
+    for factor in used:
+        for name in factor.historical:
+            needed_hist.setdefault(name, factor.id)
+    for name, f in needed_hist.items():
+        if name not in s.historical_series:
+            raise ScenarioError(
+                f"historical series '{name}' is required by {f} but missing"
+            )
+        ts = s.historical_series[name]
+        if ts.last_year >= s.horizon_start:
+            raise ScenarioError(
+                f"historical series '{name}' extends to {ts.last_year}, "
+                f"into the forecast horizon starting {s.horizon_start}"
+            )
+        if len(ts.values) < MIN_OBS:
+            raise ScenarioError(
+                f"historical series '{name}' has {len(ts.values)} points; "
+                f"at least {MIN_OBS} are needed for forecasting"
+            )
+
+    for name in COST_SERIES:
+        ts = s.input_series.get(name)
+        if ts and any(v < 0 for v in ts.values):
+            warnings.append(f"'{name}' has negative entries")
+    for key, (lo, hi) in _MAGNITUDE_BRACKETS.items():
+        if key in s.constants:
+            v = s.constants[key]
+            if not lo <= v <= hi:
+                warnings.append(
+                    f"constant '{key}'={v} is outside the expected range [{lo}, {hi}]"
+                )
+    return warnings
+
 
 
 def _values_for_year(

@@ -10,24 +10,21 @@ unchanged. The engine passes a recorder that keeps every entry: that trace
 is what ``explain`` prints. A factor whose evaluation tags entries with an
 ``item`` name also names a plot table, which lists those entries. A record
 may also hold a ``check(s)`` across its inputs, which validation runs
-before any evaluation.
+before any evaluation. ``normalize_factors`` checks a selection of ids.
 
 The evaluations are pure arithmetic on any number type. The engine runs
 each forecast channel in turn: a comonotone envelope with every banded input
 at the same limit (a factor need not be monotone in each input alone). Each
 input's domain is checked once, outside the arithmetic: a constant's when
-the scenario is read, a series' by ``ingest.validate_scenario``, the
+the scenario is built, a series' by ``engine.validate_scenario``, the
 relations between inputs by each factor's ``check`` and, for forecasts, by
 the engine, which also names the constants behind a value that overflows.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .errors import ScenarioError
-
-if TYPE_CHECKING:
-    from .ingest import Scenario
+from .ingest import Scenario, ScenarioError
 
 Recorder = Callable[..., float]
 Values = Mapping[str, float]
@@ -377,7 +374,7 @@ def _medical_ladder(s: Scenario) -> list[str]:
         raise ScenarioError("DSN/survival_rates/CAS need at least 2 entries")
     if dsn[0] != 0:
         raise ScenarioError(f"DSN must start at 0 (no-drone case), got {dsn[0]}")
-    # validation has checked that the toggle is a positive integer
+    # the Scenario has checked that the toggle is a positive integer
     case = s.toggle("bf7_case")
     if case > len(dsn) - 1:
         raise ScenarioError(
@@ -492,3 +489,19 @@ FACTORS: dict[str, Factor] = {f.id: f for f in (
 )}
 
 FACTOR_IDS = tuple(FACTORS)
+
+
+def normalize_factors(factors: Iterable[str] | None = None) -> tuple[str, ...]:
+    """Check factor ids and put them in canonical BF1..BF9 order; None is all."""
+    if factors is None:
+        return FACTOR_IDS
+    requested = set(factors)
+    unknown = requested - FACTORS.keys()
+    if unknown:
+        raise ScenarioError(
+            f"unknown benefit factors: {sorted(unknown)}; "
+            f"valid: {', '.join(FACTOR_IDS)}"
+        )
+    if not requested:
+        raise ScenarioError("no benefit factors enabled")
+    return tuple(f for f in FACTOR_IDS if f in requested)

@@ -89,8 +89,6 @@ def auto_pipeline(
         nw = len(work)
         bound = bartlett_bound(nw)
         lags = min(_SELECTION_LAGS, nw // 2)
-        if lags < 1:
-            raise ForecastError(f"series '{label}' too short after differencing")
         rho = acf(work, lags)
         p = min(_last_spike(pacf(work, lags, rho), bound), MAX_P)
         q = min(_last_spike(rho, bound), MAX_Q)

@@ -5,17 +5,18 @@ scenario document. Scenario documents are YAML or JSON with four sections:
 ``constants``, ``series`` (split into ``exogenous`` and ``historical``),
 ``orders``, and ``toggles``.
 
-Each input is checked once. Loading checks the form of every value:
-``_number`` and ``_integer`` read every number, years and order terms
-included, and take no boolean; ``_constant`` checks each constant, loaded
-or overridden, against its domain, whichever factors run; ``TimeSeries``
-checks each series' shape (consecutive years, one finite number per year);
-``Scenario`` checks the toggle names. ``validate_scenario`` checks the
-toggle values and what the enabled factors need: their series' coverage,
-length and domains, and each factor's ``check``. A constant that an
-enabled factor reads and the scenario lacks is named by
-``Scenario.constant`` as it is read.
-Code that runs after it reads the scenario's mappings directly.
+Each input is checked once, and no check here depends on the benefit
+factors. ``_number`` and ``_integer`` read every number, years and order
+terms included, and take no boolean; ``TimeSeries`` checks each series'
+shape (consecutive years, one finite number per year); the ``Scenario``
+constructor reads the horizon years and each constant (``_constant``:
+against its domain, whichever factors run), and checks each toggle's name
+and value, whether the scenario is loaded, overridden or built directly.
+``engine.validate_scenario`` checks what the enabled factors need: their
+series' coverage, length and domains, and each factor's ``check``. A
+constant that an enabled factor reads and the scenario lacks is named by
+``Scenario.constant`` as it is read. Code that runs after them reads the
+scenario's mappings directly.
 """
 from __future__ import annotations
 
@@ -23,12 +24,13 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from .errors import ScenarioError
-from .factors import FACTOR_IDS, FACTORS
 from .forecast import ArimaOrder, ForecastError
-from .forecast.common import MIN_OBS
+
+
+class ScenarioError(ValueError):
+    """A series or scenario document failed validation."""
 
 
 class InvalidYAML(ValueError):
@@ -233,9 +235,6 @@ _BOOLEAN_TOGGLES = tuple(
     key for key, default in TOGGLE_DEFAULTS.items() if isinstance(default, bool)
 )
 
-#: The exogenous series the cost ledger reads, whatever the factors.
-COST_SERIES = ("capex", "opex")
-
 #: Domains lo < value <= hi, keyed by constant or series name, of the inputs
 #: that are bounded in kind (a count, a share, an income, a price, an area, a
 #: yield) or that the factor arithmetic divides by or compounds with. A
@@ -257,18 +256,6 @@ _DOMAINS: dict[str, tuple[float, float]] = {
     ), (0.0, math.inf)),
     "co2_share_of_ghg": (0.0, 1.0),
     "market_cagr": (-1.0, math.inf),
-}
-
-#: Sanity brackets for warnings only; values outside are suspicious, not fatal.
-_MAGNITUDE_BRACKETS: dict[str, tuple[float, float]] = {
-    "VTTS_2015": (2.0, 100.0),
-    "market_cagr": (0.0, 1.5),
-    "parcel_fraction": (0.0, 1.0),
-    "mpg_fleet": (5.0, 100.0),
-    "co2_share_of_ghg": (0.9, 1.0),
-    "evtol_cost_share": (0.0, 1.0),
-    "core_hours_share": (0.0, 1.0),
-    "reserve_fraction": (0.0, 1.0),
 }
 
 
@@ -329,8 +316,10 @@ class TimeSeries:
 class Scenario:
     """A complete analysis setup: constants, series, pinned orders, toggles.
 
-    Each mapping left out starts empty. An unknown toggle name raises
-    ScenarioError; ``validate_scenario`` checks the rest.
+    Each mapping left out starts empty. The constructor reads the horizon
+    years and every constant, and checks every toggle's name and value; a
+    failure raises ScenarioError. ``engine.validate_scenario`` checks what
+    the enabled factors need.
     """
 
     __slots__ = (
@@ -343,20 +332,21 @@ class Scenario:
         name: str,
         horizon_start: int,
         horizon_end: int,
-        constants: dict[str, Any] | None = None,
+        constants: Mapping[str, Any] | None = None,
         input_series: dict[str, TimeSeries] | None = None,
         historical_series: dict[str, TimeSeries] | None = None,
         orders: dict[str, ArimaOrder] | None = None,
-        toggles: dict[str, Any] | None = None,
+        toggles: Mapping[str, Any] | None = None,
     ) -> None:
         self.name = name
-        self.horizon_start = horizon_start
-        self.horizon_end = horizon_end
-        self.constants = {} if constants is None else constants
+        self.horizon_start = horizon_start = _integer(horizon_start, "horizon start")
+        self.horizon_end = horizon_end = _integer(horizon_end, "horizon end")
+        self.constants = {key: _constant(key, value)
+                          for key, value in (constants or {}).items()}
         self.input_series = {} if input_series is None else input_series
         self.historical_series = {} if historical_series is None else historical_series
         self.orders = {} if orders is None else orders
-        self.toggles = {} if toggles is None else toggles
+        self.toggles = dict(toggles or {})
         if horizon_end < horizon_start:
             raise ScenarioError(
                 f"horizon end {horizon_end} precedes start {horizon_start}"
@@ -367,6 +357,25 @@ class Scenario:
                 f"unknown toggles: {sorted(unknown)}; "
                 f"valid: {', '.join(sorted(TOGGLE_DEFAULTS))}"
             )
+        for key in _BOOLEAN_TOGGLES:
+            if not isinstance(self.toggle(key), bool):
+                raise ScenarioError(
+                    f"toggle {key} must be true or false, got {self.toggle(key)!r}"
+                )
+        if self.toggle("bf4_ci_sign") not in ("as_printed", "positive_extra_cost"):
+            raise ScenarioError(
+                "toggle bf4_ci_sign must be 'as_printed' or 'positive_extra_cost', "
+                f"got {self.toggle('bf4_ci_sign')!r}"
+            )
+        amortize = self.toggle("amortize_capex_years")
+        if amortize is not None and (type(amortize) is not int or amortize < 1):
+            raise ScenarioError(
+                f"toggle amortize_capex_years must be a positive integer or null, "
+                f"got {amortize!r}"
+            )
+        case = self.toggle("bf7_case")
+        if type(case) is not int or case < 1:
+            raise ScenarioError(f"toggle bf7_case must be a positive integer, got {case!r}")
 
     @property
     def horizon_years(self) -> tuple[int, ...]:
@@ -385,15 +394,13 @@ class Scenario:
         constants: Mapping[str, Any] | None = None,
         toggles: Mapping[str, Any] | None = None,
     ) -> "Scenario":
-        """A copy with constants/toggles overridden (used by CLI flags); each
-        constant is read as a scenario document's is."""
-        new_constants = dict(self.constants)
-        new_constants.update((k, _constant(k, v)) for k, v in (constants or {}).items())
-        new_toggles = dict(self.toggles)
-        new_toggles.update(toggles or {})
+        """A copy with constants and toggles overridden (used by CLI flags),
+        checked by the constructor as a loaded scenario is."""
         return Scenario(
-            self.name, self.horizon_start, self.horizon_end, new_constants,
-            self.input_series, self.historical_series, self.orders, new_toggles,
+            self.name, self.horizon_start, self.horizon_end,
+            {**self.constants, **(constants or {})},
+            self.input_series, self.historical_series, self.orders,
+            {**self.toggles, **(toggles or {})},
         )
 
 
@@ -558,10 +565,6 @@ def scenario_from_dict(
     if not isinstance(horizon, Mapping) or "start" not in horizon or "end" not in horizon:
         raise ScenarioError("scenario needs horizon: {start: <year>, end: <year>}")
 
-    constants = {
-        key: _constant(key, val) for key, val in _section(doc, "constants").items()
-    }
-
     series = _section(doc, "series")
     extra = set(series) - {"exogenous", "historical"}
     if extra:
@@ -591,13 +594,13 @@ def scenario_from_dict(
 
     return Scenario(
         name=str(doc.get("name", fallback_name)),
-        horizon_start=_integer(horizon["start"], "horizon start"),
-        horizon_end=_integer(horizon["end"], "horizon end"),
-        constants=constants,
+        horizon_start=horizon["start"],
+        horizon_end=horizon["end"],
+        constants=_section(doc, "constants"),
         input_series=input_series,
         historical_series=historical_series,
         orders=orders,
-        toggles=dict(_section(doc, "toggles")),
+        toggles=_section(doc, "toggles"),
     )
 
 
@@ -617,111 +620,6 @@ def check_horizon_domain(s: Scenario, name: str, years, values, what: str) -> No
         if name in _DOMAINS and s.horizon_start <= year <= s.horizon_end and (
                 problem := _outside_domain(name, value)):
             raise ScenarioError(f"{what} in {year} {problem}")
-
-
-def validate_scenario(
-    s: Scenario, factors: Iterable[str] | None = None
-) -> list[str]:
-    """Check every toggle value, and check a scenario against the
-    requirements of the enabled factors and the cost ledger.
-
-    This is the one place these are checked. Hard failures raise
-    ScenarioError naming the offending key, series, or year.
-    Suspicious-but-legal values come back as warning strings.
-    """
-    enabled = normalize_factors(factors)
-    used = [FACTORS[f] for f in enabled]
-    warnings: list[str] = []
-
-    for key in _BOOLEAN_TOGGLES:
-        if not isinstance(s.toggle(key), bool):
-            raise ScenarioError(
-                f"toggle {key} must be true or false, got {s.toggle(key)!r}"
-            )
-    if s.toggle("bf4_ci_sign") not in ("as_printed", "positive_extra_cost"):
-        raise ScenarioError(
-            "toggle bf4_ci_sign must be 'as_printed' or 'positive_extra_cost', "
-            f"got {s.toggle('bf4_ci_sign')!r}"
-        )
-    amortize = s.toggle("amortize_capex_years")
-    if amortize is not None and (type(amortize) is not int or amortize < 1):
-        raise ScenarioError(
-            f"toggle amortize_capex_years must be a positive integer or null, "
-            f"got {amortize!r}"
-        )
-    case = s.toggle("bf7_case")
-    if type(case) is not int or case < 1:
-        raise ScenarioError(f"toggle bf7_case must be a positive integer, got {case!r}")
-    # the toggles are checked first: a factor's check may read one
-    for factor in used:
-        if factor.check:
-            warnings += factor.check(s)
-    # the cost ledger always runs
-    needed_exo = [(f.id, name) for f in used for name in f.exogenous]
-    needed_exo += [("costs", name) for name in COST_SERIES]
-    for f, name in needed_exo:
-        if name not in s.input_series:
-            raise ScenarioError(
-                f"exogenous series '{name}' is required by {f} but missing"
-            )
-        ts = s.input_series[name]
-        if not ts.first_year <= s.horizon_start <= s.horizon_end <= ts.last_year:
-            starts_inside = ts.first_year <= s.horizon_start <= ts.last_year
-            raise ScenarioError(
-                f"exogenous series '{name}' does not cover year "
-                f"{ts.last_year + 1 if starts_inside else s.horizon_start} "
-                f"(covers {ts.first_year}-{ts.last_year})"
-            )
-        check_horizon_domain(s, name, ts.years, ts.values, f"exogenous series '{name}'")
-    needed_hist: dict[str, str] = {}
-    for factor in used:
-        for name in factor.historical:
-            needed_hist.setdefault(name, factor.id)
-    for name, f in needed_hist.items():
-        if name not in s.historical_series:
-            raise ScenarioError(
-                f"historical series '{name}' is required by {f} but missing"
-            )
-        ts = s.historical_series[name]
-        if ts.last_year >= s.horizon_start:
-            raise ScenarioError(
-                f"historical series '{name}' extends to {ts.last_year}, "
-                f"into the forecast horizon starting {s.horizon_start}"
-            )
-        if len(ts.values) < MIN_OBS:
-            raise ScenarioError(
-                f"historical series '{name}' has {len(ts.values)} points; "
-                f"at least {MIN_OBS} are needed for forecasting"
-            )
-
-    for name in COST_SERIES:
-        ts = s.input_series.get(name)
-        if ts and any(v < 0 for v in ts.values):
-            warnings.append(f"'{name}' has negative entries")
-    for key, (lo, hi) in _MAGNITUDE_BRACKETS.items():
-        if key in s.constants:
-            v = s.constants[key]
-            if not lo <= v <= hi:
-                warnings.append(
-                    f"constant '{key}'={v} is outside the expected range [{lo}, {hi}]"
-                )
-    return warnings
-
-
-def normalize_factors(factors: Iterable[str] | None = None) -> tuple[str, ...]:
-    """Check factor ids and put them in canonical BF1..BF9 order; None is all."""
-    if factors is None:
-        return FACTOR_IDS
-    requested = set(factors)
-    unknown = requested - FACTORS.keys()
-    if unknown:
-        raise ScenarioError(
-            f"unknown benefit factors: {sorted(unknown)}; "
-            f"valid: {', '.join(FACTOR_IDS)}"
-        )
-    if not requested:
-        raise ScenarioError("no benefit factors enabled")
-    return tuple(f for f in FACTOR_IDS if f in requested)
 
 
 def default_scenario_path() -> Path:

@@ -15,7 +15,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ScenarioError
+from .ingest import ScenarioError
 
 #: The order of a band's channels, and of every per-channel sequence.
 CHANNELS = ("lower", "mean", "upper")

@@ -6,7 +6,7 @@ import pytest
 
 from aamcba.engine import evaluate
 from aamcba.factors import FACTORS
-from aamcba.ingest import Scenario, default_scenario_path, load_scenario
+from aamcba.ingest import TOGGLE_DEFAULTS, default_scenario_path, load_scenario
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,22 @@ def default_evaluation(default_scenario):
     return evaluate(default_scenario)
 
 
+class _HandSet:
+    """The part of a scenario that a factor's evaluation reads, unchecked, so
+    that a test can probe the arithmetic outside the inputs' domains."""
+
+    horizon_start = 2022
+
+    def __init__(self, constants, toggles):
+        self.constants, self.toggles = constants, toggles
+
+    def constant(self, key):
+        return self.constants[key]
+
+    def toggle(self, key):
+        return self.toggles.get(key, TOGGLE_DEFAULTS[key])
+
+
 @pytest.fixture(scope="session")
 def factor_value():
     """Evaluate one factor in ``year`` (by default 2022, the first horizon
@@ -28,8 +44,7 @@ def factor_value():
 
     def value(factor_id, constants, values, toggles=None, items=None,
               trace=None, year=2022):
-        scenario = Scenario("hand-set", 2022, max(year, 2022),
-                            constants=constants, toggles=toggles or {})
+        scenario = _HandSet(constants, toggles or {})
 
         def rec(label, entry, item=None):
             if trace is not None:

@@ -13,7 +13,7 @@ import pytest
 
 from aamcba.forecast.arima import ArimaOrder, fit_arima, forecast
 from aamcba.forecast.stattests import adf_test, ljung_box
-from aamcba.ingest import FACTOR_IDS
+from aamcba.factors import FACTOR_IDS
 from aamcba.ledger import AnnualResult, BandValue, write_results_csv
 
 from oracles import (

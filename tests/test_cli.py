@@ -15,12 +15,8 @@ import pytest
 import aamcba
 
 from aamcba.cli import _parse_factors, _parse_toggles, find_scenario, main
-from aamcba.ingest import (
-    FACTOR_IDS,
-    ScenarioError,
-    default_scenario_path,
-    load_scenario,
-)
+from aamcba.factors import FACTOR_IDS
+from aamcba.ingest import ScenarioError, default_scenario_path, load_scenario
 
 
 def test_find_scenario_default_and_literal(tmp_path):
@@ -808,11 +804,15 @@ def test_toggle_flag_of_the_wrong_type_exits_2(tmp_path, capsys, toggle, message
      "constant 'co2_share_of_ghg' must be in (0, 1], got 2.0"),
     (None, ["--toggle", "bf7_case=banana"],
      "toggle bf7_case must be a positive integer, got 'banana'"),
-], ids=["co2_share_of_ghg=2", "bf7_case=banana"])
+    (lambda doc: doc.setdefault("toggles", {}).update(bf7_case="banana"),
+     ["--toggle", "bf7_case=3"],
+     "toggle bf7_case must be a positive integer, got 'banana'"),
+], ids=["co2_share_of_ghg=2", "bf7_case=banana", "file-bf7_case=banana-overridden"])
 def test_inputs_no_enabled_factor_reads_are_checked(tmp_path, capsys, edit, toggle,
                                                      message):
     # Only BF9 reads co2_share_of_ghg and only BF7 reads bf7_case, but every
-    # constant's domain and every toggle value is checked whatever the factors.
+    # constant's domain and every toggle value is checked whatever the factors,
+    # and a toggle value in the file even when --toggle overrides it.
     doc = _bundled_doc()
     if edit:
         edit(doc)

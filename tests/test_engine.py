@@ -6,9 +6,9 @@ import json
 import pytest
 
 from aamcba.cli import main
-from aamcba.engine import _summary, evaluate, explain, normalize_factors, write_outputs
-from aamcba.factors import FACTORS
-from aamcba.ingest import FACTOR_IDS, ScenarioError, TimeSeries
+from aamcba.engine import _summary, evaluate, explain, write_outputs
+from aamcba.factors import FACTOR_IDS, FACTORS, normalize_factors
+from aamcba.ingest import ScenarioError, TimeSeries
 from aamcba.ledger import AnnualResult, BandValue
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 import pytest
 import yaml
 
-from aamcba.engine import evaluate
+from aamcba.engine import evaluate, validate_scenario
+from aamcba.factors import FACTOR_IDS
 from aamcba.ingest import (
-    FACTOR_IDS,
     Scenario,
     ScenarioError,
     TimeSeries,
@@ -16,7 +16,6 @@ from aamcba.ingest import (
     load_series,
     read_yaml,
     scenario_from_dict,
-    validate_scenario,
 )
 
 
@@ -183,6 +182,19 @@ def test_scenario_construction_guards():
             name="x", horizon_start=2022, horizon_end=2023,
             toggles={"definitely_not_a_toggle": True},
         )
+    # the constructor reads what a loaded scenario's document would give it
+    with pytest.raises(ScenarioError, match=r"^horizon start must be an integer, got '2022'$"):
+        Scenario(name="x", horizon_start="2022", horizon_end=2023)
+    with pytest.raises(
+        ScenarioError, match=r"^constant 'co2_share_of_ghg' must be in \(0, 1\], got 2\.0$"
+    ):
+        Scenario(name="x", horizon_start=2022, horizon_end=2023,
+                 constants={"co2_share_of_ghg": 2.0})
+    with pytest.raises(
+        ScenarioError, match=r"^toggle bf7_case must be a positive integer, got 'banana'$"
+    ):
+        Scenario(name="x", horizon_start=2022, horizon_end=2023,
+                 toggles={"bf7_case": "banana"})
 
 
 def test_scenario_accessors(default_scenario):
@@ -253,6 +265,21 @@ def test_validate_exogenous_coverage(default_scenario):
     stretched = _replace(default_scenario, horizon_end=2040)
     with pytest.raises(ScenarioError, match="does not cover year 2033"):
         validate_scenario(stretched, ("BF1",))
+
+
+def test_validate_missing_series(default_scenario):
+    s = default_scenario
+    for kind, name, factor, needed_by in (
+        ("exogenous", "passenger_trips", "BF1", "BF1"),
+        ("exogenous", "capex", "BF8", "costs"),
+        ("historical", "mhi", "BF1", "BF1"),
+    ):
+        section = "input_series" if kind == "exogenous" else "historical_series"
+        kept = {k: v for k, v in getattr(s, section).items() if k != name}
+        with pytest.raises(ScenarioError, match=(
+            f"^{kind} series '{name}' is required by {needed_by} but missing$"
+        )):
+            validate_scenario(_replace(s, **{section: kept}), (factor,))
 
 
 def test_validate_historical_reaches_into_horizon(default_scenario):
@@ -331,6 +358,15 @@ def test_validate_warnings(default_scenario):
     crossed = s.with_overrides(constants={"air_fatality_per_100m_miles": 0.7})
     warnings = validate_scenario(crossed, ("BF2",))
     assert any("is not below ground rate" in w for w in warnings)
+
+    ladder = s.with_overrides(constants={
+        "DSN": (0.0, 50.0, 200.0, 150.0, 750.0, 1015.0),
+        "survival_rates": (0.123, 0.129, 0.133, 0.138, 0.130, 0.144),
+    })
+    assert validate_scenario(ladder, ("BF7",)) == [
+        "survival_rates are not non-decreasing across DSN cases",
+        "DSN station counts are not non-decreasing",
+    ]
 
     dubious = s.with_overrides(constants={"mpg_fleet": 1.0})
     warnings = validate_scenario(dubious, ("BF9",))

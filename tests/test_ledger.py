@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aamcba.ingest import FACTOR_IDS, ScenarioError
+from aamcba.factors import FACTOR_IDS
+from aamcba.ingest import ScenarioError
 from aamcba.ledger import (
     AnnualResult,
     BandValue,

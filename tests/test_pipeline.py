@@ -6,7 +6,8 @@ import pytest
 
 from aamcba.forecast import ForecastError
 from aamcba.forecast.arima import ArimaOrder
-from aamcba.forecast.pipeline import auto_pipeline
+from aamcba.forecast.correlation import acf, bartlett_bound, pacf
+from aamcba.forecast.pipeline import _last_spike, auto_pipeline
 from aamcba.ingest import TimeSeries
 
 from oracles import random_walk_path, white_noise_path
@@ -96,6 +97,24 @@ def test_drift_handling_toggle():
     )
     assert with_drift.fit.intercept == pytest.approx(5.0, abs=0.5)
     assert with_drift.band.mean[-1] > plain.band.mean[-1]
+
+
+def test_selection_trims_the_order_to_the_estimation_budget():
+    # A 12-point ARMA(1,1) path, stationary at d = 0, whose last PACF and ACF
+    # spikes read (2,0,3). Selection keeps p + q + 10 points per fit, so on
+    # twelve q and then p are cut to (1,0,1), which passes the whiteness check.
+    rng = np.random.default_rng(173)
+    e = rng.normal(0.0, 1.0, 12)
+    x = np.empty(12)
+    x[0] = e[0]
+    for t in range(1, 12):
+        x[t] = 0.6 * x[t - 1] + e[t] + 0.5 * e[t - 1]
+    x = list(10.0 + x)
+    rho, bound = acf(x, 6), bartlett_bound(12)
+    assert (_last_spike(pacf(x, 6, rho), bound), _last_spike(rho, bound)) == (2, 3)
+    result = auto_pipeline(x, 3)
+    assert [r.name for r in result.diagnostics] == ["adf(d=0)", "ljung_box(p=1,q=1)"]
+    assert result.fit.order == ArimaOrder(1, 0, 1)
 
 
 def test_short_series_raises_with_label():
