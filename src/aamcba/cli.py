@@ -18,10 +18,10 @@ from . import engine
 from .factors import FACTOR_IDS, normalize_factors
 from .forecast import ForecastError
 from .ingest import (
-    TOGGLE_DEFAULTS,
     InvalidYAML,
     ScenarioError,
     default_scenario_path,
+    input_names,
     read_yaml,
 )
 
@@ -82,7 +82,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         action="append",
         metavar="KEY=VALUE",
         help="override a policy toggle (repeatable); "
-        f"toggles: {', '.join(sorted(TOGGLE_DEFAULTS))}",
+        f"toggles: {', '.join(input_names('toggle'))}",
     )
 
 

@@ -35,6 +35,7 @@ from .factors import FACTORS, Recorder, normalize_factors
 from .forecast import ForecastError, PipelineResult, auto_pipeline
 from .forecast.common import MIN_OBS
 from .ingest import (
+    INPUTS,
     Scenario,
     ScenarioError,
     check_horizon_domain,
@@ -56,18 +57,6 @@ Entry = tuple[str, float, str | None]
 
 #: The exogenous series the cost ledger reads, whatever the factors.
 COST_SERIES = ("capex", "opex")
-
-#: Sanity brackets for warnings only; values outside are suspicious, not fatal.
-_MAGNITUDE_BRACKETS: dict[str, tuple[float, float]] = {
-    "VTTS_2015": (2.0, 100.0),
-    "market_cagr": (0.0, 1.5),
-    "parcel_fraction": (0.0, 1.0),
-    "mpg_fleet": (5.0, 100.0),
-    "co2_share_of_ghg": (0.9, 1.0),
-    "evtol_cost_share": (0.0, 1.0),
-    "core_hours_share": (0.0, 1.0),
-    "reserve_fraction": (0.0, 1.0),
-}
 
 
 class EvaluationResult:
@@ -163,9 +152,9 @@ def validate_scenario(
         ts = s.input_series.get(name)
         if ts and any(v < 0 for v in ts.values):
             warnings.append(f"'{name}' has negative entries")
-    for key, (lo, hi) in _MAGNITUDE_BRACKETS.items():
-        if key in s.constants:
-            v = s.constants[key]
+    for key, row in INPUTS.items():
+        if row.bracket and key in s.constants:
+            (lo, hi), v = row.bracket, s.constants[key]
             if not lo <= v <= hi:
                 warnings.append(
                     f"constant '{key}'={v} is outside the expected range [{lo}, {hi}]"

@@ -3,8 +3,9 @@
 Mirrors a standard Box-Jenkins loop: difference until an ADF test rejects
 the unit root (d capped at 2), read p and q off the last PACF/ACF spike
 outside the Bartlett band, fit by CSS, then Ljung-Box the residuals. If the
-residuals fail the whiteness test the order is escalated (q+1, then p+1),
-and if nothing passes the best fit is returned flagged inadequate.
+residuals fail the whiteness test the order is escalated (q+1, then p+1)
+as far as the series' length allows, and if nothing passes the best fit
+is returned flagged inadequate.
 """
 from __future__ import annotations
 
@@ -105,6 +106,8 @@ def auto_pipeline(
                 candidates.append(ArimaOrder(p + 1, d, q + 1))
         elif p < MAX_P:
             candidates.append(ArimaOrder(p + 1, d, q))
+        # an escalated order is dropped if the budget cannot hold it
+        candidates[1:] = [c for c in candidates[1:] if len(values) - d >= c.n_coeffs + 10]
 
     include_mean = None
     if include_mean_when_differenced and d > 0:

@@ -5,13 +5,16 @@ scenario document. Scenario documents are YAML or JSON with four sections:
 ``constants``, ``series`` (split into ``exogenous`` and ``historical``),
 ``orders``, and ``toggles``.
 
-Each input is checked once, and no check here depends on the benefit
-factors. ``_number`` and ``_integer`` read every number, years and order
-terms included, and take no boolean; ``TimeSeries`` checks each series'
-shape (consecutive years, one finite number per year); the ``Scenario``
-constructor reads the horizon years and each constant (``_constant``:
-against its domain, whichever factors run), and checks each toggle's name
-and value, whether the scenario is loaded, overridden or built directly.
+``INPUTS`` is where an input's kind, unit, domain and warning bracket
+live, and a toggle's default and allowed values. Each input is checked
+once, and no check here depends on the benefit factors. ``_number`` and
+``_integer`` read every number, years and order terms included, and take
+no boolean; ``TimeSeries`` checks each series' shape (consecutive years,
+one finite number per year), and the loader its ``unit:`` key against the
+table; the ``Scenario`` constructor reads the horizon years and each
+constant (``_constant``: a constant of the table, in its domain, whichever
+factors run), and checks each toggle's name and value, whether the
+scenario is loaded, overridden or built directly.
 ``engine.validate_scenario`` checks what the enabled factors need: their
 series' coverage, length and domains, and each factor's ``check``. A
 constant that an enabled factor reads and the scenario lacks is named by
@@ -213,49 +216,149 @@ def _flow_sequence(lines: list, i: int, text: str) -> tuple[list, int]:
     return [_scalar(item.strip()) for item in inner.split(",")], i + 1
 
 
-#: Constants stored as vectors rather than scalars.
-VECTOR_CONSTANTS = ("DSN", "survival_rates", "CAS")
+class Input:
+    """What one scenario input is. ``kind`` is "number" or "vector" (a
+    constant), "exogenous" or "historical" (a series) or "toggle"; ``unit``
+    is a plain string in the bundled scenario's style, "1" for a share.
+    ``domain`` is (lo, hi) for lo < value <= hi, or None: a constant's is
+    checked when the scenario is built, a series' over the horizon (a
+    historical one's in its forecast's lower and upper channels) if an
+    enabled factor reads it. Validation warns of a constant outside its
+    ``bracket``, [lo, hi]. A toggle also has a ``default`` and its
+    ``allowed`` values, where ``int`` stands for any positive integer."""
 
-#: Toggle defaults. Every toggle is scenario-overridable; ``Scenario``
-#: rejects unknown toggle names, so typos do not silently fall back to
-#: defaults.
-TOGGLE_DEFAULTS: dict[str, Any] = {
-    "bf2_use_trip_miles": False,
-    "bf3_single_ratio": False,
-    "bf4_ci_sign": "as_printed",
-    "bf6_incremental": False,
-    "bf6_matching_area": True,
-    "bf7_case": 5,
-    "amortize_capex_years": None,
-    "include_mean_when_differenced": False,
-}
+    __slots__ = ("kind", "unit", "domain", "bracket", "default", "allowed")
 
-#: The toggles that take true or false and nothing else.
-_BOOLEAN_TOGGLES = tuple(
-    key for key, default in TOGGLE_DEFAULTS.items() if isinstance(default, bool)
-)
+    def __init__(self, kind: str, unit: str | None, domain=None, bracket=None,
+                 default: Any = None, allowed: tuple = ()) -> None:
+        self.kind, self.unit, self.domain, self.bracket = kind, unit, domain, bracket
+        self.default, self.allowed = default, allowed
 
-#: Domains lo < value <= hi, keyed by constant or series name, of the inputs
-#: that are bounded in kind (a count, a share, an income, a price, an area, a
-#: yield) or that the factor arithmetic divides by or compounds with. A
-#: constant is checked when the scenario is read, whichever factors run. A
-#: series is checked over the horizon, a historical one in its forecast's
-#: lower and upper channels, if an enabled factor reads it.
-_DOMAINS: dict[str, tuple[float, float]] = {
-    **dict.fromkeys((
-        "MHI_2015", "seats_per_evtol", "mpg_fleet", "farms_total",
-        "herd_size_case_study", "market_value_2019", "us_market_2019",
-        "round_trip_min", "operational_days", "packages_per_driver_day",
-        "warehouse_area_per_worker_sf", "truck_payload_lb", "evtol_payload_lb",
-        "annual_parcels", "parcel_fraction", "us_annual_trips",
-        "snooper_rate_core", "snooper_rate_offhours", "drone_rate_core",
-        "drone_rate_offhours", "us_population", "population", "vmt_us", "mhi",
-        "vsl", "livestock",
-        *(f"{crop}_{kind}" for crop in ("soybean", "corn", "wheat")
-          for kind in ("area", "yield", "price")),
-    ), (0.0, math.inf)),
-    "co2_share_of_ghg": (0.0, 1.0),
-    "market_cagr": (-1.0, math.inf),
+    def allows(self, value: Any) -> bool:
+        """Whether toggle ``value`` is one of the allowed values, of its type."""
+        return any(type(value) is int and value > 0 if choice is int
+                   else type(value) is type(choice) and value == choice
+                   for choice in self.allowed)
+
+
+_POSITIVE = (0.0, math.inf)
+_BOOLEAN = (True, False)
+
+#: Every input a scenario may hold, by name: what it is, as ``Input`` says.
+#: Validation warns of the brackets in row order.
+INPUTS: dict[str, Input] = {
+    # travel-time value and its income scaling (BF1, BF5)
+    "VTTS_2015": Input("number", "USD/h", bracket=(2.0, 100.0)),
+    "MHI_2015": Input("number", "USD/yr", _POSITIVE),
+    "trip_time_saved_min": Input("number", "min"),
+    # passenger air trips vs road safety (BF2)
+    "trip_distance_miles": Input("number", "miles"),
+    "ground_fatality_per_100m_miles": Input("number", "deaths/1e8 miles"),
+    "air_fatality_per_100m_miles": Input("number", "deaths/1e8 miles"),
+    "seats_per_evtol": Input("number", "seats", _POSITIVE),
+    # package delivery market (BF3, BF9)
+    "market_value_2019": Input("number", "1e6 USD", _POSITIVE),
+    "us_market_2019": Input("number", "1e6 USD", _POSITIVE),
+    "market_cagr": Input("number", "1", (-1.0, math.inf), (0.0, 1.5)),
+    "market_base_year": Input("number", "year"),
+    "annual_parcels": Input("number", "parcels/yr", _POSITIVE),
+    "parcel_fraction": Input("number", "1", _POSITIVE, (0.0, 1.0)),
+    # greenhouse gas social costs and fleet emissions (BF9)
+    "scc_2020": Input("number", "USD/ton"),
+    "scm_2020": Input("number", "USD/ton"),
+    "scn_2020": Input("number", "USD/ton"),
+    "scghg_discount": Input("number", "1"),
+    "scghg_base_year": Input("number", "year"),
+    "mpg_fleet": Input("number", "miles/gal", _POSITIVE, (5.0, 100.0)),
+    "co2_share_of_ghg": Input("number", "1", (0.0, 1.0), (0.9, 1.0)),
+    "co2_tons_per_gallon": Input("number", "ton/gal"),
+    "evtol_emission_ratio": Input("number", "1"),
+    "us_annual_trips": Input("number", "trips/yr", _POSITIVE),
+    # cargo shift to eVTOLs (BF4)
+    "warehouse_rent_psf_month": Input("number", "USD/sf/month"),
+    "warehouse_nnn_psf_month": Input("number", "USD/sf/month"),
+    "warehouse_size_sf": Input("number", "sf"),
+    "warehouse_wage_year": Input("number", "USD/yr"),
+    "warehouse_area_per_worker_sf": Input("number", "sf", _POSITIVE),
+    "truck_cost_per_mile": Input("number", "USD/mile"),
+    "truck_payload_lb": Input("number", "lb", _POSITIVE),
+    "evtol_cost_per_mile": Input("number", "USD/mile"),
+    "evtol_payload_lb": Input("number", "lb", _POSITIVE),
+    "evtol_cost_share": Input("number", "1", bracket=(0.0, 1.0)),
+    # bridge inspections (BF5)
+    "heavy_inspections_per_year": Input("number", "inspections/yr"),
+    "drone_capable_inspections": Input("number", "inspections/yr"),
+    "core_hours_share": Input("number", "1", bracket=(0.0, 1.0)),
+    "lane_closure_hours_traditional": Input("number", "h"),
+    "lane_closure_hours_drone": Input("number", "h"),
+    "traffic_per_lane_hour": Input("number", "vehicles/h"),
+    "delay_min_per_vehicle": Input("number", "min"),
+    "snooper_rate_core": Input("number", "USD/inspection", _POSITIVE),
+    "snooper_rate_offhours": Input("number", "USD/inspection", _POSITIVE),
+    "drone_rate_core": Input("number", "USD/inspection", _POSITIVE),
+    "drone_rate_offhours": Input("number", "USD/inspection", _POSITIVE),
+    # drone fleet economics (BF3; VDTS also BF4)
+    "operational_days": Input("number", "days/yr", _POSITIVE),
+    "round_trip_min": Input("number", "min", _POSITIVE),
+    "reserve_fraction": Input("number", "1", bracket=(0.0, 1.0)),
+    "driver_hours_per_day": Input("number", "h/day"),
+    "packages_per_driver_day": Input("number", "parcels/day", _POSITIVE),
+    "truck_cost_per_hour": Input("number", "USD/h"),
+    "drone_capital_cost": Input("number", "USD/drone"),
+    "drone_operating_cost": Input("number", "USD/drone/yr"),
+    "ATS_min": Input("number", "min"),
+    "VDTS": Input("number", "USD/day"),
+    # farming (BF6)
+    "farms_total": Input("number", "farms", _POSITIVE),
+    "farms_adopting": Input("number", "farms"),
+    "soybean_yield_uplift": Input("number", "1"),
+    "corn_yield_uplift": Input("number", "1"),
+    "wheat_yield_uplift": Input("number", "1"),
+    "cost_savings_per_acre_soybean": Input("number", "USD/acre"),
+    "cost_savings_per_acre_corn": Input("number", "USD/acre"),
+    "cost_savings_per_acre_wheat": Input("number", "USD/acre"),
+    "livestock_hours_saved_hill": Input("number", "h/yr"),
+    "livestock_hours_saved_grassland": Input("number", "h/yr"),
+    "farm_labor_rate": Input("number", "USD/h"),
+    "herd_size_case_study": Input("number", "head", _POSITIVE),
+    # drone-delivered AED response (BF7)
+    "ohca_per_100k": Input("number", "arrests/1e5 people/yr"),
+    "DSN": Input("vector", "stations"),
+    "survival_rates": Input("vector", "1"),
+    "CAS": Input("vector", "USD"),
+    # series known over the horizon
+    "passenger_trips": Input("exogenous", "trips/yr"),
+    "cargo_trips": Input("exogenous", "trips/yr"),
+    "us_population": Input("exogenous", "people", _POSITIVE),
+    "tax_income": Input("exogenous", "USD/yr"),
+    "capex": Input("exogenous", "USD/yr"),
+    "opex": Input("exogenous", "USD/yr"),
+    # series to forecast
+    "mhi": Input("historical", "USD/yr", _POSITIVE),
+    "vmt_us": Input("historical", "miles/yr", _POSITIVE),
+    "population": Input("historical", "people", _POSITIVE),
+    "vsl": Input("historical", "USD", _POSITIVE),
+    "soybean_area": Input("historical", "acres", _POSITIVE),
+    "corn_area": Input("historical", "acres", _POSITIVE),
+    "wheat_area": Input("historical", "acres", _POSITIVE),
+    "soybean_yield": Input("historical", "bu/acre", _POSITIVE),
+    "corn_yield": Input("historical", "bu/acre", _POSITIVE),
+    "wheat_yield": Input("historical", "bu/acre", _POSITIVE),
+    "soybean_price": Input("historical", "USD/bu", _POSITIVE),
+    "corn_price": Input("historical", "USD/bu", _POSITIVE),
+    "wheat_price": Input("historical", "USD/bu", _POSITIVE),
+    "livestock": Input("historical", "head", _POSITIVE),
+    # policy toggles; int allows any positive integer
+    "bf2_use_trip_miles": Input("toggle", None, default=False, allowed=_BOOLEAN),
+    "bf3_single_ratio": Input("toggle", None, default=False, allowed=_BOOLEAN),
+    "bf4_ci_sign": Input("toggle", None, default="as_printed",
+                         allowed=("as_printed", "positive_extra_cost")),
+    "bf6_incremental": Input("toggle", None, default=False, allowed=_BOOLEAN),
+    "bf6_matching_area": Input("toggle", None, default=True, allowed=_BOOLEAN),
+    "bf7_case": Input("toggle", None, default=5, allowed=(int,)),
+    "amortize_capex_years": Input("toggle", "yr", default=None, allowed=(int, None)),
+    "include_mean_when_differenced": Input("toggle", None, default=False,
+                                           allowed=_BOOLEAN),
 }
 
 
@@ -351,31 +454,21 @@ class Scenario:
             raise ScenarioError(
                 f"horizon end {horizon_end} precedes start {horizon_start}"
             )
-        unknown = set(self.toggles) - set(TOGGLE_DEFAULTS)
+        unknown = {key for key in self.toggles
+                   if key not in INPUTS or INPUTS[key].kind != "toggle"}
         if unknown:
             raise ScenarioError(
                 f"unknown toggles: {sorted(unknown)}; "
-                f"valid: {', '.join(sorted(TOGGLE_DEFAULTS))}"
+                f"valid: {', '.join(input_names('toggle'))}"
             )
-        for key in _BOOLEAN_TOGGLES:
-            if not isinstance(self.toggle(key), bool):
-                raise ScenarioError(
-                    f"toggle {key} must be true or false, got {self.toggle(key)!r}"
+        for key, value in self.toggles.items():
+            if not INPUTS[key].allows(value):
+                choices = " or ".join(
+                    "a positive integer" if choice is int
+                    else repr(choice) if isinstance(choice, str) else json.dumps(choice)
+                    for choice in INPUTS[key].allowed
                 )
-        if self.toggle("bf4_ci_sign") not in ("as_printed", "positive_extra_cost"):
-            raise ScenarioError(
-                "toggle bf4_ci_sign must be 'as_printed' or 'positive_extra_cost', "
-                f"got {self.toggle('bf4_ci_sign')!r}"
-            )
-        amortize = self.toggle("amortize_capex_years")
-        if amortize is not None and (type(amortize) is not int or amortize < 1):
-            raise ScenarioError(
-                f"toggle amortize_capex_years must be a positive integer or null, "
-                f"got {amortize!r}"
-            )
-        case = self.toggle("bf7_case")
-        if type(case) is not int or case < 1:
-            raise ScenarioError(f"toggle bf7_case must be a positive integer, got {case!r}")
+                raise ScenarioError(f"toggle {key} must be {choices}, got {value!r}")
 
     @property
     def horizon_years(self) -> tuple[int, ...]:
@@ -387,7 +480,7 @@ class Scenario:
         return self.constants[key]
 
     def toggle(self, key: str) -> Any:
-        return self.toggles.get(key, TOGGLE_DEFAULTS[key])
+        return self.toggles.get(key, INPUTS[key].default)
 
     def with_overrides(
         self,
@@ -460,10 +553,14 @@ def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
 
     Accepted forms: a {year: value} mapping, {start, values[, unit]},
     or {file[, unit]} pointing at a CSV relative to the scenario file. A
-    ``unit`` key documents the series and is not read.
+    ``unit`` key must equal the unit of the series' row in ``INPUTS``; a
+    series that the table does not name keeps its ``unit`` key unread.
     """
     if not isinstance(spec, Mapping):
         raise ScenarioError(f"series '{name}' must be a mapping, got {type(spec).__name__}")
+    if "unit" in spec and name in INPUTS and spec["unit"] != INPUTS[name].unit:
+        unit = INPUTS[name].unit
+        raise ScenarioError(f"series '{name}' unit must be {unit!r}, got {spec['unit']!r}")
     if "file" in spec:
         return load_series(base_dir / str(spec["file"]), name=name)
     if "values" in spec:
@@ -533,12 +630,15 @@ def _constant(key: Any, value: Any) -> float | tuple[float, ...]:
     """Constant ``key``'s ``value`` as read: a number, or a tuple of numbers
     for a vector constant, inside the constant's domain if it has one."""
     what = f"constant '{key}'"
-    if key in VECTOR_CONSTANTS:
+    row = INPUTS.get(key)
+    if row is None or row.kind not in ("number", "vector"):
+        raise ScenarioError(f"scenario {what} is unknown")
+    if row.kind == "vector":
         if not isinstance(value, (list, tuple)):
             raise ScenarioError(f"{what} must be a list of numbers, got {value!r}")
         return tuple(_number(v, what) for v in value)
     number = _number(value, what)
-    if key in _DOMAINS and (problem := _outside_domain(key, number)):
+    if problem := _outside_domain(row.domain, number):
         raise ScenarioError(f"{what} {problem}")
     return number
 
@@ -604,11 +704,16 @@ def scenario_from_dict(
     )
 
 
-def _outside_domain(key: str, value: float) -> str | None:
-    """How ``value`` misses ``key``'s domain; None if it lies inside."""
-    lo, hi = _DOMAINS[key]
-    if lo < value <= hi:
+def input_names(kind: str) -> list[str]:
+    """The names of the inputs of ``kind``, sorted."""
+    return sorted(key for key, row in INPUTS.items() if row.kind == kind)
+
+
+def _outside_domain(domain: tuple[float, float] | None, value: float) -> str | None:
+    """How ``value`` misses ``domain``; None if it lies inside or there is none."""
+    if domain is None or domain[0] < value <= domain[1]:
         return None
+    lo, hi = domain
     bounds = f"greater than {lo:g}" if hi == math.inf else f"in ({lo:g}, {hi:g}]"
     return f"must be {bounds}, got {value!r}"
 
@@ -616,9 +721,10 @@ def _outside_domain(key: str, value: float) -> str | None:
 def check_horizon_domain(s: Scenario, name: str, years, values, what: str) -> None:
     """Raise ScenarioError naming ``what`` and the year if a horizon value lies
     outside ``name``'s domain; a name without one passes."""
+    domain = INPUTS[name].domain if name in INPUTS else None
     for year, value in zip(years, values):
-        if name in _DOMAINS and s.horizon_start <= year <= s.horizon_end and (
-                problem := _outside_domain(name, value)):
+        if s.horizon_start <= year <= s.horizon_end and (
+                problem := _outside_domain(domain, value)):
             raise ScenarioError(f"{what} in {year} {problem}")
 
 

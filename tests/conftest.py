@@ -6,7 +6,7 @@ import pytest
 
 from aamcba.engine import evaluate
 from aamcba.factors import FACTORS
-from aamcba.ingest import TOGGLE_DEFAULTS, default_scenario_path, load_scenario
+from aamcba.ingest import INPUTS, default_scenario_path, load_scenario
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +32,7 @@ class _HandSet:
         return self.constants[key]
 
     def toggle(self, key):
-        return self.toggles.get(key, TOGGLE_DEFAULTS[key])
+        return self.toggles.get(key, INPUTS[key].default)
 
 
 @pytest.fixture(scope="session")

@@ -400,6 +400,10 @@ DOMAIN_CASES = [
      "constant 'drone_capable_inspections' (500.0) exceeds "
      "'heavy_inspections_per_year' (400.0)"),
     *((_drop(key), f"scenario constant '{key}' is missing") for key in RATES),
+    (_set("constants", "VTTS_2105", 17.25), "scenario constant 'VTTS_2105' is unknown"),
+    (_set("constants", "mhi", 1.0), "scenario constant 'mhi' is unknown"),
+    (_set("series", "historical", "mhi", "unit", "USD"),
+     "series 'mhi' unit must be 'USD/yr', got 'USD'"),
 ], ids=["constants-list", "DSN-scalar", "constant-string", "horizon-string",
         "horizon-fraction", "horizon-quoted", "horizon-infinite",
         "horizon-end-1e18", "horizon-end-1e19", "order-fraction",
@@ -408,7 +412,8 @@ DOMAIN_CASES = [
         "exogenous-list", "toggles-string",
         *(f"{key}={value}" for key, value, _ in DOMAIN_CASES),
         "us_population-2025=0", "drone_capable_inspections-above-total",
-        *(f"{key}-missing" for key in RATES)])
+        *(f"{key}-missing" for key in RATES), "constant-misspelt",
+        "constant-named-as-a-series", "unit-mismatch"])
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message):
     doc = _bundled_doc()
     edit(doc)

@@ -130,7 +130,7 @@ def test_scenario_from_dict_series_forms(tmp_path):
     csv_path.write_text("2022,5\n2023,6\n2024,7\n")
     doc = _minimal_doc()
     doc["series"]["exogenous"]["passenger_trips"] = {
-        "file": "pax.csv", "unit": "trips",
+        "file": "pax.csv", "unit": "trips/yr",
     }
     s = scenario_from_dict(doc, base_dir=tmp_path)
     assert s.input_series["capex"].values == (3.0, 2.0, 1.0)
@@ -190,6 +190,12 @@ def test_scenario_construction_guards():
     ):
         Scenario(name="x", horizon_start=2022, horizon_end=2023,
                  constants={"co2_share_of_ghg": 2.0})
+    with pytest.raises(ScenarioError, match=r"^scenario constant 'VTTS_2105' is unknown$"):
+        Scenario(name="x", horizon_start=2022, horizon_end=2023,
+                 constants={"VTTS_2015": 17.25, "VTTS_2105": 17.25})
+    with pytest.raises(ScenarioError, match=r"^unknown toggles: \['VTTS_2015'\]; "):
+        Scenario(name="x", horizon_start=2022, horizon_end=2023,
+                 toggles={"VTTS_2015": 17.25})
     with pytest.raises(
         ScenarioError, match=r"^toggle bf7_case must be a positive integer, got 'banana'$"
     ):

@@ -117,6 +117,22 @@ def test_selection_trims_the_order_to_the_estimation_budget():
     assert result.fit.order == ArimaOrder(1, 0, 1)
 
 
+def test_escalation_stays_within_the_estimation_budget():
+    # On twelve points a fit of p + q coefficients needs p + q + 10
+    # differenced points. Escalating past that made fit_arima raise on 16 of
+    # these 200 paths, for instance "10 differenced observations are too few
+    # for order (0,2,1); need 11" on seed 0; the pipeline must not escalate
+    # to an order it cannot fit.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(0.0, 1.0, 12)
+        x = np.empty(12)
+        x[0] = e[0]
+        for t in range(1, 12):
+            x[t] = 0.6 * x[t - 1] + e[t] + 0.5 * e[t - 1]
+        assert len(auto_pipeline(list(10.0 + x), 3).band.mean) == 3, seed
+
+
 def test_short_series_raises_with_label():
     short = TimeSeries("tiny", (2000, 2001, 2002), (1.0, 2.0, 3.0))
     with pytest.raises(ForecastError, match="series 'tiny' has 3 observations"):
