@@ -33,7 +33,6 @@ from typing import Iterable, Mapping
 
 from .factors import FACTORS, Recorder, normalize_factors
 from .forecast import ForecastError, PipelineResult, auto_pipeline
-from .forecast.common import MIN_OBS
 from .ingest import (
     INPUTS,
     Scenario,
@@ -141,11 +140,6 @@ def validate_scenario(
             raise ScenarioError(
                 f"historical series '{name}' extends to {ts.last_year}, "
                 f"into the forecast horizon starting {s.horizon_start}"
-            )
-        if len(ts.values) < MIN_OBS:
-            raise ScenarioError(
-                f"historical series '{name}' has {len(ts.values)} points; "
-                f"at least {MIN_OBS} are needed for forecasting"
             )
 
     for name in COST_SERIES:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .common import CI_Z, MIN_OBS, ForecastError, dot
+from .common import CI_Z, ForecastError, dot
 
 MAX_P = 5
 MAX_D = 2
@@ -53,6 +53,15 @@ class ArimaOrder:
     @property
     def n_coeffs(self) -> int:
         return self.p + self.q
+
+    @property
+    def min_obs(self) -> int:
+        """Points a fit needs: ten more than its coefficients, after differencing."""
+        return self.d + self.p + self.q + 10
+
+
+#: The fewest points the pipeline always forecasts: (0, MAX_D, 0) fits.
+MIN_OBS = ArimaOrder(0, MAX_D, 0).min_obs
 
 
 class FittedArima:
@@ -105,9 +114,8 @@ class ForecastBand:
     """Point forecasts with symmetric limits, on the original scale.
 
     The limits are nominal 95%, normal-theory: the mean plus and minus
-    ``CI_Z`` forecast standard errors. They cover less than that (ROADMAP
-    item 3): about 0.90 of simulated paths, and 109 of 140 held-out points
-    of the bundled series.
+    ``CI_Z`` forecast standard errors. They cover less: about 0.90 of
+    simulated paths, and 109 of 140 held-out points of the bundled series.
     """
 
     __slots__ = ("years", "lower", "mean", "upper")
@@ -191,10 +199,10 @@ def fit_arima(values, order: ArimaOrder, include_mean: bool | None = None) -> Fi
     w = difference(x, order.d)
     n = len(w)
     n_params = order.n_coeffs + int(include_mean)
-    if n < order.n_coeffs + 10:
+    if len(x) < order.min_obs:
         raise ForecastError(
             f"{n} differenced observations are too few for order "
-            f"({order.p},{order.d},{order.q}); need {order.n_coeffs + 10}"
+            f"({order.p},{order.d},{order.q}); need {order.min_obs - order.d}"
         )
 
     p, q = order.p, order.q
@@ -257,9 +265,9 @@ def forecast(
         raise ForecastError(f"horizon must be >= 1, got {horizon}")
     x = [float(v) for v in values]
     d, p = model.order.d, model.order.p
-    if len(x) < max(d + p + 1, MIN_OBS):
+    if len(x) < model.order.min_obs:
         raise ForecastError(
-            f"need at least {max(d + p + 1, MIN_OBS)} observations to "
+            f"need at least {model.order.min_obs} observations to "
             f"forecast, got {len(x)}"
         )
     zs = [v - model.intercept for v in difference(x, d)]

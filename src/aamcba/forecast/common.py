@@ -10,12 +10,9 @@ class ForecastError(RuntimeError):
 
 
 #: Normal quantile of the interval half-widths: nominal 95%, normal-theory.
-#: The bands cover less (ROADMAP item 3): about 0.90 on simulated paths,
-#: and 109 of 140 held-out points of the bundled series.
+#: The bands cover less: about 0.90 on simulated paths, and 109 of 140
+#: held-out points of the bundled series.
 CI_Z = 1.96
-
-#: Minimum observations before a series may be forecast.
-MIN_OBS = 8
 
 
 def dot(u, v) -> float:

@@ -10,12 +10,11 @@ is returned flagged inadequate.
 from __future__ import annotations
 
 from .arima import ArimaOrder, FittedArima, ForecastBand, fit_arima, forecast
-from .arima import MAX_P, MAX_Q
-from .common import MIN_OBS, ForecastError
+from .arima import MAX_D, MAX_P, MAX_Q, MIN_OBS
+from .common import ForecastError
 from .correlation import acf, bartlett_bound, pacf
 from .stattests import ALPHA, TestReport, adf_test, ljung_box
 
-_MAX_AUTO_D = 2
 _SELECTION_LAGS = 10
 
 
@@ -82,7 +81,7 @@ def auto_pipeline(
         while True:
             report = adf_test(work, name=f"adf(d={d})")
             diagnostics.append(report)
-            if report.reject_null or d == _MAX_AUTO_D:
+            if report.reject_null or d == MAX_D:
                 break
             d += 1
             work = [b - a for a, b in zip(work, work[1:])]
@@ -94,7 +93,7 @@ def auto_pipeline(
         p = min(_last_spike(pacf(work, lags, rho), bound), MAX_P)
         q = min(_last_spike(rho, bound), MAX_Q)
         # keep a sane estimation budget on short series
-        while p + q > 0 and len(values) - d < p + q + 10:
+        while len(values) < ArimaOrder(p, d, q).min_obs:
             if q >= p:
                 q -= 1
             else:
@@ -107,7 +106,7 @@ def auto_pipeline(
         elif p < MAX_P:
             candidates.append(ArimaOrder(p + 1, d, q))
         # an escalated order is dropped if the budget cannot hold it
-        candidates[1:] = [c for c in candidates[1:] if len(values) - d >= c.n_coeffs + 10]
+        candidates[1:] = [c for c in candidates[1:] if c.min_obs <= len(values)]
 
     include_mean = None
     if include_mean_when_differenced and d > 0:

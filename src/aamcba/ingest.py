@@ -10,16 +10,17 @@ live, and a toggle's default and allowed values. Each input is checked
 once, and no check here depends on the benefit factors. ``_number`` and
 ``_integer`` read every number, years and order terms included, and take
 no boolean; ``TimeSeries`` checks each series' shape (consecutive years,
-one finite number per year), and the loader its ``unit:`` key against the
-table; the ``Scenario`` constructor reads the horizon years and each
-constant (``_constant``: a constant of the table, in its domain, whichever
-factors run), and checks each toggle's name and value, whether the
-scenario is loaded, overridden or built directly.
-``engine.validate_scenario`` checks what the enabled factors need: their
-series' coverage, length and domains, and each factor's ``check``. A
-constant that an enabled factor reads and the scenario lacks is named by
-``Scenario.constant`` as it is read. Code that runs after them reads the
-scenario's mappings directly.
+one finite number per year), and the loader each series' and pinned
+order's name, and a series' ``unit:`` key, against the table; the
+``Scenario`` constructor reads the horizon years and each constant
+(``_constant``: a constant of the table, in its domain, whichever factors
+run), and checks each toggle's name and value, whether the scenario is
+loaded, overridden or built directly. ``engine.validate_scenario`` checks
+what the enabled factors need: their series' coverage and domains, and
+each factor's ``check``; the forecast layer alone states how many points
+a series needs. A constant that an enabled factor reads and the scenario
+lacks is named by ``Scenario.constant`` as it is read. Code that runs
+after them reads the scenario's mappings directly.
 """
 from __future__ import annotations
 
@@ -548,19 +549,21 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _series_from_spec(name: str, spec: Any, base_dir: Path) -> TimeSeries:
-    """Build a TimeSeries from one of the three inline forms.
+def _series_from_spec(kind: str, name: str, spec: Any, base_dir: Path) -> TimeSeries:
+    """Build the ``kind`` series ``name`` from one of the three inline forms.
 
     Accepted forms: a {year: value} mapping, {start, values[, unit]},
-    or {file[, unit]} pointing at a CSV relative to the scenario file. A
-    ``unit`` key must equal the unit of the series' row in ``INPUTS``; a
-    series that the table does not name keeps its ``unit`` key unread.
+    or {file[, unit]} pointing at a CSV relative to the scenario file. The
+    name must be a ``kind`` row of ``INPUTS``, and a ``unit`` key must
+    equal that row's unit.
     """
+    row = INPUTS.get(name)
+    if row is None or row.kind != kind:
+        raise ScenarioError(f"scenario {kind} series '{name}' is unknown")
     if not isinstance(spec, Mapping):
         raise ScenarioError(f"series '{name}' must be a mapping, got {type(spec).__name__}")
-    if "unit" in spec and name in INPUTS and spec["unit"] != INPUTS[name].unit:
-        unit = INPUTS[name].unit
-        raise ScenarioError(f"series '{name}' unit must be {unit!r}, got {spec['unit']!r}")
+    if "unit" in spec and spec["unit"] != row.unit:
+        raise ScenarioError(f"series '{name}' unit must be {row.unit!r}, got {spec['unit']!r}")
     if "file" in spec:
         return load_series(base_dir / str(spec["file"]), name=name)
     if "values" in spec:
@@ -671,17 +674,16 @@ def scenario_from_dict(
         raise ScenarioError(
             f"'series' subsections must be 'exogenous'/'historical', got {sorted(extra)}"
         )
-    input_series = {
-        str(k): _series_from_spec(str(k), v, base_dir)
-        for k, v in _section(series, "exogenous").items()
-    }
-    historical_series = {
-        str(k): _series_from_spec(str(k), v, base_dir)
-        for k, v in _section(series, "historical").items()
-    }
+    input_series, historical_series = (
+        {str(k): _series_from_spec(kind, str(k), v, base_dir)
+         for k, v in _section(series, kind).items()}
+        for kind in ("exogenous", "historical")
+    )
 
     orders: dict[str, ArimaOrder] = {}
     for key, val in _section(doc, "orders").items():
+        if key not in INPUTS or INPUTS[key].kind != "historical":
+            raise ScenarioError(f"order for '{key}' names no historical series")
         if not isinstance(val, (list, tuple)) or len(val) != 3:
             raise ScenarioError(f"order for '{key}' must be a [p, d, q] triple")
         p, d, q = (
@@ -721,7 +723,7 @@ def _outside_domain(domain: tuple[float, float] | None, value: float) -> str | N
 def check_horizon_domain(s: Scenario, name: str, years, values, what: str) -> None:
     """Raise ScenarioError naming ``what`` and the year if a horizon value lies
     outside ``name``'s domain; a name without one passes."""
-    domain = INPUTS[name].domain if name in INPUTS else None
+    domain = INPUTS[name].domain
     for year, value in zip(years, values):
         if s.horizon_start <= year <= s.horizon_end and (
                 problem := _outside_domain(domain, value)):

@@ -468,8 +468,10 @@ def test_forecast_years_follow_the_calendar():
 def test_forecast_needs_enough_observations():
     x = _ar1_path(1, 40, 0.0)
     fit = fit_arima(x, ArimaOrder(0, 0, 0))
-    with pytest.raises(ForecastError, match="need at least 8 observations"):
-        forecast(fit, x[:5], 3)
+    # a (0,0,0) model needs what its fit needs: ArimaOrder.min_obs points
+    with pytest.raises(ForecastError, match="need at least 10 observations"):
+        forecast(fit, x[:9], 3)
+    assert len(forecast(fit, x[:10], 3).mean) == 3
     with pytest.raises(ForecastError, match="horizon must be >= 1"):
         forecast(fit, x, 0)
 

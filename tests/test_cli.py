@@ -336,6 +336,16 @@ def _drop(key):
     return edit
 
 
+def _cut_mhi(n: int):
+    """An edit that keeps the last ``n`` points of ``mhi``."""
+
+    def edit(doc):
+        mhi = doc["series"]["historical"]["mhi"]
+        mhi["start"] += len(mhi["values"]) - n
+        mhi["values"] = mhi["values"][-n:]
+    return edit
+
+
 #: BF5's per-inspection rates, which the bundled scenario sets.
 RATES = ("snooper_rate_core", "snooper_rate_offhours", "drone_rate_core",
          "drone_rate_offhours")
@@ -404,6 +414,15 @@ DOMAIN_CASES = [
     (_set("constants", "mhi", 1.0), "scenario constant 'mhi' is unknown"),
     (_set("series", "historical", "mhi", "unit", "USD"),
      "series 'mhi' unit must be 'USD/yr', got 'USD'"),
+    (_set("series", "exogenous", "rides", {"start": 2022, "values": [1.0] * 11}),
+     "scenario exogenous series 'rides' is unknown"),
+    (_set("series", "exogenous", "mhi", {"start": 2022, "values": [1.0] * 11}),
+     "scenario exogenous series 'mhi' is unknown"),
+    (_set("orders", "mhii", [0, 1, 0]), "order for 'mhii' names no historical series"),
+    # validate used to accept 8 points or more, and run exited 2 on 10
+    # with "too few for order (0,2,0)" or "too short for an ADF test"
+    (_cut_mhi(10), "historical series 'mhi' cannot be forecast: series 'mhi' "
+     "has 10 observations; forecasting needs at least 12"),
 ], ids=["constants-list", "DSN-scalar", "constant-string", "horizon-string",
         "horizon-fraction", "horizon-quoted", "horizon-infinite",
         "horizon-end-1e18", "horizon-end-1e19", "order-fraction",
@@ -413,7 +432,8 @@ DOMAIN_CASES = [
         *(f"{key}={value}" for key, value, _ in DOMAIN_CASES),
         "us_population-2025=0", "drone_capable_inspections-above-total",
         *(f"{key}-missing" for key in RATES), "constant-misspelt",
-        "constant-named-as-a-series", "unit-mismatch"])
+        "constant-named-as-a-series", "unit-mismatch", "series-unknown",
+        "series-of-the-other-kind", "order-unknown", "mhi-under-the-floor"])
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, edit, message):
     doc = _bundled_doc()
     edit(doc)
@@ -555,6 +575,25 @@ def test_validate_and_run_reject_series_linear_up_to_rounding(tmp_path, capsys):
     assert len(values) == 31
     steps = {b - a for a, b in zip(values, values[1:])}
     assert len(steps) > 1
+
+
+def test_a_pin_over_its_series_floor_exits_2_naming_series_and_order(
+    tmp_path, capsys
+):
+    # (3,1,2) needs 16 points and mhi keeps 14; selection fits those 14.
+    options = ["--factors", "BF1", "--best-effort"]
+    doc = _bundled_doc()
+    _cut_mhi(14)(doc)
+    doc["orders"]["mhi"] = [3, 1, 2]
+    cut = _write_json(tmp_path / "cut.json", doc)
+    assert main(["validate", "--scenario", str(cut), *options]) == 0
+    capsys.readouterr()
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main(argv + ["--scenario", str(cut), "--pin-orders", *options]) == 2
+        assert capsys.readouterr().err == (
+            "error: historical series 'mhi' cannot be forecast: 13 differenced "
+            "observations are too few for order (3,1,2); need 15\n"
+        )
 
 
 def _noisy_linear(n: int) -> list[float]:

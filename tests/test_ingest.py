@@ -151,13 +151,29 @@ def test_scenario_from_dict_errors():
     with pytest.raises(ScenarioError, match="subsections must be"):
         scenario_from_dict(doc)
     doc = _minimal_doc()
-    doc["series"]["exogenous"]["bad"] = {"values": [1.0, 2.0]}
+    doc["series"]["exogenous"]["passenger_trips"] = {"values": [1.0, 2.0]}
     with pytest.raises(ScenarioError, match="with 'values' needs 'start'"):
         scenario_from_dict(doc)
     doc = _minimal_doc()
-    doc["series"]["exogenous"]["bad"] = {"kind": "mystery"}
+    doc["series"]["exogenous"]["passenger_trips"] = {"kind": "mystery"}
     with pytest.raises(ScenarioError, match="must map years to numbers"):
         scenario_from_dict(doc)
+    # a series name must be an INPUTS row of its section's kind
+    for kind, name in (("exogenous", "rides"), ("exogenous", "mhi"),
+                       ("historical", "capex"), ("historical", "mhii")):
+        doc = _minimal_doc()
+        doc["series"].setdefault(kind, {})[name] = {"start": 2010, "values": [1.0]}
+        with pytest.raises(
+            ScenarioError, match=f"^scenario {kind} series '{name}' is unknown$"
+        ):
+            scenario_from_dict(doc)
+    for name in ("mhii", "capex"):
+        doc = _minimal_doc()
+        doc["orders"] = {name: [0, 1, 0]}
+        with pytest.raises(
+            ScenarioError, match=f"^order for '{name}' names no historical series$"
+        ):
+            scenario_from_dict(doc)
     doc = _minimal_doc()
     doc["series"]["exogenous"]["opex"] = {2022.5: 1.0, 2023: 1.5, 2024: 2.0}
     with pytest.raises(ScenarioError, match="series 'opex' must map years to numbers"):
@@ -303,13 +319,17 @@ def test_validate_historical_reaches_into_horizon(default_scenario):
 
 
 def test_validate_historical_too_short(default_scenario):
+    # the length floor is the pipeline's, so evaluation names it
     s = default_scenario
     stub = TimeSeries("mhi", tuple(range(2015, 2022)), tuple(range(7)))
     shortened = _replace(
         s, historical_series={**s.historical_series, "mhi": stub}
     )
-    with pytest.raises(ScenarioError, match="has 7 points; at least 8"):
-        validate_scenario(shortened, ("BF1",))
+    with pytest.raises(ScenarioError, match=(
+        r"^historical series 'mhi' cannot be forecast: series 'mhi' has 7 "
+        r"observations; forecasting needs at least 12$"
+    )):
+        evaluate(shortened, ("BF1",))
 
 
 def test_validate_unknown_factor(default_scenario):

@@ -96,11 +96,13 @@ def test_series_unit_key_must_match_its_row():
         ScenarioError, match=r"^series 'opex' unit must be 'USD/yr', got 'EUR/yr'$"
     ):
         scenario_from_dict(doc)
-    # a series that the table does not name keeps its unit key unread
     doc["series"]["exogenous"]["opex"]["unit"] = "USD/yr"
+    assert scenario_from_dict(doc).input_series["opex"].values == (1.0, 2.0)
+    # a series that the table does not name is rejected, whatever its unit
     doc["series"]["exogenous"]["rides"] = {"start": 2022, "values": [1.0, 2.0],
                                            "unit": "rides"}
-    assert scenario_from_dict(doc).input_series["rides"].values == (1.0, 2.0)
+    with pytest.raises(ScenarioError, match=r"^scenario exogenous series 'rides' is unknown$"):
+        scenario_from_dict(doc)
 
 
 def test_magnitude_warnings_follow_the_table(default_scenario):

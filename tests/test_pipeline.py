@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aamcba.forecast import ForecastError
-from aamcba.forecast.arima import ArimaOrder
+from aamcba.forecast.arima import MIN_OBS, ArimaOrder
 from aamcba.forecast.correlation import acf, bartlett_bound, pacf
 from aamcba.forecast.pipeline import _last_spike, auto_pipeline
 from aamcba.ingest import TimeSeries
@@ -99,17 +99,24 @@ def test_drift_handling_toggle():
     assert with_drift.band.mean[-1] > plain.band.mean[-1]
 
 
+def _processes(seed, n: int) -> dict[str, np.ndarray]:
+    """Four n-point paths from the same normals, numpy's default_rng(seed):
+    white noise, a random walk, an I(2) path and an ARMA(1,1) path (phi
+    0.6, theta 0.5)."""
+    e = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    arma = np.empty(n)
+    arma[0] = e[0]
+    for t in range(1, n):
+        arma[t] = 0.6 * arma[t - 1] + e[t] + 0.5 * e[t - 1]
+    return {"white noise": e, "random walk": np.cumsum(e),
+            "I(2)": np.cumsum(np.cumsum(e)), "ARMA(1,1)": arma}
+
+
 def test_selection_trims_the_order_to_the_estimation_budget():
     # A 12-point ARMA(1,1) path, stationary at d = 0, whose last PACF and ACF
     # spikes read (2,0,3). Selection keeps p + q + 10 points per fit, so on
     # twelve q and then p are cut to (1,0,1), which passes the whiteness check.
-    rng = np.random.default_rng(173)
-    e = rng.normal(0.0, 1.0, 12)
-    x = np.empty(12)
-    x[0] = e[0]
-    for t in range(1, 12):
-        x[t] = 0.6 * x[t - 1] + e[t] + 0.5 * e[t - 1]
-    x = list(10.0 + x)
+    x = list(10.0 + _processes(173, 12)["ARMA(1,1)"])
     rho, bound = acf(x, 6), bartlett_bound(12)
     assert (_last_spike(pacf(x, 6, rho), bound), _last_spike(rho, bound)) == (2, 3)
     result = auto_pipeline(x, 3)
@@ -124,13 +131,28 @@ def test_escalation_stays_within_the_estimation_budget():
     # for order (0,2,1); need 11" on seed 0; the pipeline must not escalate
     # to an order it cannot fit.
     for seed in range(200):
-        rng = np.random.default_rng(seed)
-        e = rng.normal(0.0, 1.0, 12)
-        x = np.empty(12)
-        x[0] = e[0]
-        for t in range(1, 12):
-            x[t] = 0.6 * x[t - 1] + e[t] + 0.5 * e[t - 1]
+        x = _processes(seed, 12)["ARMA(1,1)"]
         assert len(auto_pipeline(list(10.0 + x), 3).band.mean) == 3, seed
+
+
+def test_every_series_from_the_floor_up_is_forecast():
+    # MIN_OBS is the floor the pipeline states: every series that long gets
+    # a forecast, adequate or not. Below it the floor is named, not a fit
+    # ("too few for order") or an ADF round ("too short for an ADF test")
+    # that fails for lack of points.
+    # Each length draws its own normals; from one seed alone, the paths
+    # would be prefixes of each other.
+    assert MIN_OBS == 12
+    for n in range(8, 41):
+        for kind, x in _processes([0, n], n).items():
+            if n < MIN_OBS:
+                with pytest.raises(ForecastError, match=(
+                    f"^series 'series' has {n} observations; "
+                    "forecasting needs at least 12$"
+                )):
+                    auto_pipeline(list(10.0 + x), 3)
+            else:
+                assert len(auto_pipeline(list(10.0 + x), 3).band.mean) == 3, (kind, n)
 
 
 def test_short_series_raises_with_label():
